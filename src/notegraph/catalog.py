@@ -219,3 +219,15 @@ def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRe
             )
             records[rec.song_id] = rec
     return records
+
+
+def join_catalog(songs: list[dict], catalog: dict[str, CatalogRecord]) -> None:
+    """Set each song record's catalog fields in place; unmatched songs get
+    no genres and None for the rest."""
+    for song in songs:
+        entry = catalog.get(song["song_id"])
+        song["genres"] = sorted(entry.macro_genres) if entry else []
+        song["release_year"] = entry.release_year if entry else None
+        song["era"] = entry.era if entry else None
+        song["artist"] = entry.clean_artist if entry else None
+        song["popularity"] = entry.popularity if entry else None

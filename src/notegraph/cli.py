@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze (full per-song pipeline and aggregate tables),
-nullmodel (randomized replicas of one graph), embed (PCA projection of
-an analyzed corpus), stats (pairwise genre test battery), trend
-(decade trends with Mann-Kendall tests), report (re-run all aggregate
-tables from an existing songs.jsonl).
+nullmodel (randomized replicas of one graph), report (re-run all
+aggregate tables from an existing songs.jsonl). embed, stats and trend
+are aliases of report that write only the PCA coordinates, the pairwise
+genre tests, or the decade trend tables.
 
 Exit code 0 on success; on failure a JSON error summary goes to stderr
 and the exit code is nonzero.
@@ -15,24 +15,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import catalog as catalog_mod
 from .errors import NotegraphError
 from .graph import parse_edge_list, graph_from_onsets
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
-from .pipeline import (
-    PipelineConfig,
-    _write_csv,
-    pairwise_genre_tests,
-    run_pipeline,
-    trend_report,
-    write_aggregates,
-)
+from .pipeline import PipelineConfig, run_pipeline, write_aggregates
+
+# report aliases -> the aggregate tables each one writes
+ALIAS_TABLES = {
+    "embed": ("coordinates.csv",),
+    "stats": ("genre_tests.csv",),
+    "trend": ("trend_decades.csv", "trend_tests.csv"),
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -100,82 +97,14 @@ def cmd_nullmodel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rejoin_catalog(records: list[dict], catalog_path: str | None) -> None:
-    if not catalog_path:
-        return
-    cat = catalog_mod.load_catalog(catalog_path)
-    for rec in records:
-        entry = cat.get(rec["song_id"])
-        rec["genres"] = sorted(entry.macro_genres) if entry else []
-        rec["release_year"] = entry.release_year if entry else None
-        rec["era"] = entry.era if entry else None
-        rec["artist"] = entry.clean_artist if entry else None
-        rec["popularity"] = entry.popularity if entry else None
-
-
-def cmd_embed(args: argparse.Namespace) -> int:
-    from .embeddings import pca_project
-
-    records = _load_songs(args.songs)
-    matrix = np.asarray([r["interval_vector"] for r in records])
-    proj = pca_project(matrix, k=2)
-    out = Path(args.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "coordinates.csv",
-        ["song_id", "pc1", "pc2"],
-        [[rec["song_id"], float(row[0]), float(row[1])]
-         for rec, row in zip(records, proj.coordinates)],
-    )
-    print(json.dumps({"explained_variance": [float(v) for v in proj.explained_variance]}))
-    return 0
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    records = _load_songs(args.songs)
-    _rejoin_catalog(records, args.catalog_path)
-    rows = pairwise_genre_tests(records)
-    out = Path(args.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "genre_tests.csv",
-        ["measure", "genre_a", "genre_b", "statistic", "p_value", "p_adjusted", "method"],
-        [[r["measure"], r["genre_a"], r["genre_b"], r["statistic"],
-          r["p_value"], r["p_adjusted"], r["method"]] for r in rows],
-    )
-    print(json.dumps({"tests": len(rows)}))
-    return 0
-
-
-def cmd_trend(args: argparse.Namespace) -> int:
-    records = _load_songs(args.songs)
-    _rejoin_catalog(records, args.catalog_path)
-    decade_rows, test_rows, skipped = trend_report(records)
-    out = Path(args.output_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(
-        out / "trend_decades.csv",
-        ["genre", "decade", "count", "efficiency", "weighted_efficiency"],
-        [[r["genre"], r["decade"], r["count"], r["efficiency"], r["weighted_efficiency"]]
-         for r in decade_rows],
-    )
-    _write_csv(
-        out / "trend_tests.csv",
-        ["genre", "measure", "tau", "p_value", "p_adjusted", "all_tied"],
-        [[r["genre"], r["measure"], r["tau"], r["p_value"],
-          r.get("p_adjusted", ""), r["all_tied"]] for r in test_rows],
-    )
-    print(json.dumps({"trend_tests": len(test_rows), "skipped": skipped}))
-    return 0
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     records = _load_songs(args.songs)
-    _rejoin_catalog(records, cfg.catalog_path)
+    if cfg.catalog_path:
+        catalog_mod.join_catalog(records, catalog_mod.load_catalog(cfg.catalog_path))
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    notes = write_aggregates(records, out, cfg)
+    notes = write_aggregates(records, out, cfg, tables=ALIAS_TABLES.get(args.command))
     print(json.dumps(notes, sort_keys=True))
     return 0
 
@@ -197,27 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", dest="output_dir")
     p.set_defaults(func=cmd_nullmodel)
 
-    p = sub.add_parser("embed", help="2-D projection of interval embeddings")
-    p.add_argument("songs", help="songs.jsonl from a previous analyze run")
-    p.add_argument("--output", dest="output_dir")
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("stats", help="pairwise genre Mann-Whitney battery")
-    p.add_argument("songs")
-    p.add_argument("--catalog", dest="catalog_path")
-    p.add_argument("--output", dest="output_dir")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("trend", help="decade trends and Mann-Kendall tests")
-    p.add_argument("songs")
-    p.add_argument("--catalog", dest="catalog_path")
-    p.add_argument("--output", dest="output_dir")
-    p.set_defaults(func=cmd_trend)
-
-    p = sub.add_parser("report", help="rebuild aggregate tables from songs.jsonl")
-    p.add_argument("songs")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_report)
+    for name, help_text in (
+        ("report", "rebuild aggregate tables from songs.jsonl"),
+        ("embed", "report alias: 2-D projection of interval embeddings"),
+        ("stats", "report alias: pairwise genre Mann-Whitney battery"),
+        ("trend", "report alias: decade trends and Mann-Kendall tests"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("songs", help="songs.jsonl from a previous analyze run")
+        _add_config_flags(p)
+        p.set_defaults(func=cmd_report)
 
     return parser
 

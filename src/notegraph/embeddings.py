@@ -58,12 +58,14 @@ def interval_vector(
     return v
 
 
-def interval_fractions(graphs: Iterable[TransitionGraph], weighted: bool = True) -> np.ndarray:
-    """Corpus-level interval shares: summed counts divided by the total."""
+def interval_fractions(counts: Iterable[Sequence[float]]) -> np.ndarray:
+    """Corpus-level interval shares from per-song interval count vectors
+    (``interval_vector(g, normalize=False)``): summed counts divided by
+    the total."""
     total = np.zeros(N_INTERVALS)
     seen = False
-    for g in graphs:
-        total += interval_vector(g, normalize=False, weighted=weighted)
+    for c in counts:
+        total += np.asarray(c)
         seen = True
     if not seen:
         raise EmptyGroup("no graphs in group")

@@ -40,8 +40,9 @@ class StationaryDistribution:
 
 @dataclass
 class NetworkEntropy:
-    node_entropies: np.ndarray
+    node_entropies: np.ndarray  # rows of the damped matrix
     total: float
+    total_undamped_rows: float  # sensitivity variant: rows of the raw matrix
     stationary: StationaryDistribution
 
 
@@ -94,23 +95,26 @@ def node_entropies(m: StochasticMatrix, damped_rows: bool = True) -> np.ndarray:
 def network_entropy(
     g: TransitionGraph,
     damping: float = DEFAULT_DAMPING,
-    damped_rows: bool = True,
     tol: float = 1e-12,
     max_iter: int = 100_000,
 ) -> NetworkEntropy:
     """Stationary-weighted mean of node entropies.
 
-    ``damped_rows=False`` scores rows of the undamped matrix instead (a
-    sensitivity variant); the stationary weights always come from the
-    damped chain.
+    ``total`` scores the rows of the damped matrix; ``total_undamped_rows``
+    scores the rows of the undamped matrix instead (a sensitivity
+    variant). The stationary weights always come from the damped chain.
     """
     m = stochastic_matrix(g, damping=damping)
     pi = stationary_distribution(m, tol=tol, max_iter=max_iter)
-    h = node_entropies(m, damped_rows=damped_rows)
-    total = float(pi.probabilities @ h)
+    h = node_entropies(m, damped_rows=True)
     if m.dimension == 1:
-        total = 0.0
-    return NetworkEntropy(node_entropies=h, total=total, stationary=pi)
+        total = total_raw = 0.0
+    else:
+        total = float(pi.probabilities @ h)
+        total_raw = float(pi.probabilities @ node_entropies(m, damped_rows=False))
+    return NetworkEntropy(
+        node_entropies=h, total=total, total_undamped_rows=total_raw, stationary=pi
+    )
 
 
 def max_entropy(n: int) -> float:

@@ -12,11 +12,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateGraph, EmptyCollection, EmptyGraph
 from .graph import TransitionGraph
-from .nullmodels import RandomizerConfig, shuffled_replicas
 
 
 @dataclass
@@ -72,17 +71,17 @@ def weighted_reciprocity_raw(g: TransitionGraph) -> float:
 
 
 def weighted_reciprocity_norm(
-    g: TransitionGraph, null_samples: int = 10, seed: int = 0
+    g: TransitionGraph, shuffled: Sequence[TransitionGraph]
 ) -> tuple[float, bool]:
     """Weighted reciprocity against the out-weight-shuffle baseline.
 
-    Returns (value, degenerate_flag); when the baseline itself is fully
-    reciprocated (r_NM = 1) the value is undefined and reported as NaN
-    with the flag set.
+    ``shuffled`` holds the null replicas of ``g`` (see
+    ``nullmodels.shuffled_replicas``). Returns (value, degenerate_flag);
+    when the baseline itself is fully reciprocated (r_NM = 1) the value
+    is undefined and reported as NaN with the flag set.
     """
     r = weighted_reciprocity_raw(g)
-    cfg = RandomizerConfig(seed=seed, null_samples=null_samples)
-    samples = [weighted_reciprocity_raw(rep) for rep in shuffled_replicas(g, cfg)]
+    samples = [weighted_reciprocity_raw(rep) for rep in shuffled]
     r_nm = sum(samples) / len(samples)
     if r_nm >= 1.0:
         return math.nan, True
@@ -140,25 +139,42 @@ def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
     return acc / (n * (n - 1))
 
 
-def weight_ccdf(graphs: Iterable[TransitionGraph]) -> list[tuple[int, float]]:
-    """P(W >= w) over every edge weight in the collection."""
-    weights = sorted(w for g in graphs for w in g.edges.values())
-    if not weights:
+def weight_histogram(g: TransitionGraph) -> dict[int, int]:
+    """Edge count per edge weight."""
+    hist: dict[int, int] = {}
+    for w in g.edges.values():
+        hist[w] = hist.get(w, 0) + 1
+    return hist
+
+
+def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int, float]]:
+    """P(W >= w) over every edge weight in a collection of weight histograms.
+
+    Histogram keys may be JSON strings; they are read as integers.
+    """
+    hist: dict[int, int] = {}
+    for h in histograms:
+        for w, c in h.items():
+            hist[int(w)] = hist.get(int(w), 0) + c
+    total = sum(hist.values())
+    if total == 0:
         raise EmptyCollection("no edges in collection")
-    total = len(weights)
     out = []
-    for i, w in enumerate(weights):
-        if i == 0 or w != weights[i - 1]:
-            out.append((w, (total - i) / total))
+    remaining = total
+    for w in sorted(hist):
+        out.append((w, remaining / total))
+        remaining -= hist[w]
     return out
 
 
-def compute_report(
-    g: TransitionGraph, null_samples: int = 10, seed: int = 0
-) -> MetricReport:
-    """Assemble every scalar measure for one song graph."""
+def compute_report(g: TransitionGraph, shuffled: Sequence[TransitionGraph]) -> MetricReport:
+    """Assemble every scalar measure for one song graph.
+
+    ``shuffled`` are the out-weight-shuffle replicas that normalize the
+    weighted reciprocity.
+    """
     rho, full = reciprocity_binary(g)
-    rho_w, degenerate = weighted_reciprocity_norm(g, null_samples=null_samples, seed=seed)
+    rho_w, degenerate = weighted_reciprocity_norm(g, shuffled)
     return MetricReport(
         song_id=g.song_id,
         vertex_count=g.node_count,

@@ -34,10 +34,9 @@ class NoteEvent:
 
 @dataclass(frozen=True)
 class NoteOnset:
-    """A sounding note start, with its tempo-map position in seconds."""
+    """A sounding note start, in absolute ticks."""
 
     tick: int
-    seconds: float
     pitch: int
     channel: int
     track: int
@@ -235,13 +234,7 @@ def onset_stream(m: ParsedMidi) -> list[NoteOnset]:
             if not ev.on or ev.channel == PERCUSSION_CHANNEL:
                 continue
             onsets.append(
-                NoteOnset(
-                    tick=ev.tick,
-                    seconds=_tick_to_seconds(ev.tick, m.tempo_changes, m.ticks_per_quarter),
-                    pitch=ev.pitch,
-                    channel=ev.channel,
-                    track=track_index,
-                )
+                NoteOnset(tick=ev.tick, pitch=ev.pitch, channel=ev.channel, track=track_index)
             )
     onsets.sort(key=lambda o: (o.channel, o.tick, o.track, o.pitch))
     return onsets

@@ -17,7 +17,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .embeddings import (
     INTERVAL_NAMES,
     component_correlations,
     group_embedding,
+    interval_fractions,
     interval_vector,
     pca_project,
 )
@@ -40,7 +41,13 @@ from .errors import (
 )
 from .graph import graph_from_onsets
 from .markov import network_entropy
-from .metrics import compute_report, global_efficiency, weighted_reciprocity_raw
+from .metrics import (
+    compute_report,
+    global_efficiency,
+    weight_ccdf,
+    weight_histogram,
+    weighted_reciprocity_raw,
+)
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 
@@ -155,12 +162,14 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
             f"duration {m.duration:.2f}s not longer than {cfg.min_duration:g}s"
         )
     g = graph_from_onsets(onset_stream(m), song_id=song_id)
-    seed = song_seed(cfg.seed, content_hash)
-    report = compute_report(g, null_samples=cfg.null_samples, seed=seed)
-
     null_cfg = RandomizerConfig(
-        seed=seed, swap_multiplier=cfg.swap_multiplier, null_samples=cfg.null_samples
+        seed=song_seed(cfg.seed, content_hash),
+        swap_multiplier=cfg.swap_multiplier,
+        null_samples=cfg.null_samples,
     )
+    shuffled = list(shuffled_replicas(g, null_cfg))
+    report = compute_report(g, shuffled)
+
     rewired_eff: list[float] = []
     rewired_weff: list[float] = []
     try:
@@ -169,38 +178,28 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
             rewired_weff.append(global_efficiency(rep, weighted=True))
     except TooFewEdges:
         pass
-    shuffled_weff: list[float] = []
-    shuffled_rec: list[float] = []
-    for rep in shuffled_replicas(g, null_cfg):
-        shuffled_weff.append(global_efficiency(rep, weighted=True))
-        shuffled_rec.append(weighted_reciprocity_raw(rep))
+    null_values = {
+        "rewired_efficiency": rewired_eff,
+        "rewired_weighted_efficiency": rewired_weff,
+        "shuffled_weighted_efficiency": [global_efficiency(r, weighted=True) for r in shuffled],
+        "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
+    }
 
-    ent = network_entropy(g, damping=cfg.damping, damped_rows=True)
-    ent_raw_rows = network_entropy(g, damping=cfg.damping, damped_rows=False)
-    iv = interval_vector(g, normalize=True)
+    ent = network_entropy(g, damping=cfg.damping)
     counts = interval_vector(g, normalize=False)
-    weight_hist: dict[int, int] = {}
-    for w in g.edges.values():
-        weight_hist[w] = weight_hist.get(w, 0) + 1
 
     record: dict[str, Any] = {
         "song_id": song_id,
         "content_hash": content_hash,
         "duration": m.duration,
         "network_entropy": ent.total,
-        "network_entropy_undamped_rows": ent_raw_rows.total,
-        "interval_vector": [float(v) for v in iv],
+        "network_entropy_undamped_rows": ent.total_undamped_rows,
+        "interval_vector": [float(v) for v in counts / np.linalg.norm(counts)],
         "interval_counts": [float(v) for v in counts],
-        "weight_histogram": {str(k): v for k, v in sorted(weight_hist.items())},
-        "null_rewired_efficiency_mean": _mean_std(rewired_eff)[0],
-        "null_rewired_efficiency_std": _mean_std(rewired_eff)[1],
-        "null_rewired_weighted_efficiency_mean": _mean_std(rewired_weff)[0],
-        "null_rewired_weighted_efficiency_std": _mean_std(rewired_weff)[1],
-        "null_shuffled_weighted_efficiency_mean": _mean_std(shuffled_weff)[0],
-        "null_shuffled_weighted_efficiency_std": _mean_std(shuffled_weff)[1],
-        "null_shuffled_reciprocity_mean": _mean_std(shuffled_rec)[0],
-        "null_shuffled_reciprocity_std": _mean_std(shuffled_rec)[1],
+        "weight_histogram": {str(k): v for k, v in sorted(weight_histogram(g).items())},
     }
+    for name, values in null_values.items():
+        record[f"null_{name}_mean"], record[f"null_{name}_std"] = _mean_std(values)
     for key, value in asdict(report).items():
         if key != "song_id":
             record[key] = value
@@ -291,14 +290,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     records.sort(key=lambda r: r["song_id"])
     exclusions.sort(key=lambda e: e["song_id"])
 
-    cat = catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else {}
-    for rec in records:
-        entry = cat.get(rec["song_id"])
-        rec["genres"] = sorted(entry.macro_genres) if entry else []
-        rec["release_year"] = entry.release_year if entry else None
-        rec["era"] = entry.era if entry else None
-        rec["artist"] = entry.clean_artist if entry else None
-        rec["popularity"] = entry.popularity if entry else None
+    catalog_mod.join_catalog(
+        records, catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else {}
+    )
 
     _write_jsonl(out_dir / "songs.jsonl", records)
     _write_metrics_csv(out_dir / "metrics.csv", records)
@@ -404,65 +398,51 @@ def trend_report(
     return decade_rows, test_rows, skipped
 
 
-def write_aggregates(records: list[dict], out_dir: Path, cfg: PipelineConfig) -> dict[str, Any]:
-    """Corpus-level tables: CCDF, interval fractions, tests, trends, GS."""
-    notes: dict[str, Any] = {}
+Table = tuple[list[str], list[list[Any]]]  # (header, rows) of one CSV
 
-    ccdf_rows = []
-    for genre, members in sorted(_genre_groups(records).items()):
-        hist: dict[int, int] = {}
-        for rec in members:
-            for w, c in rec["weight_histogram"].items():
-                hist[int(w)] = hist.get(int(w), 0) + c
-        total = sum(hist.values())
-        remaining = total
-        for w in sorted(hist):
-            ccdf_rows.append([genre, w, remaining / total])
-            remaining -= hist[w]
-    _write_csv(out_dir / "ccdf.csv", ["genre", "weight", "ccdf"], ccdf_rows)
 
-    fraction_rows = []
-    for genre, members in sorted(_genre_groups(records).items()):
-        counts = np.zeros(12)
-        for rec in members:
-            counts += np.asarray(rec["interval_counts"])
-        fractions = counts / counts.sum()
-        for i, frac in enumerate(fractions):
-            fraction_rows.append([genre, i, INTERVAL_NAMES[i], float(frac)])
-    _write_csv(
-        out_dir / "interval_fractions.csv",
-        ["genre", "interval", "name", "fraction"],
-        fraction_rows,
-    )
+def _ccdf_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+    rows = [
+        [genre, w, p]
+        for genre, members in sorted(_genre_groups(records).items())
+        for w, p in weight_ccdf(r["weight_histogram"] for r in members)
+    ]
+    return {"ccdf.csv": (["genre", "weight", "ccdf"], rows)}
 
+
+def _fractions_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+    rows = [
+        [genre, i, INTERVAL_NAMES[i], float(frac)]
+        for genre, members in sorted(_genre_groups(records).items())
+        for i, frac in enumerate(interval_fractions(r["interval_counts"] for r in members))
+    ]
+    return {"interval_fractions.csv": (["genre", "interval", "name", "fraction"], rows)}
+
+
+def _genre_tests_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
     try:
-        test_rows = pairwise_genre_tests(records)
-        _write_csv(
-            out_dir / "genre_tests.csv",
-            ["measure", "genre_a", "genre_b", "statistic", "p_value", "p_adjusted", "method"],
-            [[r["measure"], r["genre_a"], r["genre_b"], r["statistic"],
-              r["p_value"], r["p_adjusted"], r["method"]] for r in test_rows],
-        )
+        rows = pairwise_genre_tests(records)
     except InsufficientGroups as exc:
         notes["genre_tests_skipped"] = str(exc)
+        return {}
+    header = ["measure", "genre_a", "genre_b", "statistic", "p_value", "p_adjusted", "method"]
+    return {"genre_tests.csv": (header, [[r[c] for c in header] for r in rows])}
 
+
+def _trend_tables(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
     decade_rows, mk_rows, skipped = trend_report(records)
-    _write_csv(
-        out_dir / "trend_decades.csv",
-        ["genre", "decade", "count", *TREND_MEASURES],
-        [[r["genre"], r["decade"], r["count"], *[r[m] for m in TREND_MEASURES]]
-         for r in decade_rows],
-    )
-    _write_csv(
-        out_dir / "trend_tests.csv",
-        ["genre", "measure", "tau", "p_value", "p_adjusted", "all_tied"],
-        [[r["genre"], r["measure"], r["tau"], r["p_value"],
-          r.get("p_adjusted", ""), r["all_tied"]] for r in mk_rows],
-    )
     if skipped:
         notes["trend_skipped_genres"] = skipped
+    decade_header = ["genre", "decade", "count", *TREND_MEASURES]
+    test_header = ["genre", "measure", "tau", "p_value", "p_adjusted", "all_tied"]
+    return {
+        "trend_decades.csv": (decade_header, [[r[c] for c in decade_header] for r in decade_rows]),
+        "trend_tests.csv": (test_header, [[r.get(c, "") for c in test_header] for r in mk_rows]),
+    }
 
-    gs_rows = []
+
+def _gs_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+    rows = []
     for group_type, key in (("genre", "genres"), ("era", "era"), ("artist", "artist")):
         groups: dict[str, list] = {}
         for rec in records:
@@ -471,36 +451,64 @@ def write_aggregates(records: list[dict], out_dir: Path, cfg: PipelineConfig) ->
                 groups.setdefault(label, []).append(np.asarray(rec["interval_vector"]))
         for label, vectors in sorted(groups.items()):
             emb = group_embedding(label, vectors, min_group_size=cfg.gs_min_group_size)
-            gs_rows.append([
+            rows.append([
                 group_type, label, emb.member_count,
                 emb.gs_score if emb.gs_score is not None else "",
             ])
-    _write_csv(out_dir / "gs_scores.csv", ["group_type", "label", "member_count", "gs_score"], gs_rows)
+    return {"gs_scores.csv": (["group_type", "label", "member_count", "gs_score"], rows)}
 
-    if len(records) >= 2:
-        matrix = np.asarray([r["interval_vector"] for r in records])
-        proj = pca_project(matrix, k=2)
-        _write_csv(
-            out_dir / "coordinates.csv",
-            ["song_id", "pc1", "pc2"],
-            [[rec["song_id"], float(row[0]), float(row[1])]
-             for rec, row in zip(records, proj.coordinates)],
+
+def _projection_tables(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+    if len(records) < 2:
+        return {}
+    proj = pca_project(np.asarray([r["interval_vector"] for r in records]), k=2)
+    notes["explained_variance"] = [float(v) for v in proj.explained_variance]
+    tables = {"coordinates.csv": (
+        ["song_id", "pc1", "pc2"],
+        [[rec["song_id"], float(row[0]), float(row[1])]
+         for rec, row in zip(records, proj.coordinates)],
+    )}
+    if len(records) >= 3:
+        features = {m: [r[m] for r in records] for m in TESTED_MEASURES}
+        tables["component_correlations.csv"] = (
+            ["component", "feature", "r", "p_value", "p_adjusted", "undefined"],
+            [[e.component, e.feature, e.r, e.p_value, e.p_adjusted, e.undefined]
+             for e in component_correlations(proj.coordinates, features)],
         )
-        notes["explained_variance"] = [float(v) for v in proj.explained_variance]
+    return tables
 
-        features = {
-            m: [r[m] for r in records]
-            for m in TESTED_MEASURES
-        }
-        usable = len(records) >= 3
-        if usable:
-            corr = component_correlations(proj.coordinates, features)
-            _write_csv(
-                out_dir / "component_correlations.csv",
-                ["component", "feature", "r", "p_value", "p_adjusted", "undefined"],
-                [[e.component, e.feature, e.r, e.p_value, e.p_adjusted, e.undefined]
-                 for e in corr],
-            )
+
+# each builder with the CSV files it can write, in output order
+AGGREGATE_TABLES = (
+    (("ccdf.csv",), _ccdf_table),
+    (("interval_fractions.csv",), _fractions_table),
+    (("genre_tests.csv",), _genre_tests_table),
+    (("trend_decades.csv", "trend_tests.csv"), _trend_tables),
+    (("gs_scores.csv",), _gs_table),
+    (("coordinates.csv", "component_correlations.csv"), _projection_tables),
+)
+
+
+def write_aggregates(
+    records: list[dict],
+    out_dir: Path,
+    cfg: PipelineConfig,
+    tables: Optional[Iterable[str]] = None,
+) -> dict[str, Any]:
+    """Write the corpus-level CSV tables; returns the notes of the run
+    (skipped tests, PCA explained variance).
+
+    ``tables`` limits the output to those file names; builders that
+    write none of them are not run.
+    """
+    wanted = None if tables is None else set(tables)
+    notes: dict[str, Any] = {}
+    for names, build in AGGREGATE_TABLES:
+        if wanted is not None and wanted.isdisjoint(names):
+            continue
+        for name, (header, rows) in build(records, cfg, notes).items():
+            if wanted is None or name in wanted:
+                _write_csv(out_dir / name, header, rows)
     return notes
 
 

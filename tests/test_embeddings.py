@@ -23,6 +23,10 @@ def graph(edges):
     return TransitionGraph(song_id="t", edges=edges)
 
 
+def fractions(graphs):
+    return interval_fractions([interval_vector(g, normalize=False) for g in graphs])
+
+
 class TestIntervalVector:
     def test_perfect_fifth(self):
         v = interval_vector(graph({(60, 67): 3}))
@@ -77,11 +81,11 @@ class TestIntervalVector:
 
 class TestIntervalFractions:
     def test_indicator(self):
-        f = interval_fractions([graph({(60, 64): 2})])
+        f = fractions([graph({(60, 64): 2})])
         assert f[4] == 1.0
 
     def test_two_disjoint_songs_split_evenly(self):
-        f = interval_fractions([graph({(60, 63): 2}), graph({(60, 65): 2})])
+        f = fractions([graph({(60, 63): 2}), graph({(60, 65): 2})])
         assert f[3] == pytest.approx(0.5) and f[5] == pytest.approx(0.5)
 
     def test_matches_flat_recount(self):
@@ -93,12 +97,12 @@ class TestIntervalFractions:
             for (s, t), w in g.edges.items():
                 counts[interval_class(s, t)] += w
                 total += w
-        np.testing.assert_allclose(interval_fractions(graphs), counts / total)
-        assert interval_fractions(graphs).sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(fractions(graphs), counts / total)
+        assert fractions(graphs).sum() == pytest.approx(1.0)
 
     def test_empty_group(self):
         with pytest.raises(EmptyGroup):
-            interval_fractions([])
+            fractions([])
 
 
 class TestGsScore:

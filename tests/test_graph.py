@@ -17,7 +17,7 @@ from oracles import chords_from_stream, total_transition_weight
 
 def onsets(pairs, channel=0):
     return [
-        NoteOnset(tick=t, seconds=t / 960, pitch=p, channel=channel, track=0)
+        NoteOnset(tick=t, pitch=p, channel=channel, track=0)
         for t, p in pairs
     ]
 

@@ -89,10 +89,9 @@ class TestNetworkEntropy:
         # raw rows, never above log n for the damped ones
         for n in (3, 5, 8):
             g = graph({(i, j): 2 for i in range(n) for j in range(n) if i != j})
-            raw = network_entropy(g, damping=0.05, damped_rows=False)
-            assert raw.total == pytest.approx(math.log(n - 1), abs=1e-10)
-            damped = network_entropy(g, damping=0.05, damped_rows=True)
-            assert math.log(n - 1) - 0.1 < damped.total <= math.log(n) + 1e-12
+            ent = network_entropy(g, damping=0.05)
+            assert ent.total_undamped_rows == pytest.approx(math.log(n - 1), abs=1e-10)
+            assert math.log(n - 1) - 0.1 < ent.total <= math.log(n) + 1e-12
 
     def test_cycle_matches_dense_oracle(self):
         g = graph({(i, (i + 1) % 5): 1 for i in range(5)})
@@ -124,9 +123,8 @@ class TestNetworkEntropy:
 
     def test_undamped_row_variant_differs(self):
         g = graph({(0, 1): 3, (1, 0): 1, (1, 2): 1, (2, 0): 1})
-        damped_rows = network_entropy(g, damped_rows=True).total
-        raw_rows = network_entropy(g, damped_rows=False).total
-        assert damped_rows != raw_rows
+        ent = network_entropy(g)
+        assert ent.total != ent.total_undamped_rows
 
     def test_node_entropies_nonnegative(self):
         g = graph({(0, 1): 1, (1, 0): 2, (1, 2): 5, (2, 1): 1})

@@ -13,9 +13,11 @@ from notegraph.metrics import (
     mean_node_entropy,
     reciprocity_binary,
     weight_ccdf,
+    weight_histogram,
     weighted_reciprocity_norm,
     weighted_reciprocity_raw,
 )
+from notegraph.nullmodels import RandomizerConfig, shuffled_replicas
 
 
 def graph(edges, song_id="t"):
@@ -28,6 +30,14 @@ def complete_digraph(n, weight=1):
 
 def cycle(n, weight=1):
     return graph({(i, (i + 1) % n): weight for i in range(n)})
+
+
+def shuffles(g, null_samples, seed):
+    return list(shuffled_replicas(g, RandomizerConfig(seed=seed, null_samples=null_samples)))
+
+
+def ccdf(graphs):
+    return weight_ccdf([weight_histogram(g) for g in graphs])
 
 
 class TestDensity:
@@ -106,13 +116,13 @@ class TestWeightedReciprocityNorm:
         g = cycle(4, weight=3)
         # one out-edge per node: the shuffle is the identity, but r < 1
         assert weighted_reciprocity_raw(g) == 0.0
-        rho_w, flag = weighted_reciprocity_norm(g, null_samples=5, seed=1)
+        rho_w, flag = weighted_reciprocity_norm(g, shuffles(g, 5, 1))
         assert rho_w == pytest.approx(0.0)
         assert not flag
 
     def test_fully_reciprocated_uniform_is_degenerate(self):
         g = graph({(0, 1): 2, (1, 0): 2})
-        rho_w, flag = weighted_reciprocity_norm(g, null_samples=5, seed=1)
+        rho_w, flag = weighted_reciprocity_norm(g, shuffles(g, 5, 1))
         assert flag and math.isnan(rho_w)
 
     def test_equal_out_weights_give_exact_zero(self):
@@ -120,14 +130,14 @@ class TestWeightedReciprocityNorm:
         # and r < 1 keeps the baseline non-degenerate
         g = graph({(0, 1): 2, (0, 2): 2, (1, 0): 2, (2, 1): 2})
         assert 0 < weighted_reciprocity_raw(g) < 1
-        rho_w, flag = weighted_reciprocity_norm(g, null_samples=20, seed=2)
+        rho_w, flag = weighted_reciprocity_norm(g, shuffles(g, 20, 2))
         assert rho_w == pytest.approx(0.0, abs=1e-12)
         assert not flag
 
     def test_random_placements_average_to_zero(self):
         # graphs whose weight placement is itself a uniform shuffle sit at
         # the baseline on average, so the mean normalized value is ~0
-        from notegraph.nullmodels import RandomizerConfig, shuffle_out_weights
+        from notegraph.nullmodels import shuffle_out_weights
 
         base = graph({
             (0, 1): 5, (0, 2): 1, (1, 0): 2, (1, 3): 7,
@@ -136,7 +146,7 @@ class TestWeightedReciprocityNorm:
         values = []
         for seed in range(400):
             start = shuffle_out_weights(base, RandomizerConfig(seed=seed))
-            rho_w, flag = weighted_reciprocity_norm(start, null_samples=25, seed=seed + 10_000)
+            rho_w, flag = weighted_reciprocity_norm(start, shuffles(start, 25, seed + 10_000))
             assert not flag
             values.append(rho_w)
         assert abs(sum(values) / len(values)) < 0.05
@@ -196,24 +206,24 @@ class TestGlobalEfficiency:
 class TestWeightCcdf:
     def test_small_example(self):
         g = graph({(0, 1): 1, (1, 2): 1, (2, 0): 2})
-        assert weight_ccdf([g]) == [(1, 1.0), (2, pytest.approx(1 / 3))]
+        assert ccdf([g]) == [(1, 1.0), (2, pytest.approx(1 / 3))]
 
     def test_all_equal_single_step(self):
-        assert weight_ccdf([cycle(3, weight=4)]) == [(4, 1.0)]
+        assert ccdf([cycle(3, weight=4)]) == [(4, 1.0)]
 
     def test_empty_collection(self):
         with pytest.raises(EmptyCollection):
-            weight_ccdf([])
+            ccdf([])
 
     def test_matches_sort_and_count(self):
         rng = random.Random(2)
         graphs = [oracles.random_graph(rng) for _ in range(10)]
         weights = [w for g in graphs for w in g.edges.values()]
-        for w, frac in weight_ccdf(graphs):
+        for w, frac in ccdf(graphs):
             assert frac == pytest.approx(
                 sum(1 for x in weights if x >= w) / len(weights)
             )
-        fracs = [f for _, f in weight_ccdf(graphs)]
+        fracs = [f for _, f in ccdf(graphs)]
         assert fracs == sorted(fracs, reverse=True)
 
 
@@ -222,7 +232,7 @@ class TestRanges:
         rng = random.Random(77)
         for _ in range(200):
             g = oracles.random_graph(rng)
-            rep = compute_report(g, null_samples=3, seed=1)
+            rep = compute_report(g, shuffles(g, 3, 1))
             assert 0 <= rep.density <= 1
             assert -1 <= rep.reciprocity_binary <= 1
             assert 0 <= rep.weighted_reciprocity_raw <= 1

@@ -20,7 +20,7 @@ def test_single_note_duration_and_onset():
     onsets = onset_stream(m)
     assert len(onsets) == 1
     assert onsets[0].pitch == 60
-    assert onsets[0].seconds == 0.0
+    assert onsets[0].tick == 0
     # note-off at tick 480 = one quarter at 120 BPM
     assert m.duration == pytest.approx(0.5)
 
