@@ -520,7 +520,7 @@ def _finite(v: Any) -> bool:
 
 def _fmt(v: Any) -> str:
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # np.float64 subclasses float but reprs as np.float64(...)
     return str(v)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -16,6 +17,13 @@ from notegraph.pipeline import (
 )
 
 GENRES = ["classical", "jazz", "rock", "pop"]
+
+# CSV columns that hold labels or flags; every other cell is a number
+TEXT_COLUMNS = {
+    "song_id", "path", "reason", "genre", "genre_a", "genre_b", "measure",
+    "method", "name", "group_type", "label", "feature",
+    "full_density", "degenerate_baseline", "all_tied", "undefined",
+}
 
 
 def build_corpus(root: Path, n_songs: int = 12) -> Path:
@@ -96,6 +104,12 @@ class TestRunPipeline:
         reasons = (out / "exclusions.csv").read_text()
         assert "MalformedHeader" in reasons
         assert "not longer than" in reasons
+        for path in out.glob("*.csv"):
+            with open(path, newline="") as fh:
+                for row in csv.DictReader(fh):
+                    for column, cell in row.items():
+                        if column not in TEXT_COLUMNS and cell != "":
+                            float(cell)  # e.g. 'np.float64(0.5)' raises
 
     def test_worker_count_does_not_change_bytes(self, corpus, tmp_path):
         midi_dir, catalog = corpus
