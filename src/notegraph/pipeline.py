@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -34,8 +35,8 @@ from .embeddings import (
 from .errors import (
     EmptySong,
     InsufficientGroups,
-    MidiParseError,
     NoInputs,
+    NotegraphError,
     TooFewEdges,
     UnwritableOutput,
 )
@@ -216,14 +217,14 @@ def _worker(args: tuple[str, str, dict]) -> dict[str, Any]:
     cache_file = None
     if cache_dir is not None:
         cache_file = cache_dir / f"{content_hash}-{cfg.analysis_signature()}.json"
-        if cache_file.is_file():
-            cached = json.loads(cache_file.read_text())
+        cached = _read_cache(cache_file, content_hash)
+        if cached is not None:
             cached["song_id"] = song_id
             return {"ok": True, "record": cached, "cached": True}
 
     try:
         record = analyze_song(song_id, data, cfg)
-    except (MidiParseError, EmptySong) as exc:
+    except NotegraphError as exc:
         return {
             "ok": False,
             "song_id": song_id,
@@ -231,9 +232,30 @@ def _worker(args: tuple[str, str, dict]) -> dict[str, Any]:
             "reason": f"{type(exc).__name__}: {exc}",
         }
     if cache_file is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(json.dumps(record, sort_keys=True))
+        _write_cache(cache_file, record)
     return {"ok": True, "record": record, "cached": False}
+
+
+def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
+    """The cached record, or None when the entry is missing, unreadable
+    or not a record of this content (a miss: the song is recomputed)."""
+    try:
+        cached = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if isinstance(cached, dict) and cached.get("content_hash") == content_hash:
+        return cached
+    return None
+
+
+def _write_cache(path: Path, record: dict) -> None:
+    """Write through a temp file in the same directory, then rename, so a
+    reader never sees a partial entry."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True))
+    os.replace(tmp, path)
 
 
 def scan_inputs(inputs: list[str]) -> list[Path]:

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import fixture_midi
+from notegraph import pipeline
 from notegraph.cli import main
-from notegraph.errors import InsufficientGroups, NoInputs
+from notegraph.errors import InsufficientGroups, NoInputs, NonConvergence
 from notegraph.pipeline import (
     PipelineConfig,
     pairwise_genre_tests,
@@ -144,6 +145,47 @@ class TestRunPipeline:
         assert second["computed"] == 0 and second["cached"] == 12
         assert read_output(tmp_path / "a")["songs.jsonl"] == \
             read_output(tmp_path / "b")["songs.jsonl"]
+
+    def test_corrupt_cache_entry_is_a_miss(self, corpus, tmp_path):
+        midi_dir, catalog = corpus
+        cache = tmp_path / "cache"
+        def run(out):
+            return run_pipeline(PipelineConfig(
+                inputs=[str(midi_dir)], catalog_path=str(catalog),
+                output_dir=str(tmp_path / out), cache_dir=str(cache),
+                null_samples=2, seed=3,
+            ))
+        run("cold")
+        run("warm")
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.write_bytes(entry.read_bytes()[:50])
+        summary = run("repaired")
+        assert summary["computed"] == 1 and summary["cached"] == 11
+        json.loads(entry.read_text())  # recomputed and overwritten
+        assert not list(cache.glob("*.tmp"))
+        warm, repaired = read_output(tmp_path / "warm"), read_output(tmp_path / "repaired")
+        summaries = [json.loads(o.pop("summary.json")) for o in (warm, repaired)]
+        assert warm == repaired
+        for s in summaries:
+            del s["computed"], s["cached"]
+        assert summaries[0] == summaries[1]
+
+    def test_numerical_failure_excludes_one_song(self, corpus, tmp_path, monkeypatch):
+        midi_dir, _ = corpus
+        real = pipeline.network_entropy
+        def entropy(g, **kwargs):
+            if g.song_id == "song03":
+                raise NonConvergence(1.0, 5)
+            return real(g, **kwargs)
+        monkeypatch.setattr(pipeline, "network_entropy", entropy)
+        summary = run_pipeline(PipelineConfig(
+            inputs=[str(midi_dir)], output_dir=str(tmp_path / "out"),
+            null_samples=2, workers=1,
+        ))
+        assert summary["songs_analyzed"] == 11
+        with open(tmp_path / "out" / "exclusions.csv", newline="") as fh:
+            reasons = {r["song_id"]: r["reason"] for r in csv.DictReader(fh)}
+        assert reasons["song03"].startswith("NonConvergence")
 
     def test_duplicate_content_excluded(self, tmp_path):
         midi_dir = tmp_path / "dup"
