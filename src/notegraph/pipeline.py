@@ -280,7 +280,20 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     except OSError as exc:
         raise UnwritableOutput(str(exc)) from exc
 
-    jobs = [(p.stem, str(p), asdict(cfg)) for p in files]
+    # the stem is the song_id: the first file in path order owns it
+    owners: dict[str, Path] = {}
+    jobs = []
+    exclusions = []
+    for p in files:
+        if p.stem in owners:
+            exclusions.append({
+                "song_id": p.stem,
+                "path": str(p),
+                "reason": f"Collision: song_id {p.stem!r} already taken by {owners[p.stem]}",
+            })
+        else:
+            owners[p.stem] = p
+            jobs.append((p.stem, str(p), asdict(cfg)))
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_worker, jobs))
@@ -288,7 +301,6 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         outcomes = [_worker(job) for job in jobs]
 
     records = []
-    exclusions = []
     seen_hashes: set[str] = set()
     computed = cached = 0
     for outcome in outcomes:

@@ -187,6 +187,21 @@ class TestRunPipeline:
             reasons = {r["song_id"]: r["reason"] for r in csv.DictReader(fh)}
         assert reasons["song03"].startswith("NonConvergence")
 
+    def test_stem_collision_excludes_later_path(self, tmp_path):
+        root = tmp_path / "in"
+        for sub_dir, seed in (("a", 1), ("b", 2)):
+            (root / sub_dir).mkdir(parents=True)
+            (root / sub_dir / "m0.mid").write_bytes(fixture_midi.melodic_midi(seed=seed))
+        summary = run_pipeline(PipelineConfig(
+            inputs=[str(root)], output_dir=str(tmp_path / "out"), null_samples=2,
+        ))
+        assert summary["songs_analyzed"] == 1 and summary["computed"] == 1
+        with open(tmp_path / "out" / "exclusions.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["song_id"] == "m0"
+        assert row["path"] == str(root / "b" / "m0.mid")
+        assert str(root / "a" / "m0.mid") in row["reason"]
+
     def test_duplicate_content_excluded(self, tmp_path):
         midi_dir = tmp_path / "dup"
         midi_dir.mkdir()
