@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from scipy.stats import t as t_dist
+from scipy.special import stdtr
 
 from .errors import (
     EmptySample,
@@ -175,5 +175,5 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
         p = 0.0
     else:
         t_stat = r * math.sqrt((n - 2) / (1 - r * r))
-        p = 2 * float(t_dist.sf(abs(t_stat), n - 2))
+        p = 2 * float(stdtr(n - 2, -abs(t_stat)))  # Student-t upper tail
     return TestResult(statistic=r, p_value=min(1.0, p), method="exact")
