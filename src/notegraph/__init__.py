@@ -2,7 +2,7 @@
 
 from .graph import Chord, TransitionGraph, build_graph, graph_from_onsets, group_chords
 from .metrics import MetricReport, compute_report
-from .midi import NoteOnset, ParsedMidi, duration_seconds, onset_stream, parse_midi
+from .midi import NoteOnset, ParsedMidi, onset_stream, parse_midi
 
 __all__ = [
     "Chord",
@@ -12,7 +12,6 @@ __all__ = [
     "TransitionGraph",
     "build_graph",
     "compute_report",
-    "duration_seconds",
     "graph_from_onsets",
     "group_chords",
     "onset_stream",

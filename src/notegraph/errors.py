@@ -110,9 +110,5 @@ class UnwritableOutput(NotegraphError):
     pass
 
 
-class InsufficientDecades(NotegraphError):
-    pass
-
-
 class InsufficientGroups(NotegraphError):
     pass

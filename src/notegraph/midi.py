@@ -216,12 +216,6 @@ def _tick_to_seconds(tick: int, tempo_changes: list[tuple[int, int]], tpq: int) 
     return seconds
 
 
-def duration_seconds(m: ParsedMidi) -> float:
-    """Tempo-map integrated time of the last event tick."""
-    last_tick = max((ev.tick for track in m.tracks for ev in track), default=0)
-    return _tick_to_seconds(last_tick, m.tempo_changes, m.ticks_per_quarter)
-
-
 def onset_stream(m: ParsedMidi) -> list[NoteOnset]:
     """All sounding note starts, sorted by (channel, tick), drums excluded.
 

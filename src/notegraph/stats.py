@@ -30,7 +30,6 @@ EXACT_LIMIT = 12  # auto mode enumerates when |x| + |y| <= this
 class TestResult:
     statistic: float
     p_value: float
-    p_adjusted: float | None = None
     method: str = "exact"  # "exact" or "normal-approximation"
     all_tied: bool = False
 

@@ -9,7 +9,7 @@ from notegraph.errors import (
     TruncatedChunk,
     UnsupportedFormat,
 )
-from notegraph.midi import duration_seconds, onset_stream, parse_midi
+from notegraph.midi import onset_stream, parse_midi
 
 from fixture_midi import header_chunk, track_chunk, vlq, write_midi
 
