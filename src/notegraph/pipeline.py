@@ -153,8 +153,8 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
 def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, Any]:
     """Full per-song analysis; returns a JSON-serializable record.
 
-    Raises the underlying parse/build error; the pipeline catches those
-    and logs the song as excluded.
+    Raises the underlying NotegraphError (parse, build or numerical); the
+    pipeline excludes the song with that error as its reason.
     """
     content_hash = hashlib.sha256(data).hexdigest()
     m = parse_midi(data)
@@ -253,9 +253,13 @@ def _write_cache(path: Path, record: dict) -> None:
     reader never sees a partial entry."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True))
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(record, sort_keys=True))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def scan_inputs(inputs: list[str]) -> list[Path]:
