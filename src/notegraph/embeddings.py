@@ -68,7 +68,7 @@ def interval_fractions(counts: Iterable[Sequence[float]]) -> np.ndarray:
         total += np.asarray(c)
         seen = True
     if not seen:
-        raise EmptyGroup("no graphs in group")
+        raise EmptyGroup("no songs in group")
     return total / total.sum()
 
 

@@ -331,19 +331,20 @@ class TestCli:
         assert songs.is_file()
 
         assert main(["embed", str(songs), "--output", str(tmp_path / "emb")]) == 0
-        assert (tmp_path / "emb" / "coordinates.csv").is_file()
+        assert [f.name for f in (tmp_path / "emb").iterdir()] == ["coordinates.csv"]
 
         assert main([
             "stats", str(songs), "--catalog", str(catalog),
             "--output", str(tmp_path / "st"),
         ]) == 0
-        assert (tmp_path / "st" / "genre_tests.csv").is_file()
+        assert [f.name for f in (tmp_path / "st").iterdir()] == ["genre_tests.csv"]
 
         assert main([
             "trend", str(songs), "--catalog", str(catalog),
             "--output", str(tmp_path / "tr"),
         ]) == 0
-        assert (tmp_path / "tr" / "trend_tests.csv").is_file()
+        assert sorted(f.name for f in (tmp_path / "tr").iterdir()) == [
+            "trend_decades.csv", "trend_tests.csv"]
 
         assert main([
             "report", str(songs), "--catalog", str(catalog),
