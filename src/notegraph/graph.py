@@ -10,7 +10,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
+
+import numpy as np
 
 from .errors import EmptySong
 from .midi import NoteOnset
@@ -22,27 +25,43 @@ class Chord:
     pitches: frozenset[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionGraph:
     """Directed multigraph-free pitch transition network.
 
     ``edges`` maps (source, target) to a positive integer count.
     ``isolated`` holds pitches whose only transitions were loops; they
-    remain nodes but touch no edge.
+    remain nodes but touch no edge. ``edges`` must not be modified once
+    ``node_list`` or ``weights`` has been read: both are cached.
     """
 
     song_id: str = ""
     edges: dict[tuple[int, int], int] = field(default_factory=dict)
     isolated: frozenset[int] = frozenset()
 
+    @cached_property
+    def node_list(self) -> tuple[int, ...]:
+        """Every node, sorted: the row and column order of ``weights``."""
+        return tuple(sorted({p for edge in self.edges for p in edge} | self.isolated))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only n x n matrix over ``node_list``; entry [i, j] is the
+        weight of edge node_list[i] -> node_list[j], 0 where there is none."""
+        index = {node: i for i, node in enumerate(self.node_list)}
+        w = np.zeros((len(index), len(index)))
+        for (s, t), count in self.edges.items():
+            w[index[s], index[t]] = count
+        w.setflags(write=False)
+        return w
+
     @property
     def nodes(self) -> frozenset[int]:
-        pitches = {p for edge in self.edges for p in edge}
-        return frozenset(pitches | self.isolated)
+        return frozenset(self.node_list)
 
     @property
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.node_list)
 
     @property
     def edge_count(self) -> int:
@@ -54,13 +73,6 @@ class TransitionGraph:
 
     def out_weights(self, node: int) -> dict[int, int]:
         return {t: w for (s, t), w in self.edges.items() if s == node}
-
-    def successors(self) -> dict[int, list[tuple[int, int]]]:
-        """Adjacency map: node -> [(target, weight), ...], sorted."""
-        adj: dict[int, list[tuple[int, int]]] = {n: [] for n in self.nodes}
-        for (s, t), w in sorted(self.edges.items()):
-            adj[s].append((t, w))
-        return adj
 
     def dump_edge_list(self) -> str:
         """Edge-list text, one "source target weight" line, sorted."""

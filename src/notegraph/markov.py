@@ -49,20 +49,16 @@ class NetworkEntropy:
 def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> StochasticMatrix:
     if not 0 < damping < 1:
         raise ValueError(f"damping must lie in (0, 1), got {damping}")
-    nodes = sorted(g.nodes)
-    n = len(nodes)
+    n = g.node_count
     if n == 0:
         raise EmptyGraph("no nodes")
-    index = {node: i for i, node in enumerate(nodes)}
-    raw = np.zeros((n, n))
-    for (s, t), w in g.edges.items():
-        raw[index[s], index[t]] = w
+    raw = g.weights.copy()
     strengths = raw.sum(axis=1)
     dangling = strengths == 0
     raw[dangling] = 1.0 / n
     raw[~dangling] /= strengths[~dangling, None]
     damped = (1 - damping) * raw + damping / n
-    return StochasticMatrix(nodes=nodes, raw=raw, damped=damped, damping=damping)
+    return StochasticMatrix(nodes=list(g.node_list), raw=raw, damped=damped, damping=damping)
 
 
 def stationary_distribution(

@@ -9,10 +9,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DegenerateGraph, EmptyCollection, EmptyGraph
 from .graph import TransitionGraph
@@ -52,8 +53,8 @@ def reciprocity_binary(g: TransitionGraph) -> tuple[float, bool]:
     a = density(g)
     if a >= 1.0:
         return 1.0, True
-    reciprocated = sum(1 for (s, t) in g.edges if (t, s) in g.edges)
-    r = reciprocated / g.edge_count
+    linked = g.weights > 0
+    r = int(np.count_nonzero(linked & linked.T)) / g.edge_count
     return (r - a) / (1 - a), False
 
 
@@ -62,12 +63,7 @@ def weighted_reciprocity_raw(g: TransitionGraph) -> float:
     total = g.total_weight
     if total == 0:
         raise EmptyGraph("no weight in graph")
-    reciprocated = sum(
-        min(w, g.edges[(t, s)])
-        for (s, t), w in g.edges.items()
-        if (t, s) in g.edges
-    )
-    return reciprocated / total
+    return float(np.minimum(g.weights, g.weights.T).sum()) / total
 
 
 def weighted_reciprocity_norm(
@@ -90,35 +86,15 @@ def weighted_reciprocity_norm(
 
 def mean_node_entropy(g: TransitionGraph) -> float:
     """Mean normalized Shannon entropy of per-node out-weight splits."""
-    nodes = g.nodes
-    if not nodes:
+    if g.node_count == 0:
         raise EmptyGraph("no nodes")
-    adj = g.successors()
-    total = 0.0
-    for node in nodes:
-        out = adj.get(node, [])
-        k = len(out)
-        if k <= 1:
-            continue
-        strength = sum(w for _, w in out)
-        h = -sum((w / strength) * math.log(w / strength) for _, w in out)
-        total += h / math.log(k)
-    return total / len(nodes)
-
-
-def _dijkstra(adj: dict[int, list[tuple[int, int]]], source: int, weighted: bool) -> dict[int, float]:
-    dist = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, math.inf):
-            continue
-        for v, w in adj.get(u, ()):
-            nd = d + (w if weighted else 1)
-            if nd < dist.get(v, math.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+    degree = np.count_nonzero(g.weights, axis=1)
+    split = degree > 1
+    rows = g.weights[split]
+    p = rows / rows.sum(axis=1, keepdims=True)
+    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
+    h = -(p * logs).sum(axis=1)
+    return float((h / np.log(degree[split])).sum()) / g.node_count
 
 
 def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
@@ -126,17 +102,18 @@ def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
 
     Unreachable pairs contribute 0. The weighted variant uses total edge
     weight as path cost; with all weights >= 1 it never exceeds the
-    unweighted value.
+    unweighted value. Distances come from Floyd-Warshall on the dense
+    weight matrix (n <= 128 pitches).
     """
     n = g.node_count
     if n < 2:
         raise DegenerateGraph(f"efficiency undefined for {n} node(s)")
-    adj = g.successors()
-    acc = 0.0
-    for source in adj:
-        dist = _dijkstra(adj, source, weighted)
-        acc += sum(1.0 / d for node, d in dist.items() if node != source)
-    return acc / (n * (n - 1))
+    w = g.weights
+    d = np.where(w > 0, w if weighted else 1.0, np.inf)
+    for k in range(n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    np.fill_diagonal(d, np.inf)  # a node's distance to itself is not a pair
+    return float((1.0 / d).sum()) / (n * (n - 1))
 
 
 def weight_histogram(g: TransitionGraph) -> dict[int, int]:

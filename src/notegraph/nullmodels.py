@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 from .errors import EmptyGraph, TooFewEdges
@@ -78,14 +79,12 @@ def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> Transition
     if g.edge_count == 0:
         raise EmptyGraph("cannot shuffle weights of an empty graph")
     rng = random.Random(cfg.seed)
-    adj = g.successors()
     new_edges: dict[tuple[int, int], int] = {}
-    for node in sorted(adj):
-        targets = [t for t, _ in adj[node]]
-        weights = [w for _, w in adj[node]]
+    for _, group in groupby(sorted(g.edges.items()), key=lambda item: item[0][0]):
+        out = list(group)
+        weights = [w for _, w in out]
         rng.shuffle(weights)
-        for t, w in zip(targets, weights):
-            new_edges[(node, t)] = w
+        new_edges.update((edge, w) for (edge, _), w in zip(out, weights))
     return TransitionGraph(song_id=g.song_id, edges=new_edges, isolated=g.isolated)
 
 
