@@ -54,6 +54,11 @@ from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 
 CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 
+# Part of every cache key. Bump it whenever per-song results change for
+# the same inputs and config (an algorithm or its float summation order),
+# so entries written by older code are misses.
+RESULTS_VERSION = 2
+
 # stable export order for metrics.csv and the test batteries
 METRIC_COLUMNS = (
     "vertex_count",
@@ -99,9 +104,10 @@ class PipelineConfig:
         return Path(path) if path else None
 
     def analysis_signature(self) -> str:
-        """Hash of every parameter that affects per-song results."""
+        """Hash of every parameter that affects per-song results, and of
+        the results version."""
         key = (
-            f"{self.min_duration}|{self.damping}|{self.null_samples}"
+            f"{RESULTS_VERSION}|{self.min_duration}|{self.damping}|{self.null_samples}"
             f"|{self.swap_multiplier}|{self.seed}"
         )
         return hashlib.sha256(key.encode()).hexdigest()[:16]

@@ -146,6 +146,19 @@ class TestRunPipeline:
         assert read_output(tmp_path / "a")["songs.jsonl"] == \
             read_output(tmp_path / "b")["songs.jsonl"]
 
+    def test_results_version_invalidates_cache(self, corpus, tmp_path, monkeypatch):
+        midi_dir, catalog = corpus
+        def run(out):
+            return run_pipeline(PipelineConfig(
+                inputs=[str(midi_dir)], catalog_path=str(catalog),
+                output_dir=str(tmp_path / out), cache_dir=str(tmp_path / "cache"),
+                null_samples=2, seed=3,
+            ))
+        run("old")
+        monkeypatch.setattr(pipeline, "RESULTS_VERSION", pipeline.RESULTS_VERSION + 1)
+        summary = run("new")
+        assert summary["computed"] == 12 and summary["cached"] == 0
+
     def test_corrupt_cache_entry_is_a_miss(self, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
