@@ -290,47 +290,33 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     except OSError as exc:
         raise UnwritableOutput(str(exc)) from exc
 
-    # the stem is the song_id: the first file in path order owns it
-    owners: dict[str, Path] = {}
+    # the stem is the song_id and each content is analysed once: the first
+    # file in path order owns its stem and its content
+    stem_owners: dict[str, Path] = {}
+    content_owners: dict[str, Path] = {}
     jobs = []
     exclusions = []
     for p in files:
-        if p.stem in owners:
-            exclusions.append({
-                "song_id": p.stem,
-                "path": str(p),
-                "reason": f"Collision: song_id {p.stem!r} already taken by {owners[p.stem]}",
-            })
+        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        if p.stem in stem_owners:
+            reason = f"Collision: song_id {p.stem!r} already taken by {stem_owners[p.stem]}"
+        elif digest in content_owners:
+            reason = f"Duplicate: same content as {content_owners[digest]}"
         else:
-            owners[p.stem] = p
+            stem_owners[p.stem] = content_owners[digest] = p
             jobs.append((p.stem, str(p), asdict(cfg)))
+            continue
+        exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
         outcomes = [_worker(job) for job in jobs]
 
-    records = []
-    seen_hashes: set[str] = set()
-    computed = cached = 0
-    for outcome in outcomes:
-        if not outcome["ok"]:
-            exclusions.append(outcome)
-            continue
-        rec = outcome["record"]
-        if rec["content_hash"] in seen_hashes:
-            exclusions.append({
-                "song_id": rec["song_id"],
-                "path": "",
-                "reason": "Duplicate: content hash already analyzed",
-            })
-            continue
-        seen_hashes.add(rec["content_hash"])
-        records.append(rec)
-        if outcome["cached"]:
-            cached += 1
-        else:
-            computed += 1
+    records = [o["record"] for o in outcomes if o["ok"]]
+    exclusions += [o for o in outcomes if not o["ok"]]
+    cached = sum(1 for o in outcomes if o["ok"] and o["cached"])
+    computed = len(records) - cached
     records.sort(key=lambda r: r["song_id"])
     exclusions.sort(key=lambda e: e["song_id"])
 

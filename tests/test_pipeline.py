@@ -215,18 +215,30 @@ class TestRunPipeline:
         assert row["path"] == str(root / "b" / "m0.mid")
         assert str(root / "a" / "m0.mid") in row["reason"]
 
-    def test_duplicate_content_excluded(self, tmp_path):
+    def test_duplicate_content_excluded(self, tmp_path, monkeypatch):
         midi_dir = tmp_path / "dup"
         midi_dir.mkdir()
         data = fixture_midi.melodic_midi(seed=1)
         (midi_dir / "a.mid").write_bytes(data)
         (midi_dir / "b.mid").write_bytes(data)
+        analyzed = []
+        real = pipeline.analyze_song
+        def analyze(song_id, data, cfg):
+            analyzed.append(song_id)
+            return real(song_id, data, cfg)
+        monkeypatch.setattr(pipeline, "analyze_song", analyze)
         summary = run_pipeline(PipelineConfig(
             inputs=[str(midi_dir)], output_dir=str(tmp_path / "out"),
-            null_samples=2,
+            null_samples=2, workers=1,
         ))
         assert summary["songs_analyzed"] == 1
         assert summary["songs_excluded"] == 1
+        assert analyzed == ["a"]
+        with open(tmp_path / "out" / "exclusions.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row["song_id"] == "b"
+        assert row["path"] == str(midi_dir / "b.mid")
+        assert row["reason"] == f"Duplicate: same content as {midi_dir / 'a.mid'}"
 
 
 class TestSongSeed:
