@@ -338,13 +338,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         "files_scanned": len(files),
         "songs_analyzed": len(records),
         "songs_excluded": len(exclusions),
-        "computed": computed,
-        "cached": cached,
         "config": cfg.result_config(),
         **aggregates,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    return summary
+    # cache counters differ between cold and warm runs, so they stay out of out/
+    return {**summary, "computed": computed, "cached": cached}
 
 
 # --- aggregation ---

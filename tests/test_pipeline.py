@@ -176,12 +176,7 @@ class TestRunPipeline:
         assert summary["computed"] == 1 and summary["cached"] == 11
         json.loads(entry.read_text())  # recomputed and overwritten
         assert not list(cache.glob("*.tmp"))
-        warm, repaired = read_output(tmp_path / "warm"), read_output(tmp_path / "repaired")
-        summaries = [json.loads(o.pop("summary.json")) for o in (warm, repaired)]
-        assert warm == repaired
-        for s in summaries:
-            del s["computed"], s["cached"]
-        assert summaries[0] == summaries[1]
+        assert read_output(tmp_path / "warm") == read_output(tmp_path / "repaired")
 
     def test_numerical_failure_excludes_one_song(self, corpus, tmp_path, monkeypatch):
         midi_dir, _ = corpus
@@ -352,6 +347,9 @@ class TestCli:
             "--seed", "5",
         ])
         assert code == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["computed"] == 12 and printed["cached"] == 0
+        assert "computed" not in json.loads((out / "summary.json").read_text())
         songs = out / "songs.jsonl"
         assert songs.is_file()
 
