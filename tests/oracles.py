@@ -15,7 +15,9 @@ import numpy as np
 from notegraph.graph import TransitionGraph
 
 
-def random_graph(rng: random.Random, max_nodes: int = 8, max_weight: int = 9) -> TransitionGraph:
+def random_graph(
+    rng: random.Random, max_nodes: int = 8, max_weight: int = 9, edge_prob: float = 0.4
+) -> TransitionGraph:
     """A random simple directed weighted graph with at least one edge."""
     while True:
         n = rng.randint(2, max_nodes)
@@ -23,7 +25,7 @@ def random_graph(rng: random.Random, max_nodes: int = 8, max_weight: int = 9) ->
         edges = {}
         for s in nodes:
             for t in nodes:
-                if s != t and rng.random() < 0.4:
+                if s != t and rng.random() < edge_prob:
                     edges[(s, t)] = rng.randint(1, max_weight)
         if edges:
             return TransitionGraph(song_id="random", edges=edges)

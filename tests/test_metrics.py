@@ -40,6 +40,21 @@ def ccdf(graphs):
     return weight_ccdf([weight_histogram(g) for g in graphs])
 
 
+def oracle_graphs(seed):
+    """Small random graphs, then graphs of up to 40 nodes, copies of some
+    of both with isolated pitches added, and sparse graphs with
+    unreachable pairs."""
+    rng = random.Random(seed)
+    graphs = [oracles.random_graph(rng) for _ in range(100)]
+    graphs += [oracles.random_graph(rng, max_nodes=40) for _ in range(4)]
+    for g in graphs[:4] + graphs[-2:]:
+        free = sorted(set(range(128)) - g.nodes)
+        isolated = frozenset(rng.sample(free, rng.randint(1, 5)))
+        graphs.append(TransitionGraph(song_id=g.song_id, edges=g.edges, isolated=isolated))
+    graphs += [oracles.random_graph(rng, max_nodes=40, edge_prob=0.05) for _ in range(4)]
+    return graphs
+
+
 class TestDensity:
     def test_complete(self):
         assert density(complete_digraph(3)) == 1.0
@@ -168,9 +183,7 @@ class TestMeanNodeEntropy:
         assert mean_node_entropy(graph({(0, 1): 4, (1, 2): 1})) == 0.0
 
     def test_matches_oracle(self):
-        rng = random.Random(8)
-        for _ in range(100):
-            g = oracles.random_graph(rng)
+        for g in oracle_graphs(8):
             assert mean_node_entropy(g) == pytest.approx(
                 oracles.mean_node_entropy(g), abs=1e-12
             )
@@ -186,9 +199,7 @@ class TestGlobalEfficiency:
         assert global_efficiency(graph({(0, 1): 1})) == pytest.approx(0.5)
 
     def test_matches_floyd_warshall_oracle(self):
-        rng = random.Random(21)
-        for _ in range(100):
-            g = oracles.random_graph(rng)
+        for g in oracle_graphs(21):
             for weighted in (False, True):
                 assert global_efficiency(g, weighted=weighted) == pytest.approx(
                     oracles.global_efficiency(g, weighted), abs=1e-12
