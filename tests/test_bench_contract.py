@@ -1,0 +1,80 @@
+"""The benchmark's tracer (perfbench/spans.py) replaces program functions
+by name and reads some of their arguments by position. These tests load
+the tracer as it is and keep the program to that contract."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+import fixture_midi
+import notegraph.cli  # noqa: F401  (loads every module the tracer patches)
+from notegraph.pipeline import PipelineConfig, run_pipeline
+
+SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = load_spans()
+
+
+def test_every_wrapped_name_is_a_loaded_callable():
+    for module, attr in spans.WRAPPED:
+        assert f"notegraph.{module}" in sys.modules, module
+        assert callable(getattr(sys.modules[f"notegraph.{module}"], attr, None)), (module, attr)
+
+
+# what Tracer._observe reads: rewire args[0], args[1]; mwu args[0], args[1];
+# analyze args[1]
+@pytest.mark.parametrize("module, attr, leading", [
+    ("nullmodels", "rewire_edges", ["g", "cfg"]),
+    ("stats", "mann_whitney_u", ["x", "y"]),
+    ("pipeline", "analyze_song", ["song_id", "data", "cfg"]),
+])
+def test_observed_arguments_keep_their_positions(module, attr, leading):
+    fn = getattr(sys.modules[f"notegraph.{module}"], attr)
+    params = list(inspect.signature(fn).parameters.values())
+    assert [p.name for p in params[:len(leading)]] == leading
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params[:len(leading)])
+
+
+def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
+    # the program must call the observed functions positionally, or the
+    # tracer reads the wrong arguments (or none)
+    midi_dir = tmp_path / "in"
+    midi_dir.mkdir()
+    rows = ["song_id\ttitle\tartists\tgenres\tyear_a\tyear_b\tpopularity"]
+    for i, genre in enumerate(("jazz", "jazz", "rock", "rock")):
+        (midi_dir / f"s{i}.mid").write_bytes(fixture_midi.melodic_midi(seed=i))
+        rows.append(f"s{i}\tT\tA\t{genre}\t1990\t1990\t50")
+    catalog = tmp_path / "catalog.tsv"
+    catalog.write_text("\n".join(rows) + "\n")
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        summary = run_pipeline(PipelineConfig(
+            inputs=[str(midi_dir)], catalog_path=str(catalog),
+            output_dir=str(tmp_path / "out"), null_samples=2, workers=1,
+        ))
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert summary["songs_analyzed"] == 4
+    assert counts["pipeline.analyze_calls"] == 4
+    assert "pipeline.duplicate_analyses" not in counts
+    assert counts["nullmodels.rewire_calls"] == 4 * 2
+    assert counts["nullmodels.rewire_attempts"] == 10 * 2 * counts["graph.edges"]
+    assert 0 < counts["nullmodels.rewire_moved"] <= counts["nullmodels.rewire_attempts"]
+    n_measures = len(notegraph.pipeline.TESTED_MEASURES)
+    assert counts["stats.mwu_calls"] == n_measures
+    assert counts["stats.mwu_pairs"] == n_measures * 2 * 2
