@@ -13,8 +13,14 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterator
 
+import numpy as np
+
 from .errors import EmptyGraph, TooFewEdges
 from .graph import TransitionGraph
+
+# Mersenne Twister words drawn per block by _draw_pairs: bounds the
+# memory a replica's draws take, whatever the edge count.
+_BLOCK_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -37,38 +43,71 @@ def replica_seed(master_seed: int, index: int) -> int:
 def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     """Directed double-edge swaps; in/out degree sequences kept exactly.
 
-    A swap (i->j, k->l) => (i->l, k->j) is rejected when it would create
-    a loop or duplicate an existing edge. Each edge keeps its weight
-    through the move, so the weight multiset is conserved too.
+    Each attempt draws two edges i, j with ``rng.randrange(|E|)``. A swap
+    (i->j, k->l) => (i->l, k->j) is rejected when it would create a loop
+    or duplicate an existing edge. Each edge keeps its weight through the
+    move, so the weight multiset is conserved too.
+
+    Sources never move, so the loop keeps only each edge's target (a
+    ``node_list`` index) and an n*n adjacency bitmap whose diagonal is
+    set: a swap that would make a loop then fails the same test as one
+    that would duplicate an edge. Pairs with a common source are dropped
+    before the loop, as they are always rejected (that covers i == j).
     """
     if g.edge_count < 2:
         raise TooFewEdges(f"need >= 2 edges to rewire, got {g.edge_count}")
     rng = random.Random(cfg.seed)
-    edges = [[s, t, w] for (s, t), w in sorted(g.edges.items())]
-    edge_set = {(s, t) for s, t, _ in edges}
+    nodes = g.node_list
+    n = len(nodes)
+    index = {node: k for k, node in enumerate(nodes)}
+    edges = sorted(g.edges.items())
     n_edges = len(edges)
-    for _ in range(cfg.swap_multiplier * n_edges):
-        i = rng.randrange(n_edges)
-        j = rng.randrange(n_edges)
-        if i == j:
-            continue
-        a, b, _ = edges[i]
-        c, d, _ = edges[j]
-        if a == d or c == b:
-            continue  # would create a loop
-        if (a, d) in edge_set or (c, b) in edge_set:
-            continue  # would create a duplicate edge
-        edge_set.discard((a, b))
-        edge_set.discard((c, d))
-        edge_set.add((a, d))
-        edge_set.add((c, b))
-        edges[i][1] = d
-        edges[j][1] = b
+    src = np.array([index[s] for (s, _), _ in edges])
+    row = src * n
+    tgt = [index[t] for (_, t), _ in edges]
+    adj = bytearray(n * n)
+    adj[:: n + 1] = b"\x01" * n
+    for r, t in zip(row.tolist(), tgt):
+        adj[r + t] = 1
+    for ii, jj in _draw_pairs(rng, n_edges, cfg.swap_multiplier * n_edges):
+        keep = src[ii] != src[jj]
+        ii, jj = ii[keep], jj[keep]
+        for i, j, ri, rj in zip(ii.tolist(), jj.tolist(), row[ii].tolist(), row[jj].tolist()):
+            b = tgt[i]
+            d = tgt[j]
+            if adj[ri + d] or adj[rj + b]:
+                continue
+            adj[ri + b] = adj[rj + d] = 0
+            adj[ri + d] = adj[rj + b] = 1
+            tgt[i] = d
+            tgt[j] = b
     return TransitionGraph(
         song_id=g.song_id,
-        edges={(s, t): w for s, t, w in edges},
+        edges={(s, nodes[t]): w for ((s, _), w), t in zip(edges, tgt)},
         isolated=g.isolated,
     )
+
+
+def _draw_pairs(rng: random.Random, n: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``pairs`` successive (rng.randrange(n), rng.randrange(n)) draws, as
+    (first, second) index arrays in blocks of at most _BLOCK_WORDS / 2.
+
+    For n < 2**32, CPython's randrange(n) takes getrandbits(k), k =
+    n.bit_length(), until the value is below n, and each getrandbits(k)
+    is one 32-bit Mersenne Twister word shifted right by 32 - k.
+    getrandbits(32 * m) returns the next m words, least significant
+    first. The last block may leave words of ``rng`` unused.
+    """
+    shift = 32 - n.bit_length()
+    carry = np.empty(0, dtype=np.int64)
+    while pairs > 0:
+        block = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
+        words = np.frombuffer(block, dtype="<u4") >> shift
+        draws = np.concatenate((carry, words[words < n]))
+        m = min(len(draws) // 2, pairs)
+        pairs -= m
+        carry = draws[2 * m:]
+        yield draws[0 : 2 * m : 2], draws[1 : 2 * m : 2]
 
 
 def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:

@@ -13,6 +13,7 @@ from itertools import permutations
 import numpy as np
 
 from notegraph.graph import TransitionGraph
+from notegraph.nullmodels import RandomizerConfig
 
 
 def random_graph(
@@ -29,6 +30,40 @@ def random_graph(
                     edges[(s, t)] = rng.randint(1, max_weight)
         if edges:
             return TransitionGraph(song_id="random", edges=edges)
+
+
+def out_weights(g: TransitionGraph, node: int) -> dict[int, int]:
+    return {t: w for (s, t), w in g.edges.items() if s == node}
+
+
+def rewire_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
+    """Maslov-Sneppen double-edge swaps, one randrange pair per attempt."""
+    rng = random.Random(cfg.seed)
+    edges = [[s, t, w] for (s, t), w in sorted(g.edges.items())]
+    edge_set = {(s, t) for s, t, _ in edges}
+    n_edges = len(edges)
+    for _ in range(cfg.swap_multiplier * n_edges):
+        i = rng.randrange(n_edges)
+        j = rng.randrange(n_edges)
+        if i == j:
+            continue
+        a, b, _ = edges[i]
+        c, d, _ = edges[j]
+        if a == d or c == b:
+            continue  # would create a loop
+        if (a, d) in edge_set or (c, b) in edge_set:
+            continue  # would create a duplicate edge
+        edge_set.discard((a, b))
+        edge_set.discard((c, d))
+        edge_set.add((a, d))
+        edge_set.add((c, b))
+        edges[i][1] = d
+        edges[j][1] = b
+    return TransitionGraph(
+        song_id=g.song_id,
+        edges={(s, t): w for s, t, w in edges},
+        isolated=g.isolated,
+    )
 
 
 def density(g: TransitionGraph) -> float:

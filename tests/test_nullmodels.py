@@ -3,11 +3,15 @@ from collections import Counter
 
 import pytest
 
+import fixture_midi
 import oracles
 from notegraph.errors import EmptyGraph, TooFewEdges
-from notegraph.graph import TransitionGraph
+from notegraph.graph import TransitionGraph, graph_from_onsets
+from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import (
+    _BLOCK_WORDS,
     RandomizerConfig,
+    _draw_pairs,
     replica_seed,
     rewire_edges,
     rewired_replicas,
@@ -69,6 +73,40 @@ class TestRewireEdges:
         g = oracles.random_graph(rng)
         assert rewire_edges(g, CFG).edges == rewire_edges(g, CFG).edges
 
+    def test_matches_per_draw_reference(self):
+        rng = random.Random(6)
+        graphs = [oracles.random_graph(rng, max_nodes=12) for _ in range(40)]
+        graphs += [
+            graph_from_onsets(onset_stream(parse_midi(data)))
+            for data in (fixture_midi.melodic_midi(seed=3), fixture_midi.loop_midi())
+        ]
+        graphs.append(TransitionGraph(
+            edges={(-5, 1000): 2, (1000, 3): 1, (3, -5): 4, (200, 3): 1, (-5, 200): 7, (3, 1000): 5},
+            isolated=frozenset({-9, 500}),
+        ))
+        for g in graphs:
+            if g.edge_count < 2:
+                continue
+            for seed in (0, 1, 2**64 - 1):
+                for multiplier in (1, 10):
+                    cfg = RandomizerConfig(seed=seed, swap_multiplier=multiplier)
+                    rewired = rewire_edges(g, cfg)
+                    reference = oracles.rewire_reference(g, cfg)
+                    assert rewired.edges == reference.edges
+                    assert rewired.isolated == reference.isolated
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, 129, 1760])
+def test_draw_pairs_follow_randrange(n):
+    # the bulk draws rely on how CPython's randrange uses getrandbits;
+    # several blocks, so pairs straddle block boundaries
+    pairs = 3 * _BLOCK_WORDS
+    blocks = list(_draw_pairs(random.Random(n), n, pairs))
+    assert len(blocks) > 2
+    drawn = [v for first, second in blocks for pair in zip(first.tolist(), second.tolist()) for v in pair]
+    rng = random.Random(n)
+    assert drawn == [rng.randrange(n) for _ in range(2 * pairs)]
+
 
 class TestShuffleOutWeights:
     def test_two_out_edges_both_orders_appear(self):
@@ -93,8 +131,8 @@ class TestShuffleOutWeights:
             assert out_strengths(shuffled) == out_strengths(g)
             # per-node out-weight multisets identical
             for node in g.nodes:
-                assert sorted(g.out_weights(node).values()) == sorted(
-                    shuffled.out_weights(node).values()
+                assert sorted(oracles.out_weights(g, node).values()) == sorted(
+                    oracles.out_weights(shuffled, node).values()
                 )
 
     def test_empty_graph(self):
