@@ -71,9 +71,6 @@ class TransitionGraph:
     def total_weight(self) -> int:
         return sum(self.edges.values())
 
-    def out_weights(self, node: int) -> dict[int, int]:
-        return {t: w for (s, t), w in self.edges.items() if s == node}
-
     def dump_edge_list(self) -> str:
         """Edge-list text, one "source target weight" line, sorted."""
         lines = [f"{s} {t} {w}" for (s, t), w in sorted(self.edges.items())]

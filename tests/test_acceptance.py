@@ -114,7 +114,7 @@ def test_criterion_3_null_model_conservation():
         shuffled = shuffle_out_weights(g, cfg)
         replicas += 1
         strengths = lambda h: {
-            n: sum(h.out_weights(n).values()) for n in h.nodes
+            n: sum(oracles.out_weights(h, n).values()) for n in h.nodes
         }
         if set(shuffled.edges) != set(g.edges) or strengths(shuffled) != strengths(g):
             violations += 1
