@@ -213,11 +213,11 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
     return record
 
 
-def _worker(args: tuple[str, str, dict]) -> dict[str, Any]:
-    song_id, path, cfg_dict = args
+def _worker(args: tuple[str, str, str, dict]) -> dict[str, Any]:
+    """Analyse one file; ``content_hash`` is the SHA-256 of its bytes,
+    taken by ``run_pipeline``, and keys the cache entry."""
+    song_id, path, content_hash, cfg_dict = args
     cfg = PipelineConfig(**cfg_dict)
-    data = Path(path).read_bytes()
-    content_hash = hashlib.sha256(data).hexdigest()
 
     cache_dir = cfg.resolved_cache_dir()
     cache_file = None
@@ -229,7 +229,7 @@ def _worker(args: tuple[str, str, dict]) -> dict[str, Any]:
             return {"ok": True, "record": cached, "cached": True}
 
     try:
-        record = analyze_song(song_id, data, cfg)
+        record = analyze_song(song_id, Path(path).read_bytes(), cfg)
     except NotegraphError as exc:
         return {
             "ok": False,
@@ -304,7 +304,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
             reason = f"Duplicate: same content as {content_owners[digest]}"
         else:
             stem_owners[p.stem] = content_owners[digest] = p
-            jobs.append((p.stem, str(p), asdict(cfg)))
+            jobs.append((p.stem, str(p), digest, asdict(cfg)))
             continue
         exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
     if cfg.workers > 1:

@@ -128,7 +128,7 @@ class TestRunPipeline:
             outputs.append(read_output(tmp_path / label))
         assert outputs[0] == outputs[1]
 
-    def test_cache_skips_recomputation(self, corpus, tmp_path):
+    def test_cache_skips_recomputation(self, corpus, tmp_path, monkeypatch):
         midi_dir, catalog = corpus
         def cfg(out):
             return PipelineConfig(
@@ -141,8 +141,14 @@ class TestRunPipeline:
             )
         first = run_pipeline(cfg("a"))
         assert first["computed"] == 12 and first["cached"] == 0
+        reads = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
         second = run_pipeline(cfg("b"))
         assert second["computed"] == 0 and second["cached"] == 12
+        # each of the 14 inputs is read once, for the hash that keys the
+        # cache; only short.mid and broken.mid (never cached) again
+        assert len(reads) == 14 + 2
         assert read_output(tmp_path / "a")["songs.jsonl"] == \
             read_output(tmp_path / "b")["songs.jsonl"]
 
