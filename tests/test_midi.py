@@ -11,6 +11,7 @@ from notegraph.errors import (
 )
 from notegraph.midi import onset_stream, parse_midi
 
+import fixture_midi
 from fixture_midi import header_chunk, track_chunk, vlq, write_midi
 
 
@@ -144,6 +145,27 @@ def test_fuzz_never_panics():
             data = bytes(data)
         try:
             parse_midi(data)
+        except MidiParseError:
+            pass
+
+
+def test_mutated_fixture_files_raise_only_parse_errors():
+    rng = random.Random(2024)
+    notes = [(i * 240, i % 3, 48 + (i * 7) % 36, 240) for i in range(60)]
+    fixtures = [
+        fixture_midi.melodic_midi(seed=1, length=60),
+        fixture_midi.loop_midi(length=40),
+        write_midi(notes, tempos=[(0, 500_000), (2400, 400_000), (7200, 650_000)], fmt=1),
+    ]
+    for trial in range(3000):
+        data = bytearray(rng.choice(fixtures))
+        if trial % 3 != 1:  # bit flips
+            for _ in range(rng.randint(1, 8)):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        if trial % 3 != 0:  # truncation
+            del data[rng.randrange(len(data)):]
+        try:
+            onset_stream(parse_midi(bytes(data)))
         except MidiParseError:
             pass
 
