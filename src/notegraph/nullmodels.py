@@ -43,10 +43,10 @@ def replica_seed(master_seed: int, index: int) -> int:
 def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     """Directed double-edge swaps; in/out degree sequences kept exactly.
 
-    Each attempt draws two edges i, j with ``rng.randrange(|E|)``. A swap
-    (i->j, k->l) => (i->l, k->j) is rejected when it would create a loop
-    or duplicate an existing edge. Each edge keeps its weight through the
-    move, so the weight multiset is conserved too.
+    Each attempt draws two edges i, j with ``rng.randrange(|E|)``. The
+    swap (a->b, c->d) => (a->d, c->b) is rejected when it would create a
+    loop or duplicate an existing edge. Each edge keeps its weight
+    through the move, so the weight multiset is conserved too.
 
     Sources never move, so the loop keeps only each edge's target (a
     ``node_list`` index) and an n*n adjacency bitmap whose diagonal is
