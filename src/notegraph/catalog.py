@@ -1,5 +1,5 @@
-"""Offline song metadata: name cleaning, fuzzy track matching, macro-genre
-keyword tagging, release-year reconciliation and era bucketing.
+"""Offline song metadata: name cleaning, macro-genre keyword tagging,
+release-year reconciliation and era bucketing.
 
 The catalog is a delimiter-separated text file with header columns
 (song_id, title, artists, genres, year_a, year_b, popularity); year_a is
@@ -69,52 +69,6 @@ def clean_name(s: str) -> str:
 def first_artist(artists: str) -> str:
     """First listed artist; composers come first in classical listings."""
     return ARTIST_DELIMITERS.split(artists, maxsplit=1)[0].strip()
-
-
-def artist_list(artists: str) -> list[str]:
-    return [a.strip() for a in ARTIST_DELIMITERS.split(artists) if a.strip()]
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance."""
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + (ca != cb),
-            ))
-        previous = current
-    return previous[-1]
-
-
-def match_track(
-    query: CatalogRecord, candidates: Iterable[CatalogRecord]
-) -> Optional[CatalogRecord]:
-    """Closest-title candidate among those listing the query's artist.
-
-    Ties on edit distance go to the earliest release date (avoiding
-    remasters and live versions), then to the lexicographically smallest
-    song_id so candidate order never matters.
-    """
-    query_artist = query.clean_artist or clean_name(first_artist(query.raw_artist))
-    query_title = query.clean_title or clean_name(query.raw_title)
-    best = None
-    best_key = None
-    for cand in candidates:
-        artists = {clean_name(a) for a in artist_list(cand.raw_artist)}
-        if query_artist not in artists:
-            continue
-        title = cand.clean_title or clean_name(cand.raw_title)
-        year = cand.release_year_a if cand.release_year_a is not None else 10**6
-        key = (levenshtein(query_title, title), year, cand.song_id)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
-    return best
 
 
 def macro_genres(tags: Iterable[str]) -> frozenset[str]:

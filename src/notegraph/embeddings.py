@@ -50,9 +50,10 @@ def interval_vector(
     """
     if g.edge_count == 0:
         raise EmptyGraph("no edges to count intervals from")
-    v = np.zeros(N_INTERVALS)
-    for (s, t), w in g.edges.items():
-        v[interval_class(s, t)] += w if weighted else 1
+    nodes = np.array(g.node_list)
+    classes = interval_class(nodes[:, None], nodes[None, :])
+    counts = g.weights if weighted else g.weights > 0
+    v = np.bincount(classes.ravel(), weights=counts.ravel(), minlength=N_INTERVALS)
     if normalize:
         v /= np.linalg.norm(v)
     return v

@@ -21,7 +21,6 @@ from .midi import NoteOnset
 
 @dataclass(frozen=True)
 class Chord:
-    onset_tick: int
     pitches: frozenset[int]
 
 
@@ -33,6 +32,10 @@ class TransitionGraph:
     ``isolated`` holds pitches whose only transitions were loops; they
     remain nodes but touch no edge. ``edges`` must not be modified once
     ``node_list`` or ``weights`` has been read: both are cached.
+
+    In the package only this module reads ``edges``: every measure, null
+    model and embedding works on ``weights``, and :meth:`with_weights`
+    turns a matrix back into a graph.
     """
 
     song_id: str = ""
@@ -54,6 +57,18 @@ class TransitionGraph:
             w[index[s], index[t]] = count
         w.setflags(write=False)
         return w
+
+    def with_weights(self, w: np.ndarray) -> TransitionGraph:
+        """The graph with weight matrix ``w`` over this ``node_list``: one
+        edge per nonzero entry, the same ``isolated`` pitches. Every other
+        pitch must keep an edge, as the null models ensure."""
+        nodes = self.node_list
+        src, tgt = np.nonzero(w)
+        edges = {
+            (nodes[s], nodes[t]): int(x)
+            for s, t, x in zip(src.tolist(), tgt.tolist(), w[src, tgt].tolist())
+        }
+        return TransitionGraph(song_id=self.song_id, edges=edges, isolated=self.isolated)
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -94,8 +109,8 @@ def parse_edge_list(text: str, song_id: str = "") -> TransitionGraph:
 def group_chords(onsets: list[NoteOnset]) -> list[Chord]:
     """Merge same-tick onsets of one channel into chords, order kept."""
     return [
-        Chord(onset_tick=tick, pitches=frozenset(o.pitch for o in group))
-        for tick, group in groupby(onsets, key=lambda o: o.tick)
+        Chord(pitches=frozenset(o.pitch for o in group))
+        for _, group in groupby(onsets, key=lambda o: o.tick)
     ]
 
 
@@ -115,7 +130,7 @@ def build_graph(chord_sequences: list[list[Chord]], song_id: str = "") -> Transi
                     else:
                         counts[(x, y)] += 1
     if not counts:
-        raise EmptySong(f"no non-loop transitions in song {song_id!r}")
+        raise EmptySong("no non-loop transitions")
     endpoints = {p for edge in counts for p in edge}
     return TransitionGraph(
         song_id=song_id,

@@ -9,7 +9,6 @@ out-edges are set uniform before damping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +110,3 @@ def network_entropy(
     return NetworkEntropy(
         node_entropies=h, total=total, total_undamped_rows=total_raw, stationary=pi
     )
-
-
-def max_entropy(n: int) -> float:
-    return math.log(n) if n > 1 else 0.0

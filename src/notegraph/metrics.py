@@ -118,10 +118,8 @@ def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
 
 def weight_histogram(g: TransitionGraph) -> dict[int, int]:
     """Edge count per edge weight."""
-    hist: dict[int, int] = {}
-    for w in g.edges.values():
-        hist[w] = hist.get(w, 0) + 1
-    return hist
+    weights, counts = np.unique(g.weights[g.weights > 0], return_counts=True)
+    return {int(w): c for w, c in zip(weights.tolist(), counts.tolist())}
 
 
 def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int, float]]:

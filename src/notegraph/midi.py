@@ -28,7 +28,6 @@ class NoteEvent:
     tick: int
     channel: int
     pitch: int
-    velocity: int
     on: bool
 
 
@@ -44,8 +43,6 @@ class NoteOnset:
 
 @dataclass
 class ParsedMidi:
-    format: int
-    ticks_per_quarter: int
     tracks: list[list[NoteEvent]]
     tempo_changes: list[tuple[int, int]]  # (tick, microseconds per quarter)
     duration: float
@@ -134,9 +131,9 @@ def _parse_track(data: bytes, start: int, end: int) -> tuple[list[NoteEvent], li
             d2 = data[pos + 1] & 0x7F if n_data == 2 else 0
             pos += n_data
             if kind == 0x90:
-                events.append(NoteEvent(tick, channel, d1, d2, on=d2 > 0))
+                events.append(NoteEvent(tick, channel, d1, on=d2 > 0))
             elif kind == 0x80:
-                events.append(NoteEvent(tick, channel, d1, d2, on=False))
+                events.append(NoteEvent(tick, channel, d1, on=False))
     return events, tempos
 
 
@@ -182,15 +179,11 @@ def parse_midi(data: bytes) -> ParsedMidi:
 
     tempo_map = _dedupe_tempos(tempos)
     last_tick = max((ev.tick for track in tracks for ev in track), default=0)
-    m = ParsedMidi(
-        format=fmt,
-        ticks_per_quarter=division,
+    return ParsedMidi(
         tracks=tracks,
         tempo_changes=tempo_map,
-        duration=0.0,
+        duration=_tick_to_seconds(last_tick, tempo_map, division),
     )
-    m.duration = _tick_to_seconds(last_tick, tempo_map, division)
-    return m
 
 
 def _dedupe_tempos(tempos: list[tuple[int, int]]) -> list[tuple[int, int]]:

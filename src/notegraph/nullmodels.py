@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterator
 
 import numpy as np
@@ -43,9 +42,10 @@ def replica_seed(master_seed: int, index: int) -> int:
 def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     """Directed double-edge swaps; in/out degree sequences kept exactly.
 
-    Each attempt draws two edges i, j with ``rng.randrange(|E|)``. The
-    swap (a->b, c->d) => (a->d, c->b) is rejected when it would create a
-    loop or duplicate an existing edge. Each edge keeps its weight
+    Each attempt draws two edges i, j with ``rng.randrange(|E|)``; edges
+    are numbered in (source, target) order, the row-major order of the
+    nonzero entries of ``weights``. The swap (a->b, c->d) => (a->d, c->b)
+    is rejected when it would create a loop or duplicate an existing edge. Each edge keeps its weight
     through the move, so the weight multiset is conserved too.
 
     Sources never move, so the loop keeps only each edge's target (a
@@ -57,18 +57,14 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     if g.edge_count < 2:
         raise TooFewEdges(f"need >= 2 edges to rewire, got {g.edge_count}")
     rng = random.Random(cfg.seed)
-    nodes = g.node_list
-    n = len(nodes)
-    index = {node: k for k, node in enumerate(nodes)}
-    edges = sorted(g.edges.items())
-    n_edges = len(edges)
-    src = np.array([index[s] for (s, _), _ in edges])
+    w = g.weights
+    n = g.node_count
+    src, tgt = np.nonzero(w)
+    weight = w[src, tgt]
+    n_edges = len(src)
     row = src * n
-    tgt = [index[t] for (_, t), _ in edges]
-    adj = bytearray(n * n)
-    adj[:: n + 1] = b"\x01" * n
-    for r, t in zip(row.tolist(), tgt):
-        adj[r + t] = 1
+    tgt = tgt.tolist()
+    adj = bytearray(((w > 0) | np.eye(n, dtype=bool)).tobytes())
     for ii, jj in _draw_pairs(rng, n_edges, cfg.swap_multiplier * n_edges):
         keep = src[ii] != src[jj]
         ii, jj = ii[keep], jj[keep]
@@ -81,11 +77,9 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
             adj[ri + d] = adj[rj + b] = 1
             tgt[i] = d
             tgt[j] = b
-    return TransitionGraph(
-        song_id=g.song_id,
-        edges={(s, nodes[t]): w for ((s, _), w), t in zip(edges, tgt)},
-        isolated=g.isolated,
-    )
+    out = np.zeros((n, n))
+    out[src, tgt] = weight
+    return g.with_weights(out)
 
 
 def _draw_pairs(rng: random.Random, n: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -114,17 +108,19 @@ def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> Transition
     """Permute each node's out-edge weights among its own out-edges.
 
     Topology and per-node out-strength are unchanged by construction.
+    Row by row in node order, one ``rng.shuffle`` call permutes the
+    row's nonzero entries of ``weights``.
     """
     if g.edge_count == 0:
         raise EmptyGraph("cannot shuffle weights of an empty graph")
     rng = random.Random(cfg.seed)
-    new_edges: dict[tuple[int, int], int] = {}
-    for _, group in groupby(sorted(g.edges.items()), key=lambda item: item[0][0]):
-        out = list(group)
-        weights = [w for _, w in out]
+    w = g.weights.copy()
+    for row in w:
+        (cols,) = np.nonzero(row)
+        weights = row[cols].tolist()
         rng.shuffle(weights)
-        new_edges.update((edge, w) for (edge, _), w in zip(out, weights))
-    return TransitionGraph(song_id=g.song_id, edges=new_edges, isolated=g.isolated)
+        row[cols] = weights
+    return g.with_weights(w)
 
 
 def rewired_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[TransitionGraph]:

@@ -203,7 +203,7 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         "network_entropy_undamped_rows": ent.total_undamped_rows,
         "interval_vector": [float(v) for v in counts / np.linalg.norm(counts)],
         "interval_counts": [float(v) for v in counts],
-        "weight_histogram": {str(k): v for k, v in sorted(weight_histogram(g).items())},
+        "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
     }
     for name, values in null_values.items():
         record[f"null_{name}_mean"], record[f"null_{name}_std"] = _mean_std(values)
@@ -215,7 +215,9 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
 
 def _worker(args: tuple[str, str, str, dict]) -> dict[str, Any]:
     """Analyse one file; ``content_hash`` is the SHA-256 of its bytes,
-    taken by ``run_pipeline``, and keys the cache entry."""
+    taken by ``run_pipeline``, and keys the cache entry. The entry is
+    the song's record or, for an excluded song, its content hash and
+    reason; ``song_id`` and ``path`` always come from the job."""
     song_id, path, content_hash, cfg_dict = args
     cfg = PipelineConfig(**cfg_dict)
 
@@ -223,28 +225,29 @@ def _worker(args: tuple[str, str, str, dict]) -> dict[str, Any]:
     cache_file = None
     if cache_dir is not None:
         cache_file = cache_dir / f"{content_hash}-{cfg.analysis_signature()}.json"
-        cached = _read_cache(cache_file, content_hash)
-        if cached is not None:
-            cached["song_id"] = song_id
-            return {"ok": True, "record": cached, "cached": True}
+        entry = _read_cache(cache_file, content_hash)
+        if entry is not None:
+            return _outcome(song_id, path, entry, cached=True)
 
     try:
-        record = analyze_song(song_id, Path(path).read_bytes(), cfg)
+        entry = analyze_song(song_id, Path(path).read_bytes(), cfg)
     except NotegraphError as exc:
-        return {
-            "ok": False,
-            "song_id": song_id,
-            "path": path,
-            "reason": f"{type(exc).__name__}: {exc}",
-        }
+        entry = {"content_hash": content_hash, "reason": f"{type(exc).__name__}: {exc}"}
     if cache_file is not None:
-        _write_cache(cache_file, record)
-    return {"ok": True, "record": record, "cached": False}
+        _write_cache(cache_file, entry)
+    return _outcome(song_id, path, entry, cached=False)
+
+
+def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, Any]:
+    if "reason" in entry:
+        return {"ok": False, "song_id": song_id, "path": path, "reason": entry["reason"]}
+    entry["song_id"] = song_id
+    return {"ok": True, "record": entry, "cached": cached}
 
 
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
-    """The cached record, or None when the entry is missing, unreadable
-    or not a record of this content (a miss: the song is recomputed)."""
+    """The cached entry, or None when it is missing, unreadable or not
+    an entry of this content (a miss: the song is recomputed)."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
@@ -254,14 +257,14 @@ def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
     return None
 
 
-def _write_cache(path: Path, record: dict) -> None:
+def _write_cache(path: Path, entry: dict) -> None:
     """Write through a temp file in the same directory, then rename, so a
     reader never sees a partial entry."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True))
+            fh.write(json.dumps(entry, sort_keys=True))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

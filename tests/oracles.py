@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 
@@ -64,6 +64,19 @@ def rewire_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGra
         edges={(s, t): w for s, t, w in edges},
         isolated=g.isolated,
     )
+
+
+def shuffle_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
+    """Per-node out-weight shuffle over the sorted edge list, one
+    ``rng.shuffle`` per source node."""
+    rng = random.Random(cfg.seed)
+    new_edges: dict[tuple[int, int], int] = {}
+    for _, group in groupby(sorted(g.edges.items()), key=lambda item: item[0][0]):
+        out = list(group)
+        weights = [w for _, w in out]
+        rng.shuffle(weights)
+        new_edges.update((edge, w) for (edge, _), w in zip(out, weights))
+    return TransitionGraph(song_id=g.song_id, edges=new_edges, isolated=g.isolated)
 
 
 def density(g: TransitionGraph) -> float:

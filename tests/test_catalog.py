@@ -7,10 +7,8 @@ from notegraph.catalog import (
     clean_name,
     era_bucket,
     first_artist,
-    levenshtein,
     load_catalog,
     macro_genres,
-    match_track,
     reconcile_release_year,
 )
 
@@ -50,62 +48,6 @@ class TestFirstArtist:
     def test_ampersand_and_comma(self):
         assert first_artist("Simon & Garfunkel") == "Simon"
         assert first_artist("Lennon, McCartney") == "Lennon"
-
-
-class TestLevenshtein:
-    def test_kitten_sitting(self):
-        assert levenshtein("kitten", "sitting") == 3
-
-    def test_identity(self):
-        assert levenshtein("abc", "abc") == 0
-
-    def test_insertions_only(self):
-        assert levenshtein("", "abc") == 3
-
-    def test_symmetry_and_triangle(self):
-        rng = random.Random(2)
-        for _ in range(100):
-            a, b, c = (
-                "".join(rng.choice("abcd") for _ in range(rng.randrange(0, 8)))
-                for _ in range(3)
-            )
-            assert levenshtein(a, b) == levenshtein(b, a)
-            assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
-
-
-class TestMatchTrack:
-    def make(self, song_id, title, artists, year_a=None):
-        return build_record(song_id, title=title, artists=artists, year_a=year_a)
-
-    def test_exact_title_selected(self):
-        query = self.make("q", "Blue in Green", "Miles Davis")
-        cands = [
-            self.make("a", "Blue in Green", "Miles Davis; Bill Evans", 1959),
-            self.make("b", "Blue Ingreens", "Miles Davis", 1990),
-        ]
-        assert match_track(query, cands).song_id == "a"
-
-    def test_earliest_year_breaks_distance_tie(self):
-        query = self.make("q", "Something", "The Band")
-        cands = [
-            self.make("late", "Something", "The Band", 1999),
-            self.make("early", "Something", "The Band", 1969),
-        ]
-        assert match_track(query, cands).song_id == "early"
-
-    def test_no_artist_match_returns_none(self):
-        query = self.make("q", "Song", "Nobody")
-        cands = [self.make("a", "Song", "Somebody Else", 1980)]
-        assert match_track(query, cands) is None
-
-    def test_order_independent(self):
-        query = self.make("q", "X", "A")
-        cands = [
-            self.make("id2", "X", "A", 1970),
-            self.make("id1", "X", "A", 1970),
-        ]
-        assert match_track(query, cands).song_id == "id1"
-        assert match_track(query, list(reversed(cands))).song_id == "id1"
 
 
 class TestMacroGenres:

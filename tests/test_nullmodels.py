@@ -38,6 +38,25 @@ def out_strengths(g):
 
 CFG = RandomizerConfig(seed=42, swap_multiplier=10, null_samples=10)
 
+REFERENCE_SEEDS = (0, 1, 2**64 - 1)
+
+
+def reference_graphs():
+    """Random graphs, two fixture songs and a graph with labels outside
+    0..127 and isolated nodes: the null models are compared with the
+    references in tests/oracles.py on these."""
+    rng = random.Random(6)
+    graphs = [oracles.random_graph(rng, max_nodes=12) for _ in range(40)]
+    graphs += [
+        graph_from_onsets(onset_stream(parse_midi(data)))
+        for data in (fixture_midi.melodic_midi(seed=3), fixture_midi.loop_midi())
+    ]
+    graphs.append(TransitionGraph(
+        edges={(-5, 1000): 2, (1000, 3): 1, (3, -5): 4, (200, 3): 1, (-5, 200): 7, (3, 1000): 5},
+        isolated=frozenset({-9, 500}),
+    ))
+    return graphs
+
 
 class TestRewireEdges:
     def test_too_few_edges(self):
@@ -74,20 +93,10 @@ class TestRewireEdges:
         assert rewire_edges(g, CFG).edges == rewire_edges(g, CFG).edges
 
     def test_matches_per_draw_reference(self):
-        rng = random.Random(6)
-        graphs = [oracles.random_graph(rng, max_nodes=12) for _ in range(40)]
-        graphs += [
-            graph_from_onsets(onset_stream(parse_midi(data)))
-            for data in (fixture_midi.melodic_midi(seed=3), fixture_midi.loop_midi())
-        ]
-        graphs.append(TransitionGraph(
-            edges={(-5, 1000): 2, (1000, 3): 1, (3, -5): 4, (200, 3): 1, (-5, 200): 7, (3, 1000): 5},
-            isolated=frozenset({-9, 500}),
-        ))
-        for g in graphs:
+        for g in reference_graphs():
             if g.edge_count < 2:
                 continue
-            for seed in (0, 1, 2**64 - 1):
+            for seed in REFERENCE_SEEDS:
                 for multiplier in (1, 10):
                     cfg = RandomizerConfig(seed=seed, swap_multiplier=multiplier)
                     rewired = rewire_edges(g, cfg)
@@ -138,6 +147,16 @@ class TestShuffleOutWeights:
     def test_empty_graph(self):
         with pytest.raises(EmptyGraph):
             shuffle_out_weights(TransitionGraph(edges={}), CFG)
+
+    def test_matches_reference(self):
+        for g in reference_graphs():
+            for seed in REFERENCE_SEEDS:
+                cfg = RandomizerConfig(seed=seed)
+                shuffled = shuffle_out_weights(g, cfg)
+                reference = oracles.shuffle_reference(g, cfg)
+                assert shuffled.edges == reference.edges
+                assert shuffled.isolated == reference.isolated
+                assert shuffled.node_list == reference.node_list
 
 
 def test_replica_seed_is_xor():

@@ -6,9 +6,13 @@ from pathlib import Path
 import pytest
 
 import fixture_midi
+import oracles
 from notegraph import pipeline
 from notegraph.cli import main
 from notegraph.errors import InsufficientGroups, NoInputs, NonConvergence
+from notegraph.graph import graph_from_onsets
+from notegraph.midi import onset_stream, parse_midi
+from notegraph.nullmodels import RandomizerConfig, replica_seed
 from notegraph.pipeline import (
     PipelineConfig,
     pairwise_genre_tests,
@@ -144,13 +148,37 @@ class TestRunPipeline:
         reads = []
         read_bytes = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
+        parses = []
+        parse_midi = pipeline.parse_midi
+        monkeypatch.setattr(pipeline, "parse_midi", lambda data: parses.append(1) or parse_midi(data))
         second = run_pipeline(cfg("b"))
         assert second["computed"] == 0 and second["cached"] == 12
         # each of the 14 inputs is read once, for the hash that keys the
-        # cache; only short.mid and broken.mid (never cached) again
-        assert len(reads) == 14 + 2
-        assert read_output(tmp_path / "a")["songs.jsonl"] == \
-            read_output(tmp_path / "b")["songs.jsonl"]
+        # cache; the excluded short.mid and broken.mid are cached too
+        assert len(reads) == 14
+        assert parses == []
+        assert read_output(tmp_path / "a") == read_output(tmp_path / "b")
+
+    def test_cached_exclusion_takes_the_current_name(self, tmp_path, monkeypatch):
+        # one pitch for 100 s: every transition is a loop
+        loop_only = fixture_midi.write_midi([(i * 240, 0, 60, 240) for i in range(400)])
+        reasons = {}
+        for name in ("first", "renamed"):
+            midi_dir = tmp_path / name
+            midi_dir.mkdir()
+            (midi_dir / f"{name}.mid").write_bytes(loop_only)
+            (midi_dir / "melody.mid").write_bytes(fixture_midi.melodic_midi(seed=1))
+            run_pipeline(PipelineConfig(
+                inputs=[str(midi_dir)], output_dir=str(tmp_path / f"{name}-out"),
+                cache_dir=str(tmp_path / "cache"), null_samples=2,
+            ))
+            with open(tmp_path / f"{name}-out" / "exclusions.csv", newline="") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row["song_id"] == name
+            assert row["path"] == str(midi_dir / f"{name}.mid")
+            reasons[name] = row["reason"]
+            monkeypatch.setattr(pipeline, "parse_midi", None)  # the second run parses nothing
+        assert reasons["first"] == reasons["renamed"] == "EmptySong: no non-loop transitions"
 
     def test_results_version_invalidates_cache(self, corpus, tmp_path, monkeypatch):
         midi_dir, catalog = corpus
@@ -390,6 +418,15 @@ class TestCli:
         ]) == 0
         assert len(list(out.glob("rewired_*.edges"))) == 3
         assert len(list(out.glob("shuffled_*.edges"))) == 3
+        # the replicas of the default --seed 0 and --swap-multiplier 10,
+        # written as the per-draw references write them
+        g = graph_from_onsets(onset_stream(parse_midi(target.read_bytes())), song_id=target.stem)
+        for i in range(3):
+            cfg = RandomizerConfig(seed=replica_seed(0, i), swap_multiplier=10)
+            for kind, reference in (("rewired", oracles.rewire_reference),
+                                    ("shuffled", oracles.shuffle_reference)):
+                written = (out / f"{kind}_{i:03d}.edges").read_text()
+                assert written == reference(g, cfg).dump_edge_list(), (kind, i)
 
     def test_error_exit_code_and_json(self, tmp_path, capsys):
         (tmp_path / "none").mkdir()
