@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -45,14 +45,8 @@ _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
 @dataclass
 class CatalogRecord:
     song_id: str
-    raw_title: str = ""
-    raw_artist: str = ""
-    clean_title: str = ""
     clean_artist: str = ""
-    genres: list[str] = field(default_factory=list)
     macro_genres: frozenset[str] = frozenset()
-    release_year_a: Optional[int] = None
-    release_year_b: Optional[int] = None
     release_year: Optional[int] = None
     era: Optional[str] = None
     popularity: Optional[int] = None
@@ -130,7 +124,6 @@ def _parse_int(value: str) -> Optional[int]:
 
 def build_record(
     song_id: str,
-    title: str = "",
     artists: str = "",
     genres: Iterable[str] = (),
     year_a: Optional[int] = None,
@@ -138,19 +131,12 @@ def build_record(
     popularity: Optional[int] = None,
 ) -> CatalogRecord:
     """Derive all cleaned and reconciled fields for one raw row."""
-    tags = list(genres)
-    macro = macro_genres(tags)
+    macro = macro_genres(genres)
     year = reconcile_release_year(year_a, year_b, macro)
     return CatalogRecord(
         song_id=song_id,
-        raw_title=title,
-        raw_artist=artists,
-        clean_title=clean_name(title),
         clean_artist=clean_name(first_artist(artists)),
-        genres=tags,
         macro_genres=macro,
-        release_year_a=year_a,
-        release_year_b=year_b,
         release_year=year,
         era=era_bucket(year) if year is not None else None,
         popularity=popularity,
@@ -164,7 +150,6 @@ def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRe
         for row in csv.DictReader(fh, delimiter=delimiter):
             rec = build_record(
                 song_id=row["song_id"].strip(),
-                title=row.get("title", ""),
                 artists=row.get("artists", ""),
                 genres=[g for g in row.get("genres", "").split("|") if g],
                 year_a=_parse_int(row.get("year_a", "") or ""),

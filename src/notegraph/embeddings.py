@@ -39,30 +39,19 @@ def interval_class(pitch_a: int, pitch_b: int) -> int:
     return abs(pitch_a - pitch_b) % 12
 
 
-def interval_vector(
-    g: TransitionGraph, normalize: bool = True, weighted: bool = True
-) -> np.ndarray:
-    """12-vector of interval occurrences over the graph's edges.
-
-    Each edge contributes its weight (or 1 when ``weighted`` is off) to
-    the component of its interval class. ``normalize`` rescales to unit
-    L2 norm.
-    """
+def interval_vector(g: TransitionGraph) -> np.ndarray:
+    """12-vector of interval counts over the graph's edges: each edge adds
+    its weight to the component of its interval class."""
     if g.edge_count == 0:
         raise EmptyGraph("no edges to count intervals from")
     nodes = np.array(g.node_list)
     classes = interval_class(nodes[:, None], nodes[None, :])
-    counts = g.weights if weighted else g.weights > 0
-    v = np.bincount(classes.ravel(), weights=counts.ravel(), minlength=N_INTERVALS)
-    if normalize:
-        v /= np.linalg.norm(v)
-    return v
+    return np.bincount(classes.ravel(), weights=g.weights.ravel(), minlength=N_INTERVALS)
 
 
 def interval_fractions(counts: Iterable[Sequence[float]]) -> np.ndarray:
     """Corpus-level interval shares from per-song interval count vectors
-    (``interval_vector(g, normalize=False)``): summed counts divided by
-    the total."""
+    (``interval_vector(g)``): summed counts divided by the total."""
     total = np.zeros(N_INTERVALS)
     seen = False
     for c in counts:

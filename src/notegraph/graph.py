@@ -9,9 +9,11 @@ and their transition counts summed into one graph per song.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 
@@ -24,51 +26,53 @@ class Chord:
     pitches: frozenset[int]
 
 
-@dataclass(frozen=True)
 class TransitionGraph:
-    """Directed multigraph-free pitch transition network.
-
-    ``edges`` maps (source, target) to a positive integer count.
-    ``isolated`` holds pitches whose only transitions were loops; they
-    remain nodes but touch no edge. ``edges`` must not be modified once
-    ``node_list`` or ``weights`` has been read: both are cached.
-
-    In the package only this module reads ``edges``: every measure, null
-    model and embedding works on ``weights``, and :meth:`with_weights`
-    turns a matrix back into a graph.
+    """Weighted directed pitch transition network, stored as its weight
+    matrix: ``weights`` is read-only and n x n over ``node_list``, the
+    sorted pitches; entry [i, j] counts transitions node_list[i] ->
+    node_list[j]. The constructor takes the counts as an ``edges`` dict,
+    (source, target) -> positive count, and ``isolated`` pitches kept as
+    nodes even when they touch no edge (say, loop-only pitches).
+    ``edges`` reads the dict back from the matrix, read-only. Every
+    measure and null model works on ``weights``; :meth:`with_weights`
+    wraps a null model's matrix as a graph.
     """
 
-    song_id: str = ""
-    edges: dict[tuple[int, int], int] = field(default_factory=dict)
-    isolated: frozenset[int] = frozenset()
-
-    @cached_property
-    def node_list(self) -> tuple[int, ...]:
-        """Every node, sorted: the row and column order of ``weights``."""
-        return tuple(sorted({p for edge in self.edges for p in edge} | self.isolated))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Read-only n x n matrix over ``node_list``; entry [i, j] is the
-        weight of edge node_list[i] -> node_list[j], 0 where there is none."""
-        index = {node: i for i, node in enumerate(self.node_list)}
+    def __init__(
+        self,
+        song_id: str = "",
+        edges: Mapping[tuple[int, int], int] = MappingProxyType({}),
+        isolated: Iterable[int] = frozenset(),
+    ):
+        node_list = tuple(sorted({p for edge in edges for p in edge}.union(isolated)))
+        index = {node: i for i, node in enumerate(node_list)}
         w = np.zeros((len(index), len(index)))
-        for (s, t), count in self.edges.items():
+        for (s, t), count in edges.items():
             w[index[s], index[t]] = count
-        w.setflags(write=False)
-        return w
+        self._set(song_id, node_list, w)
+
+    def _set(self, song_id: str, node_list: tuple[int, ...], weights: np.ndarray):
+        weights.setflags(write=False)
+        self.song_id = song_id
+        self.node_list = node_list
+        self.weights = weights
+        return self
 
     def with_weights(self, w: np.ndarray) -> TransitionGraph:
-        """The graph with weight matrix ``w`` over this ``node_list``: one
-        edge per nonzero entry, the same ``isolated`` pitches. Every other
-        pitch must keep an edge, as the null models ensure."""
+        """The graph with weight matrix ``w`` over this ``node_list``;
+        ``w`` becomes read-only."""
+        return object.__new__(TransitionGraph)._set(self.song_id, self.node_list, w)
+
+    @cached_property
+    def edges(self) -> Mapping[tuple[int, int], int]:
+        """(source, target) -> count, one entry per nonzero of ``weights``,
+        in row-major order, which is sorted order."""
         nodes = self.node_list
-        src, tgt = np.nonzero(w)
-        edges = {
+        src, tgt = np.nonzero(self.weights)
+        return MappingProxyType({
             (nodes[s], nodes[t]): int(x)
-            for s, t, x in zip(src.tolist(), tgt.tolist(), w[src, tgt].tolist())
-        }
-        return TransitionGraph(song_id=self.song_id, edges=edges, isolated=self.isolated)
+            for s, t, x in zip(src.tolist(), tgt.tolist(), self.weights[src, tgt].tolist())
+        })
 
     @property
     def nodes(self) -> frozenset[int]:
@@ -80,15 +84,15 @@ class TransitionGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.weights))
 
     @property
     def total_weight(self) -> int:
-        return sum(self.edges.values())
+        return int(self.weights.sum())
 
     def dump_edge_list(self) -> str:
         """Edge-list text, one "source target weight" line, sorted."""
-        lines = [f"{s} {t} {w}" for (s, t), w in sorted(self.edges.items())]
+        lines = [f"{s} {t} {w}" for (s, t), w in self.edges.items()]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -131,12 +135,7 @@ def build_graph(chord_sequences: list[list[Chord]], song_id: str = "") -> Transi
                         counts[(x, y)] += 1
     if not counts:
         raise EmptySong("no non-loop transitions")
-    endpoints = {p for edge in counts for p in edge}
-    return TransitionGraph(
-        song_id=song_id,
-        edges=dict(counts),
-        isolated=frozenset(loop_pitches - endpoints),
-    )
+    return TransitionGraph(song_id=song_id, edges=counts, isolated=loop_pitches)
 
 
 def graph_from_onsets(onsets: list[NoteOnset], song_id: str = "") -> TransitionGraph:

@@ -21,14 +21,8 @@ DEFAULT_DAMPING = 0.05
 
 @dataclass
 class StochasticMatrix:
-    nodes: list[int]
     raw: np.ndarray  # row-normalized transitions, dangling rows uniform
     damped: np.ndarray
-    damping: float
-
-    @property
-    def dimension(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass
@@ -57,14 +51,14 @@ def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> S
     raw[dangling] = 1.0 / n
     raw[~dangling] /= strengths[~dangling, None]
     damped = (1 - damping) * raw + damping / n
-    return StochasticMatrix(nodes=list(g.node_list), raw=raw, damped=damped, damping=damping)
+    return StochasticMatrix(raw=raw, damped=damped)
 
 
 def stationary_distribution(
     m: StochasticMatrix, tol: float = 1e-12, max_iter: int = 100_000
 ) -> StationaryDistribution:
     """Power iteration from the uniform start until the L1 step < tol."""
-    n = m.dimension
+    n = len(m.damped)
     pi = np.full(n, 1.0 / n)
     for _ in range(max_iter):
         nxt = pi @ m.damped
@@ -102,7 +96,7 @@ def network_entropy(
     m = stochastic_matrix(g, damping=damping)
     pi = stationary_distribution(m, tol=tol, max_iter=max_iter)
     h = node_entropies(m, damped_rows=True)
-    if m.dimension == 1:
+    if len(m.damped) == 1:
         total = total_raw = 0.0
     else:
         total = float(pi.probabilities @ h)

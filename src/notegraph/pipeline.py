@@ -193,7 +193,7 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
     }
 
     ent = network_entropy(g, damping=cfg.damping)
-    counts = interval_vector(g, normalize=False)
+    counts = interval_vector(g)
 
     record: dict[str, Any] = {
         "song_id": song_id,

@@ -62,7 +62,7 @@ def rewire_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGra
     return TransitionGraph(
         song_id=g.song_id,
         edges={(s, t): w for s, t, w in edges},
-        isolated=g.isolated,
+        isolated=g.nodes,
     )
 
 
@@ -76,7 +76,7 @@ def shuffle_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGr
         weights = [w for _, w in out]
         rng.shuffle(weights)
         new_edges.update((edge, w) for (edge, _), w in zip(out, weights))
-    return TransitionGraph(song_id=g.song_id, edges=new_edges, isolated=g.isolated)
+    return TransitionGraph(song_id=g.song_id, edges=new_edges, isolated=g.nodes)
 
 
 def density(g: TransitionGraph) -> float:

@@ -11,6 +11,8 @@ import pytest
 
 import fixture_midi
 import notegraph.cli  # noqa: F401  (loads every module the tracer patches)
+from notegraph.graph import TransitionGraph
+from notegraph.nullmodels import RandomizerConfig, rewire_edges
 from notegraph.pipeline import PipelineConfig, run_pipeline
 
 SPANS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -78,3 +80,19 @@ def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
     n_measures = len(notegraph.pipeline.TESTED_MEASURES)
     assert counts["stats.mwu_calls"] == n_measures
     assert counts["stats.mwu_pairs"] == n_measures * 2 * 2
+
+
+def test_graph_keeps_the_attributes_the_bench_reads():
+    # perfbench/checks.py builds reference graphs by keyword, with pitches
+    # whose only transitions were loops; the tracer reads node and edge
+    # counts and the edge dict of rewired replicas
+    edges = {(60, 62): 2, (62, 64): 1, (64, 60): 3, (60, 64): 1}
+    g = TransitionGraph(edges=dict(edges), isolated=frozenset({70}))
+    assert g.edges == edges
+    assert g.nodes == {60, 62, 64, 70}
+    assert (g.node_count, g.edge_count) == (4, 4)
+    rewired = rewire_edges(g, RandomizerConfig(seed=1))
+    assert rewired.nodes == g.nodes
+    assert (rewired.node_count, rewired.edge_count) == (4, 4)
+    assert sorted(rewired.edges.values()) == sorted(edges.values())
+    assert sum(1 for e in rewired.edges if e not in g.edges) <= g.edge_count

@@ -11,6 +11,7 @@ from notegraph.graph import (
     parse_edge_list,
 )
 from notegraph.midi import NoteOnset
+from notegraph.nullmodels import RandomizerConfig, rewire_edges, shuffle_out_weights
 
 from oracles import chords_from_stream, total_transition_weight
 
@@ -102,3 +103,17 @@ def test_edge_list_roundtrip():
     dumped = g.dump_edge_list()
     assert dumped.splitlines() == sorted(dumped.splitlines())
     assert parse_edge_list(dumped).edges == g.edges
+
+
+def test_graphs_and_replicas_are_read_only():
+    a = group_chords(onsets([(0, 60), (1, 62), (2, 64), (3, 60), (4, 64)], channel=0))
+    b = group_chords(onsets([(0, 70), (1, 70)], channel=1))
+    g = build_graph([a, b])
+    cfg = RandomizerConfig(seed=2)
+    replicas = [rewire_edges(g, cfg), shuffle_out_weights(g, cfg)]
+    for h in [g, *replicas]:
+        with pytest.raises(TypeError):
+            h.edges[(60, 62)] = 5
+        assert not h.weights.flags.writeable
+    for rep in replicas:
+        assert rep.node_list == g.node_list

@@ -102,7 +102,7 @@ class TestRewireEdges:
                     rewired = rewire_edges(g, cfg)
                     reference = oracles.rewire_reference(g, cfg)
                     assert rewired.edges == reference.edges
-                    assert rewired.isolated == reference.isolated
+                    assert rewired.node_list == reference.node_list
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, 129, 1760])
@@ -155,7 +155,6 @@ class TestShuffleOutWeights:
                 shuffled = shuffle_out_weights(g, cfg)
                 reference = oracles.shuffle_reference(g, cfg)
                 assert shuffled.edges == reference.edges
-                assert shuffled.isolated == reference.isolated
                 assert shuffled.node_list == reference.node_list
 
 

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fixture_midi
@@ -106,6 +107,9 @@ class TestRunPipeline:
             assert r["duration"] > 60
             assert 0 <= r["density"] <= 1
             assert math.isfinite(r["network_entropy"])
+            counts = np.asarray(r["interval_counts"])
+            assert np.linalg.norm(r["interval_vector"]) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(r["interval_vector"], counts / np.linalg.norm(counts))
         reasons = (out / "exclusions.csv").read_text()
         assert "MalformedHeader" in reasons
         assert "not longer than" in reasons
