@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+import fixture_midi
 import oracles
 from notegraph.embeddings import (
     INTERVAL_NAMES,
@@ -16,7 +17,9 @@ from notegraph.embeddings import (
     pca_project,
 )
 from notegraph.errors import EmptyGraph, EmptyGroup, EmptySet, ZeroVector
-from notegraph.graph import TransitionGraph
+from notegraph.graph import TransitionGraph, graph_from_onsets
+from notegraph.midi import onset_stream, parse_midi
+from notegraph.pipeline import PipelineConfig, analyze_song
 
 
 def graph(edges):
@@ -42,6 +45,18 @@ class TestIntervalVector:
     def test_direction_insensitive(self):
         v = interval_vector(graph({(60, 62): 1, (62, 60): 1}))
         assert v[2] == 2.0 and v.sum() == 2.0
+
+    def test_unit_norm(self):
+        # interval_vector returns counts; the song record stores them and,
+        # for GS scores and PCA, the same vector scaled to unit norm
+        cfg = PipelineConfig(inputs=["x"], null_samples=1)
+        for seed in range(3):
+            data = fixture_midi.melodic_midi(seed=seed)
+            counts = interval_vector(graph_from_onsets(onset_stream(parse_midi(data))))
+            rec = analyze_song(f"s{seed}", data, cfg)
+            np.testing.assert_array_equal(rec["interval_counts"], counts)
+            assert np.linalg.norm(rec["interval_vector"]) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(rec["interval_vector"], counts / np.linalg.norm(counts))
 
     def test_transposition_invariant(self):
         rng = random.Random(2)
