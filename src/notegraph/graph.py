@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from types import MappingProxyType
@@ -19,11 +18,6 @@ import numpy as np
 
 from .errors import EmptySong
 from .midi import NoteOnset
-
-
-@dataclass(frozen=True)
-class Chord:
-    pitches: frozenset[int]
 
 
 class TransitionGraph:
@@ -110,15 +104,16 @@ def parse_edge_list(text: str, song_id: str = "") -> TransitionGraph:
     return TransitionGraph(song_id=song_id, edges=edges)
 
 
-def group_chords(onsets: list[NoteOnset]) -> list[Chord]:
-    """Merge same-tick onsets of one channel into chords, order kept."""
+def group_chords(onsets: list[NoteOnset]) -> list[frozenset[int]]:
+    """Merge same-tick onsets of one channel into chords, each the set of
+    its pitches, order kept."""
     return [
-        Chord(pitches=frozenset(o.pitch for o in group))
+        frozenset(o.pitch for o in group)
         for _, group in groupby(onsets, key=lambda o: o.tick)
     ]
 
 
-def build_graph(chord_sequences: list[list[Chord]], song_id: str = "") -> TransitionGraph:
+def build_graph(chord_sequences: list[list[frozenset[int]]], song_id: str = "") -> TransitionGraph:
     """Sum per-channel chord-to-chord transitions into one graph.
 
     Raises EmptySong when no channel contributes any non-loop transition.
@@ -127,8 +122,8 @@ def build_graph(chord_sequences: list[list[Chord]], song_id: str = "") -> Transi
     loop_pitches: set[int] = set()
     for chords in chord_sequences:
         for a, b in zip(chords, chords[1:]):
-            for x in a.pitches:
-                for y in b.pitches:
+            for x in a:
+                for y in b:
                     if x == y:
                         loop_pitches.add(x)
                     else:

@@ -17,6 +17,8 @@ from .errors import EmptyGraph, NonConvergence
 from .graph import TransitionGraph
 
 DEFAULT_DAMPING = 0.05
+_TOL = 1e-12  # power iteration stops at an L1 step below this
+_MAX_ITER = 100_000
 
 
 @dataclass
@@ -54,22 +56,20 @@ def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> S
     return StochasticMatrix(raw=raw, damped=damped)
 
 
-def stationary_distribution(
-    m: StochasticMatrix, tol: float = 1e-12, max_iter: int = 100_000
-) -> StationaryDistribution:
-    """Power iteration from the uniform start until the L1 step < tol."""
+def stationary_distribution(m: StochasticMatrix) -> StationaryDistribution:
+    """Power iteration from the uniform start until the L1 step < _TOL."""
     n = len(m.damped)
     pi = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         nxt = pi @ m.damped
         nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < tol:
+        if np.abs(nxt - pi).sum() < _TOL:
             pi = nxt
             break
         pi = nxt
     residual = float(np.abs(pi @ m.damped - pi).sum())
-    if residual > tol * 10:
-        raise NonConvergence(residual, max_iter)
+    if residual > _TOL * 10:
+        raise NonConvergence(residual, _MAX_ITER)
     return StationaryDistribution(probabilities=pi, residual=residual)
 
 
@@ -81,12 +81,7 @@ def node_entropies(m: StochasticMatrix, damped_rows: bool = True) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def network_entropy(
-    g: TransitionGraph,
-    damping: float = DEFAULT_DAMPING,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-) -> NetworkEntropy:
+def network_entropy(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> NetworkEntropy:
     """Stationary-weighted mean of node entropies.
 
     ``total`` scores the rows of the damped matrix; ``total_undamped_rows``
@@ -94,7 +89,7 @@ def network_entropy(
     variant). The stationary weights always come from the damped chain.
     """
     m = stochastic_matrix(g, damping=damping)
-    pi = stationary_distribution(m, tol=tol, max_iter=max_iter)
+    pi = stationary_distribution(m)
     h = node_entropies(m, damped_rows=True)
     if len(m.damped) == 1:
         total = total_raw = 0.0

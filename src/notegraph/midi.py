@@ -9,6 +9,7 @@ excluded from onset streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadVariableLengthQuantity,
@@ -21,31 +22,20 @@ DEFAULT_TEMPO_US = 500_000  # microseconds per quarter note (120 BPM)
 PERCUSSION_CHANNEL = 9
 
 
-@dataclass(frozen=True)
-class NoteEvent:
-    """A decoded note-on or note-off, in absolute ticks."""
+class NoteOnset(NamedTuple):
+    """A sounding note start, in absolute ticks. The field order is the
+    onset stream's sort order."""
 
-    tick: int
     channel: int
-    pitch: int
-    on: bool
-
-
-@dataclass(frozen=True)
-class NoteOnset:
-    """A sounding note start, in absolute ticks."""
-
     tick: int
     pitch: int
-    channel: int
-    track: int
 
 
 @dataclass
 class ParsedMidi:
-    tracks: list[list[NoteEvent]]
+    onsets: list[NoteOnset]  # every sounding note start, in file order, drums included
     tempo_changes: list[tuple[int, int]]  # (tick, microseconds per quarter)
-    duration: float
+    duration: float  # seconds to the last note-on or note-off on any channel
 
 
 def _read_u16(data: bytes, pos: int) -> int:
@@ -74,9 +64,13 @@ def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
     raise BadVariableLengthQuantity("variable-length quantity longer than 4 bytes")
 
 
-def _parse_track(data: bytes, start: int, end: int) -> tuple[list[NoteEvent], list[tuple[int, int]]]:
-    events: list[NoteEvent] = []
-    tempos: list[tuple[int, int]] = []
+def _parse_track(
+    data: bytes, start: int, end: int, onsets: list[NoteOnset], tempos: list[tuple[int, int]]
+) -> int:
+    """Decode one MTrk body, appending its sounding note starts to
+    ``onsets`` and its tempo events to ``tempos``; returns the tick of
+    its last note-on or note-off (0 if it has none)."""
+    last_note_tick = 0
     tick = 0
     running_status: int | None = None
     pos = start
@@ -130,11 +124,11 @@ def _parse_track(data: bytes, start: int, end: int) -> tuple[list[NoteEvent], li
             d1 = data[pos] & 0x7F
             d2 = data[pos + 1] & 0x7F if n_data == 2 else 0
             pos += n_data
-            if kind == 0x90:
-                events.append(NoteEvent(tick, channel, d1, on=d2 > 0))
-            elif kind == 0x80:
-                events.append(NoteEvent(tick, channel, d1, on=False))
-    return events, tempos
+            if kind == 0x90 or kind == 0x80:
+                last_note_tick = tick
+                if kind == 0x90 and d2:  # velocity 0 is the note-off shorthand
+                    onsets.append(NoteOnset(channel, tick, d1))
+    return last_note_tick
 
 
 def parse_midi(data: bytes) -> ParsedMidi:
@@ -155,8 +149,9 @@ def parse_midi(data: bytes) -> ParsedMidi:
         raise MalformedHeader("zero ticks per quarter note")
 
     pos = 8 + header_len
-    tracks: list[list[NoteEvent]] = []
+    onsets: list[NoteOnset] = []
     tempos: list[tuple[int, int]] = []
+    last_tick = 0
     parsed = 0
     while parsed < n_tracks and pos < len(data):
         if pos + 8 > len(data):
@@ -168,9 +163,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
         if body_end > len(data):
             raise TruncatedChunk(f"{chunk_id!r} chunk body runs past end of file")
         if chunk_id == b"MTrk":
-            events, track_tempos = _parse_track(data, body_start, body_end)
-            tracks.append(events)
-            tempos.extend(track_tempos)
+            last_tick = max(last_tick, _parse_track(data, body_start, body_end, onsets, tempos))
             parsed += 1
         # alien chunks are skipped per the SMF spec
         pos = body_end
@@ -178,9 +171,8 @@ def parse_midi(data: bytes) -> ParsedMidi:
         raise TruncatedChunk(f"header declares {n_tracks} tracks, found {parsed}")
 
     tempo_map = _dedupe_tempos(tempos)
-    last_tick = max((ev.tick for track in tracks for ev in track), default=0)
     return ParsedMidi(
-        tracks=tracks,
+        onsets=onsets,
         tempo_changes=tempo_map,
         duration=_tick_to_seconds(last_tick, tempo_map, division),
     )
@@ -210,18 +202,7 @@ def _tick_to_seconds(tick: int, tempo_changes: list[tuple[int, int]], tpq: int) 
 
 
 def onset_stream(m: ParsedMidi) -> list[NoteOnset]:
-    """All sounding note starts, sorted by (channel, tick), drums excluded.
-
-    Note-offs and velocity-0 note-ons (the SMF note-off shorthand) are
-    dropped.
-    """
-    onsets = []
-    for track_index, events in enumerate(m.tracks):
-        for ev in events:
-            if not ev.on or ev.channel == PERCUSSION_CHANNEL:
-                continue
-            onsets.append(
-                NoteOnset(tick=ev.tick, pitch=ev.pitch, channel=ev.channel, track=track_index)
-            )
-    onsets.sort(key=lambda o: (o.channel, o.tick, o.track, o.pitch))
-    return onsets
+    """All sounding note starts but the drums', sorted by (channel, tick,
+    pitch). Note-offs and velocity-0 note-ons (the SMF note-off
+    shorthand) were already dropped by the parser."""
+    return sorted(o for o in m.onsets if o.channel != PERCUSSION_CHANNEL)

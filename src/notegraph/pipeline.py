@@ -276,7 +276,10 @@ def scan_inputs(inputs: list[str]) -> list[Path]:
     for item in inputs:
         p = Path(item)
         if p.is_dir():
-            files.extend(q for q in p.rglob("*") if q.suffix.lower() in (".mid", ".midi"))
+            files.extend(
+                q for q in p.rglob("*")
+                if q.suffix.lower() in (".mid", ".midi") and not q.is_dir()
+            )
         elif p.is_file():
             files.append(p)
     return sorted(set(files))
@@ -300,7 +303,13 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     jobs = []
     exclusions = []
     for p in files:
-        digest = hashlib.sha256(p.read_bytes()).hexdigest()
+        try:
+            data = p.read_bytes()
+        except OSError as exc:  # say, a dangling link; it claims no stem and no content
+            reason = f"{type(exc).__name__}: {exc.strerror}"
+            exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
+            continue
+        digest = hashlib.sha256(data).hexdigest()
         if p.stem in stem_owners:
             reason = f"Collision: song_id {p.stem!r} already taken by {stem_owners[p.stem]}"
         elif digest in content_owners:

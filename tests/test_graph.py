@@ -18,7 +18,7 @@ from oracles import chords_from_stream, total_transition_weight
 
 def onsets(pairs, channel=0):
     return [
-        NoteOnset(tick=t, pitch=p, channel=channel, track=0)
+        NoteOnset(tick=t, pitch=p, channel=channel)
         for t, p in pairs
     ]
 
@@ -26,15 +26,15 @@ def onsets(pairs, channel=0):
 class TestGroupChords:
     def test_same_tick_merges(self):
         chords = group_chords(onsets([(0, 60), (0, 64), (480, 67)]))
-        assert [set(c.pitches) for c in chords] == [{60, 64}, {67}]
+        assert [set(c) for c in chords] == [{60, 64}, {67}]
 
     def test_increasing_ticks_are_singletons(self):
         chords = group_chords(onsets([(0, 60), (10, 62), (20, 64)]))
-        assert all(len(c.pitches) == 1 for c in chords)
+        assert all(len(c) == 1 for c in chords)
 
     def test_duplicate_pitch_collapses(self):
         chords = group_chords(onsets([(0, 60), (0, 60)]))
-        assert [set(c.pitches) for c in chords] == [{60}]
+        assert [set(c) for c in chords] == [{60}]
 
 
 class TestBuildGraph:

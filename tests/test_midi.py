@@ -12,7 +12,7 @@ from notegraph.errors import (
 from notegraph.midi import onset_stream, parse_midi
 
 import fixture_midi
-from fixture_midi import header_chunk, track_chunk, vlq, write_midi
+from fixture_midi import header_chunk, note_off, note_on, track_chunk, vlq, write_midi
 
 
 def test_single_note_duration_and_onset():
@@ -84,6 +84,25 @@ def test_same_tick_tempo_last_wins():
         [(0, 0, 60, 480)], tpq=480, tempos=[(0, 250_000), (0, 500_000)]
     )
     assert parse_midi(data).duration == pytest.approx(0.5)
+
+
+def test_duration_runs_to_the_last_note_event():
+    # format 1: the drum track's note-off at 1920 ends the song, although
+    # drums have no onsets
+    drums = write_midi(
+        [(0, 0, 60, 480), (480, 0, 62, 480), (0, 9, 36, 1920)], tempos=[(0, 500_000)], fmt=1
+    )
+    assert parse_midi(drums).duration == pytest.approx(2.0)
+    assert [o.pitch for o in onset_stream(parse_midi(drums))] == [60, 62]
+    # a trailing velocity-0 note-on is a note event
+    vel0 = header_chunk(0, 1, 480) + track_chunk(
+        [(0, note_on(0, 60)), (480, note_on(0, 60, velocity=0)), (960, note_on(0, 62, velocity=0))]
+    )
+    assert parse_midi(vel0).duration == pytest.approx(1.0)
+    # an end-of-track meta event 960 ticks after the last note-off is not
+    body = vlq(0) + note_on(0, 60) + vlq(480) + note_off(0, 60) + vlq(960) + b"\xff\x2f\x00"
+    late_end = header_chunk(0, 1, 480) + b"MTrk" + len(body).to_bytes(4, "big") + body
+    assert parse_midi(late_end).duration == pytest.approx(0.5)
 
 
 def test_drum_channel_excluded():

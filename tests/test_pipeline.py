@@ -1,12 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fixture_midi
+import notegraph
 import oracles
 from notegraph import pipeline
 from notegraph.cli import main
@@ -273,6 +277,26 @@ class TestRunPipeline:
         assert row["path"] == str(midi_dir / "b.mid")
         assert row["reason"] == f"Duplicate: same content as {midi_dir / 'a.mid'}"
 
+    def test_unreadable_input_excludes_one_file(self, tmp_path):
+        root = tmp_path / "in"
+        (root / "z").mkdir(parents=True)
+        for name, seed in (("a.mid", 1), ("b.mid", 2), ("z/gone.mid", 3)):
+            (root / name).write_bytes(fixture_midi.melodic_midi(seed=seed))
+        (root / "sub.mid").mkdir()
+        (root / "gone.mid").symlink_to(root / "missing.mid")
+        summary = run_pipeline(PipelineConfig(
+            inputs=[str(root)], output_dir=str(tmp_path / "out"), null_samples=2, workers=1,
+        ))
+        # the dangling link claims no stem, so z/gone.mid is analysed
+        assert summary["files_scanned"] == 4 and summary["songs_analyzed"] == 3
+        with open(tmp_path / "out" / "exclusions.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row == {
+            "song_id": "gone",
+            "path": str(root / "gone.mid"),
+            "reason": "FileNotFoundError: No such file or directory",
+        }
+
 
 class TestSongSeed:
     def test_depends_on_master_and_content(self):
@@ -431,6 +455,16 @@ class TestCli:
                                     ("shuffled", oracles.shuffle_reference)):
                 written = (out / f"{kind}_{i:03d}.edges").read_text()
                 assert written == reference(g, cfg).dump_edge_list(), (kind, i)
+
+    def test_import_leaves_out_scipy_stats_and_sparse(self):
+        # each costs start-up time or memory on every CLI run (setup_s, peak RSS)
+        src = str(Path(notegraph.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, notegraph.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "[]\n"
 
     def test_error_exit_code_and_json(self, tmp_path, capsys):
         (tmp_path / "none").mkdir()
