@@ -230,7 +230,14 @@ def _worker(args: tuple[str, str, str, dict]) -> dict[str, Any]:
             return _outcome(song_id, path, entry, cached=True)
 
     try:
-        entry = analyze_song(song_id, Path(path).read_bytes(), cfg)
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        # gone since run_pipeline hashed it: a fact about the path, not
+        # the content, so it is not cached
+        reason = f"{type(exc).__name__}: {exc.strerror}"
+        return _outcome(song_id, path, {"reason": reason}, cached=False)
+    try:
+        entry = analyze_song(song_id, data, cfg)
     except NotegraphError as exc:
         entry = {"content_hash": content_hash, "reason": f"{type(exc).__name__}: {exc}"}
     if cache_file is not None:
@@ -272,6 +279,9 @@ def _write_cache(path: Path, entry: dict) -> None:
 
 
 def scan_inputs(inputs: list[str]) -> list[Path]:
+    """MIDI files under the named directories, and the named files. A
+    named path that does not exist is kept, so reading it excludes it
+    with a reason."""
     files: list[Path] = []
     for item in inputs:
         p = Path(item)
@@ -280,7 +290,7 @@ def scan_inputs(inputs: list[str]) -> list[Path]:
                 q for q in p.rglob("*")
                 if q.suffix.lower() in (".mid", ".midi") and not q.is_dir()
             )
-        elif p.is_file():
+        elif p.is_file() or not p.exists():
             files.append(p)
     return sorted(set(files))
 
@@ -288,7 +298,7 @@ def scan_inputs(inputs: list[str]) -> list[Path]:
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     """Map phase over songs, then single-threaded aggregation and export."""
     files = scan_inputs(cfg.inputs)
-    if not files:
+    if not files or not any(Path(item).exists() for item in cfg.inputs):
         raise NoInputs(f"no MIDI files under {cfg.inputs!r}")
     out_dir = Path(cfg.output_dir)
     try:
@@ -377,13 +387,17 @@ def pairwise_genre_tests(records: list[dict], measures=TESTED_MEASURES) -> list[
     }
     if len(groups) < 2:
         raise InsufficientGroups(f"need >= 2 genres with >= 2 songs, got {len(groups)}")
+    names = sorted(groups)
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     rows: list[dict] = []
     for measure in measures:
+        samples = {
+            g: [r[measure] for r in members if _finite(r[measure])]
+            for g, members in groups.items()
+        }
         batch = []
-        for a, b in [(x, y) for i, x in enumerate(sorted(groups)) for y in sorted(groups)[i + 1:]]:
-            xs = [r[measure] for r in groups[a] if _finite(r[measure])]
-            ys = [r[measure] for r in groups[b] if _finite(r[measure])]
-            res = stats_mod.mann_whitney_u(xs, ys, mode="auto")
+        for a, b in pairs:
+            res = stats_mod.mann_whitney_u(samples[a], samples[b], mode="auto")
             batch.append({
                 "measure": measure, "genre_a": a, "genre_b": b,
                 "statistic": res.statistic, "p_value": res.p_value,

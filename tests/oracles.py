@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import groupby, permutations
+from itertools import combinations, groupby, permutations
 
 import numpy as np
 
 from notegraph.graph import TransitionGraph
 from notegraph.nullmodels import RandomizerConfig
+from notegraph.stats import EXACT_LIMIT, TestResult
 
 
 def random_graph(
@@ -191,3 +192,55 @@ def exact_two_state_stationary(damped: np.ndarray) -> np.ndarray:
     p = damped[0, 1]
     q = damped[1, 0]
     return np.array([q, p]) / (p + q)
+
+
+def u_statistic_pairwise(x, y) -> float:
+    """U for the first sample: wins over y, ties counted half."""
+    u = 0.0
+    for xi in x:
+        for yj in y:
+            if xi > yj:
+                u += 1.0
+            elif xi == yj:
+                u += 0.5
+    return u
+
+
+def mann_whitney_reference(x, y, mode: str = "auto") -> TestResult:
+    """Mann-Whitney U by comparing every pair, and an exact null that
+    recounts U for every labeling of the pooled sample."""
+    n, m = len(x), len(y)
+    u_obs = u_statistic_pairwise(x, y)
+    if mode == "auto":
+        mode = "exact" if n + m <= EXACT_LIMIT else "approx"
+    pooled = list(x) + list(y)
+    if mode == "exact":
+        center = n * m / 2
+        dev = abs(u_obs - center)
+        hits = 0
+        total = 0
+        indices = range(len(pooled))
+        for combo in combinations(indices, n):
+            chosen = set(combo)
+            xs = [pooled[i] for i in combo]
+            ys = [pooled[i] for i in indices if i not in chosen]
+            if abs(u_statistic_pairwise(xs, ys) - center) >= dev - 1e-12:
+                hits += 1
+            total += 1
+        return TestResult(statistic=u_obs, p_value=hits / total, method="exact")
+
+    mu = n * m / 2
+    big_n = n + m
+    counts: dict[float, int] = {}
+    for v in pooled:
+        counts[v] = counts.get(v, 0) + 1
+    tie_term = sum(t**3 - t for t in counts.values() if t > 1)
+    var = (n * m / 12) * (big_n + 1 - tie_term / (big_n * (big_n - 1)))
+    if var <= 0:
+        return TestResult(statistic=u_obs, p_value=1.0, method="normal-approximation",
+                          all_tied=True)
+    diff = u_obs - mu
+    correction = 0.5 * (1 if diff > 0 else -1 if diff < 0 else 0)
+    z = (diff - correction) / math.sqrt(var)
+    p = min(1.0, 2 * (0.5 * math.erfc(abs(z) / math.sqrt(2))))
+    return TestResult(statistic=u_obs, p_value=p, method="normal-approximation")

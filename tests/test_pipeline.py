@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,9 @@ from notegraph.errors import InsufficientGroups, NoInputs, NonConvergence
 from notegraph.graph import graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import RandomizerConfig, replica_seed
+from notegraph.stats import holm_correction
 from notegraph.pipeline import (
+    TESTED_MEASURES,
     PipelineConfig,
     pairwise_genre_tests,
     run_pipeline,
@@ -298,6 +301,65 @@ class TestRunPipeline:
         }
 
 
+    def test_missing_named_input_excludes_one_file(self, tmp_path):
+        good = tmp_path / "s100.mid"
+        good.write_bytes(fixture_midi.melodic_midi(seed=1))
+        missing = tmp_path / "nosuch.mid"
+        summary = run_pipeline(PipelineConfig(
+            inputs=[str(good), str(missing)], output_dir=str(tmp_path / "out"),
+            null_samples=2, workers=1,
+        ))
+        assert summary["files_scanned"] == 2 and summary["songs_analyzed"] == 1
+        with open(tmp_path / "out" / "exclusions.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row == {
+            "song_id": "nosuch",
+            "path": str(missing),
+            "reason": "FileNotFoundError: No such file or directory",
+        }
+
+    def test_no_named_input_exists_raises(self, tmp_path):
+        with pytest.raises(NoInputs):
+            run_pipeline(PipelineConfig(
+                inputs=[str(tmp_path / "nosuch.mid"), str(tmp_path / "nodir")],
+                output_dir=str(tmp_path / "out"),
+            ))
+
+    def test_file_gone_before_its_worker_is_excluded_and_not_cached(self, tmp_path, monkeypatch):
+        root = tmp_path / "in"
+        root.mkdir()
+        for name, seed in (("a.mid", 1), ("b.mid", 2)):
+            (root / name).write_bytes(fixture_midi.melodic_midi(seed=seed))
+        gone = root / "b.mid"
+        data = gone.read_bytes()
+        real = pipeline._worker
+        def worker(job):
+            if job[0] == "b":
+                gone.unlink()  # after run_pipeline hashed it
+            return real(job)
+        monkeypatch.setattr(pipeline, "_worker", worker)
+        def run(out):
+            return run_pipeline(PipelineConfig(
+                inputs=[str(root)], output_dir=str(tmp_path / out),
+                cache_dir=str(tmp_path / "cache"), null_samples=2, workers=1,
+            ))
+        summary = run("cold")
+        assert summary["songs_analyzed"] == 1 and summary["computed"] == 1
+        with open(tmp_path / "cold" / "exclusions.csv", newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert row == {
+            "song_id": "b",
+            "path": str(gone),
+            "reason": "FileNotFoundError: No such file or directory",
+        }
+        # restored, the file is analysed: its exclusion was not cached
+        monkeypatch.setattr(pipeline, "_worker", real)
+        gone.write_bytes(data)
+        summary = run("warm")
+        assert summary["songs_analyzed"] == 2
+        assert summary["cached"] == 1 and summary["computed"] == 1
+
+
 class TestSongSeed:
     def test_depends_on_master_and_content(self):
         assert song_seed(1, "aa") != song_seed(2, "aa")
@@ -370,6 +432,53 @@ class TestPairwiseGenreTests:
             r["genres"] = ["rock"]
         with pytest.raises(InsufficientGroups):
             pairwise_genre_tests(records)
+
+    def test_matches_pairwise_reference_table(self):
+        rng = random.Random(11)
+        values = [0.1, 0.2, 0.2, 0.3, 0.5, 1, math.nan, math.inf, -math.inf]
+        sizes = {"blues": 5, "folk": 4, "jazz": 30, "rock": 25, "solo": 1}
+        # blues and folk stay small enough for the exact test
+        partner = {"blues": "folk", "folk": "blues", "jazz": "rock", "rock": "jazz"}
+        records = []
+        for genre, size in sizes.items():
+            for i in range(size):
+                rec = {"song_id": f"{genre}{i}", "genres": [genre]}
+                if i % 3 == 1 and genre != "solo":
+                    rec["genres"].append(partner[genre])
+                for measure in TESTED_MEASURES:
+                    # the first member keeps every sample non-empty
+                    rec[measure] = 0.4 if i == 0 else rng.choice(values)
+                records.append(rec)
+        records.append({"song_id": "untagged", "genres": [],
+                        **{m: rng.choice(values) for m in TESTED_MEASURES}})
+        got = pairwise_genre_tests(records)
+
+        groups = {}
+        for rec in records:
+            for genre in rec["genres"] or ["all"]:
+                groups.setdefault(genre, []).append(rec)
+        names = sorted(g for g, members in groups.items() if len(members) >= 2)
+        assert "solo" not in names and "all" not in names
+        want = []
+        for measure in TESTED_MEASURES:
+            batch = []
+            for i, a in enumerate(names):
+                for b in names[i + 1:]:
+                    xs = [r[measure] for r in groups[a] if math.isfinite(r[measure])]
+                    ys = [r[measure] for r in groups[b] if math.isfinite(r[measure])]
+                    res = oracles.mann_whitney_reference(xs, ys)
+                    batch.append({
+                        "measure": measure, "genre_a": a, "genre_b": b,
+                        "statistic": res.statistic, "p_value": res.p_value,
+                        "method": res.method,
+                    })
+            for row, p_adj in zip(batch, holm_correction([r["p_value"] for r in batch])):
+                row["p_adjusted"] = p_adj
+            want.extend(batch)
+        assert {r["method"] for r in want} == {"exact", "normal-approximation"}
+        assert [{k: repr(v) for k, v in r.items()} for r in got] == [
+            {k: repr(v) for k, v in r.items()} for r in want
+        ]
 
 
 class TestConfigFile:

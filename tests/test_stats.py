@@ -4,6 +4,8 @@ import random
 import pytest
 from scipy.stats import pearsonr
 
+from oracles import mann_whitney_reference
+
 from notegraph.errors import (
     EmptySample,
     LengthMismatch,
@@ -11,7 +13,15 @@ from notegraph.errors import (
     TooShort,
     ZeroVariance,
 )
-from notegraph.stats import holm_correction, mann_kendall, mann_whitney_u, pearson
+from notegraph.stats import (
+    EXACT_LIMIT,
+    holm_correction,
+    mann_kendall,
+    mann_whitney_u,
+    pearson,
+)
+
+MODES = ("auto", "exact", "approx")
 
 
 class TestMannWhitney:
@@ -65,6 +75,81 @@ class TestMannWhitney:
     def test_all_tied_approx(self):
         res = mann_whitney_u([5] * 20, [5] * 20, mode="approx")
         assert res.p_value == 1.0 and res.all_tied
+
+    def test_nan_raises(self):
+        for x, y in (([1.0, math.nan], [2.0]), ([1.0], [math.nan, 2.0])):
+            for mode in MODES:
+                with pytest.raises(OutOfRange):
+                    mann_whitney_u(x, y, mode=mode)
+
+
+def assert_matches_reference(x, y, mode):
+    """Bit-equal to the pairwise reference: the same float bits for U
+    and p, and the same method and all-tied flag."""
+    got = mann_whitney_u(x, y, mode=mode)
+    want = mann_whitney_reference(x, y, mode=mode)
+    assert (repr(got.statistic), repr(got.p_value), got.method, got.all_tied) == (
+        repr(want.statistic), repr(want.p_value), want.method, want.all_tied
+    ), (x, y, mode)
+
+
+class TestMannWhitneyMatchesPairwiseReference:
+    def test_random_tie_heavy_samples(self):
+        rng = random.Random(8)
+        pools = ([0, 1, 2], [0.0, 0.5, 1.0, 1.0, 3.0], list(range(12)))
+        for _ in range(400):
+            mode = rng.choice(MODES)
+            n = rng.randint(1, 8 if mode == "exact" else 40)
+            m = rng.randint(1, 13 - n if mode == "exact" else 40)
+            pool = rng.choice(pools)
+            x = [rng.choice(pool) for _ in range(n)]
+            y = [rng.choice(pool) for _ in range(m)]
+            assert_matches_reference(x, y, mode)
+
+    def test_signed_zero_and_int_against_float(self):
+        cases = (
+            ([0.0, 1, 2.0], [-0.0, 1.0, 2]),
+            ([-0.0, -0.0, 3], [0.0, 3.0, 0]),
+            ([1, 1, 2, 5], [1.0, 2.0, 2.0, 5.0, 7]),
+        )
+        for x, y in cases:
+            for mode in MODES:
+                assert_matches_reference(x, y, mode)
+
+    def test_infinities(self):
+        inf = math.inf
+        cases = (
+            ([-inf, 0.0, inf], [inf, inf, 1.0]),
+            ([inf, inf], [inf, -inf, -inf]),
+            ([-inf, 2.0, 3.0, inf], [0.5, -inf]),
+        )
+        for x, y in cases:
+            for mode in MODES:
+                assert_matches_reference(x, y, mode)
+
+    def test_all_tied(self):
+        for n, m in ((1, 1), (3, 4), (6, 6), (20, 30)):
+            for mode in MODES if n + m <= 13 else ("auto", "approx"):
+                assert_matches_reference([2.5] * n, [2.5] * m, mode)
+
+    def test_pooled_sizes_around_exact_limit(self):
+        rng = random.Random(9)
+        for size in (EXACT_LIMIT - 1, EXACT_LIMIT, EXACT_LIMIT + 1):
+            for n in (1, size // 2, size - 1):
+                for _ in range(3):
+                    x = [rng.randint(0, 4) for _ in range(n)]
+                    y = [float(rng.randint(0, 4)) for _ in range(size - n)]
+                    for mode in MODES:
+                        assert_matches_reference(x, y, mode)
+
+    def test_one_sample_of_size_one(self):
+        rng = random.Random(10)
+        for m in (1, 2, 7, 11, 12, 30):
+            y = [rng.randint(0, 5) for _ in range(m)]
+            for v in (-1, 0, 2, 2.5, 6):
+                for mode in MODES:
+                    assert_matches_reference([v], y, mode)
+                    assert_matches_reference(y, [v], mode)
 
 
 class TestHolm:
