@@ -22,7 +22,9 @@ from .errors import NotegraphError
 from .graph import parse_edge_list, graph_from_onsets
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
-from .pipeline import PipelineConfig, run_pipeline, write_aggregates
+from .pipeline import (
+    SETTING_TYPES, PipelineConfig, read_settings, run_pipeline, write_aggregates,
+)
 
 # report aliases -> the aggregate tables each one writes
 ALIAS_TABLES = {
@@ -32,32 +34,26 @@ ALIAS_TABLES = {
 }
 
 
+# flags spelled otherwise than their setting's name with dashes
+FLAG_NAMES = {
+    "catalog_path": "--catalog", "output_dir": "--output", "gs_min_group_size": "--gs-min-group",
+}
+
+
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--catalog", dest="catalog_path")
-    parser.add_argument("--output", dest="output_dir")
-    parser.add_argument("--min-duration", type=float, dest="min_duration")
-    parser.add_argument("--damping", type=float)
-    parser.add_argument("--null-samples", type=int, dest="null_samples")
-    parser.add_argument("--swap-multiplier", type=int, dest="swap_multiplier")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--gs-min-group", type=int, dest="gs_min_group_size")
-    parser.add_argument("--cache-dir", dest="cache_dir")
+    for name, kind in SETTING_TYPES.items():
+        if name != "inputs":
+            flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+            parser.add_argument(flag, type=kind, dest=name, default=argparse.SUPPRESS)
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    for key in (
-        "catalog_path", "output_dir", "min_duration", "damping", "null_samples",
-        "swap_multiplier", "seed", "workers", "gs_min_group_size", "cache_dir",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "inputs", None):
-        cfg.inputs = args.inputs
-    return cfg
+    """The config file's settings overlaid with the flags given; a flag
+    not given is not in ``args``."""
+    settings = read_settings(args.config) if args.config else {}
+    settings.update((k, v) for k, v in vars(args).items() if k in SETTING_TYPES)
+    return PipelineConfig(**settings)
 
 
 def _load_songs(path: str) -> list[dict]:
@@ -114,15 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="run the full corpus pipeline")
-    p.add_argument("inputs", nargs="*", help="MIDI files or directories")
+    p.add_argument("inputs", nargs="*", default=argparse.SUPPRESS, help="MIDI files or directories")
     _add_config_flags(p)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("nullmodel", help="emit randomized replicas of one graph")
     p.add_argument("graph", help="a .mid file or an edge-list dump")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--swap-multiplier", type=int, default=10)
+    p.add_argument("--seed", type=int, default=RandomizerConfig.seed)
+    p.add_argument("--samples", type=int, default=RandomizerConfig.null_samples)
+    p.add_argument("--swap-multiplier", type=int, default=RandomizerConfig.swap_multiplier)
     p.add_argument("--output", dest="output_dir")
     p.set_defaults(func=cmd_nullmodel)
 

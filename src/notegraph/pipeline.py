@@ -18,7 +18,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from .errors import (
     UnwritableOutput,
 )
 from .graph import graph_from_onsets
-from .markov import network_entropy
+from .markov import DEFAULT_DAMPING, network_entropy
 from .metrics import (
     compute_report,
     global_efficiency,
@@ -87,21 +87,21 @@ TREND_MEASURES = ("efficiency", "weighted_efficiency")
 
 @dataclass
 class PipelineConfig:
+    """Every setting of a run. A config-file key is the field's name, and
+    its command-line flag the name with dashes (cli.FLAG_NAMES has the
+    three older spellings)."""
+
     inputs: list[str] = field(default_factory=list)
     catalog_path: Optional[str] = None
     output_dir: str = "notegraph-out"
     min_duration: float = 60.0
-    damping: float = 0.05
-    null_samples: int = 10
-    swap_multiplier: int = 10
-    seed: int = 0
+    damping: float = DEFAULT_DAMPING
+    null_samples: int = RandomizerConfig.null_samples
+    swap_multiplier: int = RandomizerConfig.swap_multiplier
+    seed: int = RandomizerConfig.seed
     workers: int = 1
     gs_min_group_size: int = 5
-    cache_dir: Optional[str] = None
-
-    def resolved_cache_dir(self) -> Optional[Path]:
-        path = self.cache_dir or os.environ.get(CACHE_ENV_VAR)
-        return Path(path) if path else None
+    cache_dir: Optional[str] = field(default_factory=lambda: os.environ.get(CACHE_ENV_VAR))
 
     def analysis_signature(self) -> str:
         """Hash of every parameter that affects per-song results, and of
@@ -119,29 +119,32 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """Simple key = value config file; '#' starts a comment."""
-        cfg = cls()
-        casts = {
-            "min_duration": float, "damping": float, "null_samples": int,
-            "swap_multiplier": int, "seed": int, "workers": int,
-            "gs_min_group_size": int,
-        }
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "inputs":
-                cfg.inputs = value.split()
-            elif key in ("catalog_path", "output_dir", "cache_dir"):
-                setattr(cfg, key, value)
-            elif key in casts:
-                setattr(cfg, key, casts[key](value))
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        return cfg
+        return cls(**read_settings(path))
+
+
+# setting name -> the type its text is read as (a list's items, an
+# Optional's value), in field order
+SETTING_TYPES = {
+    name: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for name, hint in get_type_hints(PipelineConfig).items()
+}
+
+
+def read_settings(path: str | Path) -> dict[str, Any]:
+    """The settings of a ``key = value`` config file; '#' starts a
+    comment. ``inputs`` is a whitespace-separated list."""
+    settings: dict[str, Any] = {}
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if key not in SETTING_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
+        settings[key] = value.split() if key == "inputs" else SETTING_TYPES[key](value)
+    return settings
 
 
 def song_seed(master_seed: int, content_hash: str) -> int:
@@ -213,18 +216,15 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
     return record
 
 
-def _worker(args: tuple[str, str, str, dict]) -> dict[str, Any]:
+def _worker(args: tuple[str, str, str, PipelineConfig]) -> dict[str, Any]:
     """Analyse one file; ``content_hash`` is the SHA-256 of its bytes,
     taken by ``run_pipeline``, and keys the cache entry. The entry is
     the song's record or, for an excluded song, its content hash and
     reason; ``song_id`` and ``path`` always come from the job."""
-    song_id, path, content_hash, cfg_dict = args
-    cfg = PipelineConfig(**cfg_dict)
-
-    cache_dir = cfg.resolved_cache_dir()
+    song_id, path, content_hash, cfg = args
     cache_file = None
-    if cache_dir is not None:
-        cache_file = cache_dir / f"{content_hash}-{cfg.analysis_signature()}.json"
+    if cfg.cache_dir:
+        cache_file = Path(cfg.cache_dir) / f"{content_hash}-{cfg.analysis_signature()}.json"
         entry = _read_cache(cache_file, content_hash)
         if entry is not None:
             return _outcome(song_id, path, entry, cached=True)
@@ -326,7 +326,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
             reason = f"Duplicate: same content as {content_owners[digest]}"
         else:
             stem_owners[p.stem] = content_owners[digest] = p
-            jobs.append((p.stem, str(p), digest, asdict(cfg)))
+            jobs.append((p.stem, str(p), digest, cfg))
             continue
         exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
     if cfg.workers > 1:
