@@ -79,10 +79,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_nullmodel(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
     cfg = RandomizerConfig(
         seed=args.seed, swap_multiplier=args.swap_multiplier, null_samples=args.samples
     )
+    g = _load_graph(args.graph)
     out = Path(args.output_dir or "nullmodel-out")
     out.mkdir(parents=True, exist_ok=True)
     for i, rep in enumerate(rewired_replicas(g, cfg)):

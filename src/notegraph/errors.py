@@ -5,6 +5,10 @@ class NotegraphError(Exception):
     """Base class for every error raised by this package."""
 
 
+class BadSetting(NotegraphError, ValueError):
+    """A setting is unknown, unreadable or out of range."""
+
+
 # --- MIDI parsing ---
 
 class MidiParseError(NotegraphError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraph, NonConvergence
+from .errors import BadSetting, EmptyGraph, NonConvergence
 from .graph import TransitionGraph
 
 DEFAULT_DAMPING = 0.05
@@ -41,9 +41,13 @@ class NetworkEntropy:
     stationary: StationaryDistribution
 
 
-def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> StochasticMatrix:
+def check_damping(damping: float) -> None:
     if not 0 < damping < 1:
-        raise ValueError(f"damping must lie in (0, 1), got {damping}")
+        raise BadSetting(f"damping must lie in (0, 1), got {damping}")
+
+
+def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> StochasticMatrix:
+    check_damping(damping)
     n = g.node_count
     if n == 0:
         raise EmptyGraph("no nodes")

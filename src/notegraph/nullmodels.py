@@ -14,7 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import EmptyGraph, TooFewEdges
+from .errors import BadSetting, EmptyGraph, TooFewEdges
 from .graph import TransitionGraph
 
 # Mersenne Twister words drawn per block by _draw_pairs: bounds the
@@ -30,9 +30,9 @@ class RandomizerConfig:
 
     def __post_init__(self):
         if self.swap_multiplier < 1:
-            raise ValueError("swap_multiplier must be >= 1")
+            raise BadSetting(f"swap_multiplier must be >= 1, got {self.swap_multiplier}")
         if self.null_samples < 1:
-            raise ValueError("null_samples must be >= 1")
+            raise BadSetting(f"null_samples must be >= 1, got {self.null_samples}")
 
 
 def replica_seed(master_seed: int, index: int) -> int:

@@ -33,6 +33,7 @@ from .embeddings import (
     pca_project,
 )
 from .errors import (
+    BadSetting,
     EmptySong,
     InsufficientGroups,
     NoInputs,
@@ -41,7 +42,7 @@ from .errors import (
     UnwritableOutput,
 )
 from .graph import graph_from_onsets
-from .markov import DEFAULT_DAMPING, network_entropy
+from .markov import DEFAULT_DAMPING, check_damping, network_entropy
 from .metrics import (
     compute_report,
     global_efficiency,
@@ -103,6 +104,12 @@ class PipelineConfig:
     gs_min_group_size: int = 5
     cache_dir: Optional[str] = field(default_factory=lambda: os.environ.get(CACHE_ENV_VAR))
 
+    def __post_init__(self):
+        """Raise ``BadSetting`` on an out-of-range damping or null-model
+        setting, before the run reads any input."""
+        check_damping(self.damping)
+        RandomizerConfig(self.seed, self.swap_multiplier, self.null_samples)
+
     def analysis_signature(self) -> str:
         """Hash of every parameter that affects per-song results, and of
         the results version."""
@@ -142,8 +149,12 @@ def read_settings(path: str | Path) -> dict[str, Any]:
         key = key.strip()
         value = value.strip()
         if key not in SETTING_TYPES:
-            raise ValueError(f"unknown config key {key!r}")
-        settings[key] = value.split() if key == "inputs" else SETTING_TYPES[key](value)
+            raise BadSetting(f"unknown config key {key!r}")
+        try:
+            settings[key] = value.split() if key == "inputs" else SETTING_TYPES[key](value)
+        except ValueError:
+            kind = SETTING_TYPES[key].__name__
+            raise BadSetting(f"config key {key!r}: cannot read {value!r} as {kind}") from None
     return settings
 
 

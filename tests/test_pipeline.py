@@ -3,8 +3,10 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +16,8 @@ import fixture_midi
 import notegraph
 import oracles
 from notegraph import pipeline
-from notegraph.cli import main
-from notegraph.errors import InsufficientGroups, NoInputs, NonConvergence
+from notegraph.cli import _build_config, build_parser, main
+from notegraph.errors import BadSetting, InsufficientGroups, NoInputs, NonConvergence
 from notegraph.graph import graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import RandomizerConfig, replica_seed
@@ -581,3 +583,111 @@ class TestCli:
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NoInputs"
+
+
+# flag -> (setting, the text given, the value it parses to)
+CONFIG_FLAGS = {
+    "--catalog": ("catalog_path", "c.tsv", "c.tsv"),
+    "--output": ("output_dir", "o", "o"),
+    "--min-duration": ("min_duration", "30", 30.0),
+    "--damping": ("damping", "0.1", 0.1),
+    "--null-samples": ("null_samples", "3", 3),
+    "--swap-multiplier": ("swap_multiplier", "4", 4),
+    "--seed": ("seed", "5", 5),
+    "--workers": ("workers", "2", 2),
+    "--gs-min-group": ("gs_min_group_size", "6", 6),
+    "--cache-dir": ("cache_dir", "cache", "cache"),
+}
+
+
+def two_songs(root: Path) -> Path:
+    root.mkdir()
+    for name, seed in (("a.mid", 1), ("b.mid", 2)):
+        (root / name).write_bytes(fixture_midi.melodic_midi(seed=seed))
+    return root
+
+
+class TestSettings:
+    @pytest.mark.parametrize("command", ["analyze", "report", "embed", "stats", "trend"])
+    def test_flag_list_and_types(self, command, capsys, monkeypatch):
+        monkeypatch.delenv(pipeline.CACHE_ENV_VAR, raising=False)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--help"])
+        flags = [f for f in dict.fromkeys(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+                 if f != "--help"]
+        assert flags == ["--config", *CONFIG_FLAGS]
+        positional = [] if command == "analyze" else ["songs.jsonl"]
+        for flag, (name, text, value) in CONFIG_FLAGS.items():
+            cfg = _build_config(build_parser().parse_args([command, *positional, flag, text]))
+            assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(value)
+            assert replace(cfg, **{name: getattr(PipelineConfig(), name)}) == PipelineConfig()
+
+    def test_config_file_with_every_field_equals_flags(self, tmp_path):
+        assert [f.name for f in fields(PipelineConfig)] == [
+            "inputs", *(name for name, _, _ in CONFIG_FLAGS.values())]
+        path = tmp_path / "all.conf"
+        path.write_text("inputs = x y\n" + "".join(
+            f"{name} = {text}\n" for name, text, _ in CONFIG_FLAGS.values()))
+        flags = [arg for flag, (_, text, _) in CONFIG_FLAGS.items() for arg in (flag, text)]
+        from_flags = _build_config(build_parser().parse_args(["analyze", "x", "y", *flags]))
+        assert PipelineConfig.from_file(path) == from_flags
+        assert from_flags.inputs == ["x", "y"] and from_flags.seed == 5
+
+    def test_flags_override_the_config_file(self, tmp_path):
+        path = tmp_path / "a.conf"
+        path.write_text("inputs = x\nseed = 3\ndamping = 1\n")  # damping 1 is out of range
+        args = build_parser().parse_args(["analyze", "--config", str(path), "--damping", "0.2"])
+        assert _build_config(args) == PipelineConfig(inputs=["x"], seed=3, damping=0.2)
+
+    def test_cache_env_var_is_the_default_and_the_flag_wins(self, tmp_path, monkeypatch, capsys):
+        songs = two_songs(tmp_path / "in")
+        env_cache, flag_cache = tmp_path / "env-cache", tmp_path / "flag-cache"
+        monkeypatch.setenv(pipeline.CACHE_ENV_VAR, str(env_cache))
+        def run(out, *extra):
+            assert main(["analyze", str(songs), "--output", str(tmp_path / out),
+                         "--null-samples", "2", *extra]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            return printed["computed"], printed["cached"]
+        assert run("cold") == (2, 0)
+        assert run("warm") == (0, 2)
+        assert read_output(tmp_path / "cold") == read_output(tmp_path / "warm")
+        entries = sorted(env_cache.iterdir())
+        assert len(entries) == 2
+        assert run("flag", "--cache-dir", str(flag_cache)) == (2, 0)
+        assert len(list(flag_cache.iterdir())) == 2
+        assert sorted(env_cache.iterdir()) == entries
+
+    @pytest.mark.parametrize("case", [
+        ["--null-samples", "0"],
+        ["--swap-multiplier", "0"],
+        ["--damping", "1"],
+        ["--config", "bogus = 1\n"],
+        ["--config", "seed = x\n"],
+        ["nullmodel", "--samples", "0"],
+    ], ids=["null-samples", "swap-multiplier", "damping", "unknown-key", "seed-text", "nullmodel"])
+    def test_bad_setting_stops_before_any_input_is_read(self, case, tmp_path, monkeypatch, capsys):
+        songs = two_songs(tmp_path / "in")
+        out = tmp_path / "out"
+        if case[0] == "--config":
+            (tmp_path / "bad.conf").write_text(case[1])
+            case = ["--config", str(tmp_path / "bad.conf")]
+        if case[0] == "nullmodel":
+            argv = ["nullmodel", str(songs / "a.mid"), *case[1:], "--output", str(out)]
+        else:
+            argv = ["analyze", str(songs), *case, "--output", str(out)]
+        reads = []
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p))
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "BadSetting"
+        assert reads == [] and not out.exists()
+
+    def test_unparsable_flag_is_a_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "in", "--seed", "abc"])
+        assert exc.value.code == 2
+
+    def test_bad_setting_is_a_value_error(self):
+        for bad in ({"null_samples": 0}, {"swap_multiplier": 0}, {"damping": 0.0}):
+            with pytest.raises(BadSetting):
+                PipelineConfig(**bad)
+        assert issubclass(BadSetting, ValueError)
