@@ -390,7 +390,10 @@ def _genre_groups(records: list[dict]) -> dict[str, list[dict]]:
 
 
 def pairwise_genre_tests(records: list[dict], measures=TESTED_MEASURES) -> list[dict]:
-    """Mann-Whitney U for every genre pair, Holm-corrected per measure."""
+    """Mann-Whitney U for every genre pair, Holm-corrected per measure.
+
+    A genre with no finite value of a measure is left out of that
+    measure's pairs and its Holm family."""
     groups = {
         g: members
         for g, members in _genre_groups(records).items()
@@ -408,6 +411,8 @@ def pairwise_genre_tests(records: list[dict], measures=TESTED_MEASURES) -> list[
         }
         batch = []
         for a, b in pairs:
+            if not (samples[a] and samples[b]):
+                continue
             res = stats_mod.mann_whitney_u(samples[a], samples[b], mode="auto")
             batch.append({
                 "measure": measure, "genre_a": a, "genre_b": b,

@@ -483,6 +483,52 @@ class TestPairwiseGenreTests:
         ]
 
 
+def report_records(genres=("jazz", "pop", "rock"), per_genre=3):
+    """Records as ``analyze`` writes them, with the catalog fields joined."""
+    rng = random.Random(5)
+    records = []
+    for g, genre in enumerate(genres):
+        for i in range(per_genre):
+            counts = [float(rng.randint(1, 9)) for _ in range(12)]
+            norm = math.sqrt(sum(c * c for c in counts))
+            records.append({
+                "song_id": f"{genre}{i}", "genres": [genre], "artist": f"a{i}",
+                "era": "1950-1979", "release_year": 1950 + 10 * i + g,
+                "interval_counts": counts, "interval_vector": [c / norm for c in counts],
+                "weight_histogram": {"1": rng.randint(1, 9), "2": rng.randint(1, 9)},
+                **{m: rng.random() for m in TESTED_MEASURES},
+            })
+    return records
+
+
+class TestGenreWithoutFiniteValues:
+    def test_report_leaves_the_genre_out_of_that_measure(self, tmp_path):
+        clean = report_records()
+        gappy = json.loads(json.dumps(clean))
+        for rec in gappy:
+            if rec["genres"] == ["rock"]:
+                rec["efficiency"] = math.nan
+        rows = {}
+        for label, records in (("clean", clean), ("gappy", gappy)):
+            songs = tmp_path / f"{label}.jsonl"
+            songs.write_text("".join(json.dumps(r) + "\n" for r in records))
+            assert main(["report", str(songs), "--output", str(tmp_path / label)]) == 0
+            with open(tmp_path / label / "genre_tests.csv", newline="") as fh:
+                rows[label] = list(csv.DictReader(fh))
+        assert sorted(p.name for p in (tmp_path / "gappy").iterdir()) == [
+            "ccdf.csv", "component_correlations.csv", "coordinates.csv", "genre_tests.csv",
+            "gs_scores.csv", "interval_fractions.csv", "trend_decades.csv", "trend_tests.csv",
+        ]
+        efficiency = [r for r in rows["gappy"] if r["measure"] == "efficiency"]
+        assert [(r["genre_a"], r["genre_b"]) for r in efficiency] == [("jazz", "pop")]
+        # a one-pair Holm family is not adjusted
+        assert efficiency[0]["p_adjusted"] == efficiency[0]["p_value"]
+        def others(label):
+            return [r for r in rows[label] if r["measure"] != "efficiency"]
+        assert others("gappy") == others("clean")
+        assert len(others("clean")) == 3 * (len(TESTED_MEASURES) - 1)
+
+
 class TestConfigFile:
     def test_key_value_parsing(self, tmp_path):
         path = tmp_path / "pipeline.conf"
