@@ -155,8 +155,10 @@ def component_correlations(
 ) -> list[CorrelationEntry]:
     """Pearson r of each projection axis against each feature column.
 
-    Holm adjustment is applied across the whole table; zero-variance
-    pairs are flagged undefined and excluded from the family.
+    A feature's non-finite rows are left out of its pairs. Holm
+    adjustment is applied across the whole table; zero-variance pairs,
+    and pairs with fewer than 3 rows, are flagged undefined and excluded
+    from the family.
     """
     coords = np.asarray(coordinates, dtype=float)
     entries: list[CorrelationEntry] = []
@@ -167,8 +169,9 @@ def component_correlations(
             col = np.asarray(column, dtype=float)
             if len(col) != len(axis):
                 raise ValueError(f"feature {name!r} length mismatch")
+            keep = np.isfinite(col)
             try:
-                res = stats.pearson(axis, col)
+                res = stats.pearson(axis[keep], col[keep])
             except (ZeroVariance, TooShort):
                 entries.append(CorrelationEntry(comp, name, np.nan, np.nan, np.nan, True))
                 continue

@@ -148,12 +148,15 @@ def mann_kendall(series: Sequence[float]) -> TestResult:
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
-    """Sample Pearson correlation; p from the t-distribution, n-2 df."""
+    """Sample Pearson correlation; p from the t-distribution, n-2 df.
+    A NaN or infinity raises ``OutOfRange``."""
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     n = len(x)
     if n < 3:
         raise TooShort(f"need >= 3 paired observations, got {n}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise OutOfRange("non-finite value in a Pearson sample")
     mx = sum(x) / n
     my = sum(y) / n
     sxx = sum((xi - mx) ** 2 for xi in x)

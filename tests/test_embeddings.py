@@ -20,6 +20,7 @@ from notegraph.errors import EmptyGraph, EmptyGroup, EmptySet, ZeroVector
 from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.pipeline import PipelineConfig, analyze_song
+from notegraph.stats import holm_correction, pearson
 
 
 def graph(edges):
@@ -206,3 +207,26 @@ class TestComponentCorrelations:
         coords = np.random.default_rng(10).normal(size=(20, 2))
         entries = component_correlations(coords, {"const": [3.0] * 20})
         assert all(e.undefined for e in entries)
+
+    def test_non_finite_rows_left_out(self):
+        rng = np.random.default_rng(11)
+        coords = rng.normal(size=(20, 2))
+        col = rng.normal(size=20)
+        gappy = col.copy()
+        gappy[[2, 5, 9]] = [math.nan, math.inf, -math.inf]
+        keep = np.isfinite(gappy)
+        sparse = np.full(20, math.nan)
+        sparse[[0, 1]] = [1.0, 2.0]
+        entries = component_correlations(
+            coords, {"full": col, "gappy": gappy, "sparse": sparse}
+        )
+        by_key = {(e.component, e.feature): e for e in entries}
+        for comp in range(2):
+            want = pearson(coords[keep, comp], col[keep])
+            got = by_key[comp, "gappy"]
+            assert (got.r, got.p_value) == (want.statistic, want.p_value)
+            assert not got.undefined
+            # 2 finite rows: undefined and out of the Holm family
+            assert by_key[comp, "sparse"].undefined
+        defined = [e for e in entries if not e.undefined]
+        assert [e.p_adjusted for e in defined] == holm_correction([e.p_value for e in defined])

@@ -256,3 +256,11 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(TooShort):
             pearson([1, 2], [3, 4])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises(self, bad):
+        # min(1.0, nan) is 1.0: a NaN used to read as r = 1, p = 0
+        with pytest.raises(OutOfRange):
+            pearson([1.0, 2.0, bad, 4.0], [1.0, 3.0, 2.0, 5.0])
+        with pytest.raises(OutOfRange):
+            pearson([1.0, 3.0, 2.0, 5.0], [bad, 2.0, 3.0, 4.0])
