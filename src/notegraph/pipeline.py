@@ -126,6 +126,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
+        """The config a ``key = value`` file sets (see ``read_settings``)."""
         return cls(**read_settings(path))
 
 

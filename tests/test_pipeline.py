@@ -703,27 +703,26 @@ class TestSettings:
         assert len(list(flag_cache.iterdir())) == 2
         assert sorted(env_cache.iterdir()) == entries
 
-    @pytest.mark.parametrize("case", [
-        ["--null-samples", "0"],
-        ["--swap-multiplier", "0"],
-        ["--damping", "1"],
-        ["--config", "bogus = 1\n"],
-        ["--config", "seed = x\n"],
-        ["nullmodel", "--samples", "0"],
+    @pytest.mark.parametrize("command, flags, conf", [
+        ("analyze", ["--null-samples", "0"], None),
+        ("analyze", ["--swap-multiplier", "0"], None),
+        ("analyze", ["--damping", "1"], None),
+        ("analyze", [], "bogus = 1\n"),
+        ("analyze", [], "seed = x\n"),
+        ("nullmodel", ["--samples", "0"], None),
     ], ids=["null-samples", "swap-multiplier", "damping", "unknown-key", "seed-text", "nullmodel"])
-    def test_bad_setting_stops_before_any_input_is_read(self, case, tmp_path, monkeypatch, capsys):
+    def test_bad_setting_stops_before_any_input_is_read(
+        self, command, flags, conf, tmp_path, monkeypatch, capsys
+    ):
         songs = two_songs(tmp_path / "in")
         out = tmp_path / "out"
-        if case[0] == "--config":
-            (tmp_path / "bad.conf").write_text(case[1])
-            case = ["--config", str(tmp_path / "bad.conf")]
-        if case[0] == "nullmodel":
-            argv = ["nullmodel", str(songs / "a.mid"), *case[1:], "--output", str(out)]
-        else:
-            argv = ["analyze", str(songs), *case, "--output", str(out)]
+        if conf is not None:
+            (tmp_path / "bad.conf").write_text(conf)
+            flags = ["--config", str(tmp_path / "bad.conf")]
+        target = songs / "a.mid" if command == "nullmodel" else songs
         reads = []
         monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p))
-        assert main(argv) == 1
+        assert main([command, str(target), *flags, "--output", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "BadSetting"
         assert reads == [] and not out.exists()
 
