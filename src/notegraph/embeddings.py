@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyGraph, EmptyGroup, EmptySet, TooShort, ZeroVariance, ZeroVector
+from .errors import BadSetting, EmptyGraph, EmptyGroup, EmptySet, TooShort, ZeroVariance, ZeroVector
 from .graph import TransitionGraph
 from . import stats
 
@@ -89,10 +89,16 @@ class GroupEmbedding:
     gs_score: float | None  # None when the group is below the size threshold
 
 
+def check_min_group_size(size: int) -> None:
+    if size < 1:
+        raise BadSetting(f"GS-score min group size must be >= 1, got {size}")
+
+
 def group_embedding(
     label: str, vectors: Sequence[np.ndarray], min_group_size: int = 5
 ) -> GroupEmbedding:
     """Centroid for any group; GS-score only at or above the size cut."""
+    check_min_group_size(min_group_size)
     if len(vectors) == 0:
         raise EmptyGroup(f"group {label!r} has no members")
     matrix = np.asarray(vectors, dtype=float)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DegenerateGraph, EmptyCollection, EmptyGraph
+from .errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
 from .graph import TransitionGraph
 
 
@@ -102,18 +102,52 @@ def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
 
     Unreachable pairs contribute 0. The weighted variant uses total edge
     weight as path cost; with all weights >= 1 it never exceeds the
-    unweighted value. Distances come from Floyd-Warshall on the dense
-    weight matrix (n <= 128 pitches).
+    unweighted value. See :func:`efficiencies`.
     """
-    n = g.node_count
+    return efficiencies([g], weighted)[0]
+
+
+# int32 distance of an unreachable pair: the sum of two still fits
+_NO_PATH = 2**30 - 1
+
+
+def efficiencies(graphs: Sequence[TransitionGraph], weighted: bool = False) -> list[float]:
+    """:func:`global_efficiency` of each graph, for graphs that share one
+    ``node_list`` (a song and its null replicas).
+
+    Distances come from one Floyd-Warshall over the (k, n, n) int32
+    stack of the graphs' path costs (n <= 128 pitches): the edge weight,
+    or 1 for hop distance. Weights are integer counts, so the sums are
+    exact while a graph's total weight, which bounds every shortest
+    path, stays below ``_NO_PATH``; at or above it ``OutOfRange`` is
+    raised.
+    """
+    if not graphs:
+        return []
+    node_list = graphs[0].node_list
+    n = len(node_list)
     if n < 2:
         raise DegenerateGraph(f"efficiency undefined for {n} node(s)")
-    w = g.weights
-    d = np.where(w > 0, w if weighted else 1.0, np.inf)
+    if any(g.node_list != node_list for g in graphs):
+        raise ValueError("graphs must share one node_list")
+    d = np.full((len(graphs), n, n), _NO_PATH, dtype=np.int32)
+    for dist, g in zip(d, graphs):
+        w = g.weights
+        if weighted and g.total_weight >= _NO_PATH:
+            raise OutOfRange(f"total weight {g.total_weight} not below {_NO_PATH}")
+        linked = w > 0
+        dist[linked] = w[linked] if weighted else 1
+    via = np.empty_like(d)
     for k in range(n):
-        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
-    np.fill_diagonal(d, np.inf)  # a node's distance to itself is not a pair
-    return float((1.0 / d).sum()) / (n * (n - 1))
+        np.add(d[:, :, k, None], d[:, None, k, :], out=via)
+        np.minimum(d, via, out=d)
+    out = []
+    for dist in d:
+        inverse = np.where(dist < _NO_PATH, dist, np.inf)
+        np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
+        np.divide(1.0, inverse, out=inverse)
+        out.append(float(inverse.sum()) / (n * (n - 1)))
+    return out
 
 
 def weight_histogram(g: TransitionGraph) -> dict[int, int]:

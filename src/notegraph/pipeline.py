@@ -26,6 +26,7 @@ from . import catalog as catalog_mod
 from . import stats as stats_mod
 from .embeddings import (
     INTERVAL_NAMES,
+    check_min_group_size,
     component_correlations,
     group_embedding,
     interval_fractions,
@@ -45,7 +46,7 @@ from .graph import graph_from_onsets
 from .markov import DEFAULT_DAMPING, check_damping, network_entropy
 from .metrics import (
     compute_report,
-    global_efficiency,
+    efficiencies,
     weight_ccdf,
     weight_histogram,
     weighted_reciprocity_raw,
@@ -105,10 +106,13 @@ class PipelineConfig:
     cache_dir: Optional[str] = field(default_factory=lambda: os.environ.get(CACHE_ENV_VAR))
 
     def __post_init__(self):
-        """Raise ``BadSetting`` on an out-of-range damping or null-model
-        setting, before the run reads any input."""
+        """Raise ``BadSetting`` on an out-of-range setting, before the run
+        reads any input."""
         check_damping(self.damping)
         RandomizerConfig(self.seed, self.swap_multiplier, self.null_samples)
+        check_min_duration(self.min_duration)
+        check_workers(self.workers)
+        check_min_group_size(self.gs_min_group_size)
 
     def analysis_signature(self) -> str:
         """Hash of every parameter that affects per-song results, and of
@@ -171,6 +175,11 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
+def check_min_duration(seconds: float) -> None:
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise BadSetting(f"min_duration must be finite and >= 0, got {seconds}")
+
+
 def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, Any]:
     """Full per-song analysis; returns a JSON-serializable record.
 
@@ -192,18 +201,15 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
     shuffled = list(shuffled_replicas(g, null_cfg))
     report = compute_report(g, shuffled)
 
-    rewired_eff: list[float] = []
-    rewired_weff: list[float] = []
     try:
-        for rep in rewired_replicas(g, null_cfg):
-            rewired_eff.append(global_efficiency(rep, weighted=False))
-            rewired_weff.append(global_efficiency(rep, weighted=True))
+        rewired = list(rewired_replicas(g, null_cfg))
     except TooFewEdges:
-        pass
+        rewired = []
+    weighted = efficiencies(rewired + shuffled, weighted=True)
     null_values = {
-        "rewired_efficiency": rewired_eff,
-        "rewired_weighted_efficiency": rewired_weff,
-        "shuffled_weighted_efficiency": [global_efficiency(r, weighted=True) for r in shuffled],
+        "rewired_efficiency": efficiencies(rewired),
+        "rewired_weighted_efficiency": weighted[:len(rewired)],
+        "shuffled_weighted_efficiency": weighted[len(rewired):],
         "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
     }
 
@@ -305,6 +311,11 @@ def scan_inputs(inputs: list[str]) -> list[Path]:
         elif p.is_file() or not p.exists():
             files.append(p)
     return sorted(set(files))
+
+
+def check_workers(workers: int) -> None:
+    if workers < 1:
+        raise BadSetting(f"workers must be >= 1, got {workers}")
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
@@ -432,8 +443,12 @@ def trend_report(
 ) -> tuple[list[dict], list[dict], list[str]]:
     """Decade-mean series per genre plus a Mann-Kendall test table.
 
-    Returns (decade_rows, test_rows, skipped_genres); genres with fewer
-    than ``min_decades`` populated decades are skipped, not fatal.
+    Returns (decade_rows, test_rows, skipped). A decade mean is taken
+    over the finite values, and is NaN when there are none; each test
+    runs on the finite means only. ``skipped`` names each genre with
+    fewer than ``min_decades`` populated decades, and ``genre/measure``
+    for a test with fewer than ``min_decades`` finite means: neither is
+    tested, and neither is fatal.
     """
     dated = [r for r in records if r.get("release_year") is not None]
     decade_rows: list[dict] = []
@@ -457,7 +472,11 @@ def trend_report(
                 series[measure].append(mean)
             decade_rows.append(row)
         for measure in measures:
-            res = stats_mod.mann_kendall(series[measure])
+            finite = [v for v in series[measure] if math.isfinite(v)]
+            if len(finite) < min_decades:
+                skipped.append(f"{genre}/{measure}")
+                continue
+            res = stats_mod.mann_kendall(finite)
             test_rows.append({
                 "genre": genre, "measure": measure,
                 "tau": res.statistic, "p_value": res.p_value,

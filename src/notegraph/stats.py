@@ -119,11 +119,14 @@ def mann_kendall(series: Sequence[float]) -> TestResult:
     """Monotone-trend test; statistic is the tie-adjusted Kendall tau.
 
     The p-value uses the normal approximation with tie-corrected
-    variance and continuity correction.
+    variance and continuity correction. A NaN is neither above nor
+    below any point, so it raises ``OutOfRange``.
     """
     n = len(series)
     if n < 3:
         raise TooShort(f"need >= 3 observations, got {n}")
+    if np.isnan(np.asarray(series, dtype=float)).any():
+        raise OutOfRange("NaN in a Mann-Kendall series")
     s = 0
     for i, j in combinations(range(n), 2):
         diff = series[j] - series[i]

@@ -4,11 +4,12 @@ import random
 import pytest
 
 import oracles
-from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph
+from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
 from notegraph.graph import TransitionGraph
 from notegraph.metrics import (
     compute_report,
     density,
+    efficiencies,
     global_efficiency,
     mean_node_entropy,
     reciprocity_binary,
@@ -17,7 +18,7 @@ from notegraph.metrics import (
     weighted_reciprocity_norm,
     weighted_reciprocity_raw,
 )
-from notegraph.nullmodels import RandomizerConfig, shuffled_replicas
+from notegraph.nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 
 
 def graph(edges, song_id="t"):
@@ -212,6 +213,49 @@ class TestGlobalEfficiency:
             assert global_efficiency(g, weighted=True) <= global_efficiency(
                 g, weighted=False
             ) + 1e-12
+
+
+class TestEfficiencies:
+    def stacks(self):
+        """Stacks that share one node_list: sparse graphs with loop-only
+        isolated pitches and their null replicas, 2-node graphs, one
+        graph alone, and none."""
+        rng = random.Random(13)
+        stacks = []
+        for _ in range(3):
+            g = oracles.random_graph(rng, max_nodes=30, edge_prob=0.08)
+            free = sorted(set(range(128)) - g.nodes)
+            g = TransitionGraph(song_id="s", edges=g.edges, isolated=rng.sample(free, 3))
+            cfg = RandomizerConfig(seed=rng.randrange(2**32), null_samples=4)
+            stacks.append([g, *rewired_replicas(g, cfg), *shuffled_replicas(g, cfg)])
+        stacks.append([graph({(0, 1): 1}), graph({(0, 1): 3, (1, 0): 2}), graph({(1, 0): 7})])
+        stacks.append([complete_digraph(5, weight=3)])
+        stacks.append([])
+        return stacks
+
+    def test_stack_matches_oracle_and_single_graphs(self):
+        for graphs in self.stacks():
+            for weighted in (False, True):
+                got = efficiencies(graphs, weighted)
+                assert got == [global_efficiency(g, weighted) for g in graphs]
+                assert got == pytest.approx(
+                    [oracles.global_efficiency(g, weighted) for g in graphs], abs=1e-12
+                )
+
+    def test_stack_needs_one_node_list(self):
+        with pytest.raises(ValueError):
+            efficiencies([graph({(0, 1): 1}), graph({(0, 2): 1})])
+        with pytest.raises(DegenerateGraph):
+            efficiencies([TransitionGraph(edges={}, isolated=frozenset({5}))])
+
+    def test_total_weight_limit(self):
+        for weight in (2**30 - 1, 2**30):
+            g = graph({(0, 1): weight})
+            with pytest.raises(OutOfRange):
+                efficiencies([g], weighted=True)
+            assert efficiencies([g]) == [0.5]  # hop distance has no weight to overflow
+        below = graph({(0, 1): 2**30 - 2})
+        assert efficiencies([below], weighted=True) == [0.5 / (2**30 - 2)]
 
 
 class TestWeightCcdf:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -362,6 +363,30 @@ class TestRunPipeline:
         assert summary["cached"] == 1 and summary["computed"] == 1
 
 
+class TestAnalyzeSong:
+    def test_null_means_match_per_replica_oracles(self):
+        data = fixture_midi.melodic_midi(seed=4)
+        cfg = PipelineConfig(null_samples=3, min_duration=0)
+        record = pipeline.analyze_song("s", data, cfg)
+        g = graph_from_onsets(onset_stream(parse_midi(data)), song_id="s")
+        seed = song_seed(cfg.seed, hashlib.sha256(data).hexdigest())
+        replicas = [RandomizerConfig(replica_seed(seed, i), cfg.swap_multiplier, 1)
+                    for i in range(cfg.null_samples)]
+        rewired = [oracles.rewire_reference(g, c) for c in replicas]
+        shuffled = [oracles.shuffle_reference(g, c) for c in replicas]
+        want = {
+            "rewired_efficiency": [oracles.global_efficiency(r, False) for r in rewired],
+            "rewired_weighted_efficiency": [oracles.global_efficiency(r, True) for r in rewired],
+            "shuffled_weighted_efficiency": [oracles.global_efficiency(r, True) for r in shuffled],
+            "shuffled_reciprocity": [oracles.weighted_reciprocity_raw(r) for r in shuffled],
+        }
+        # the two weighted means differ, so swapped halves of one stack show
+        assert len({sum(v) for v in want.values()}) == len(want)
+        for name, values in want.items():
+            assert record[f"null_{name}_mean"] == pytest.approx(
+                sum(values) / len(values), abs=1e-12), name
+
+
 class TestSongSeed:
     def test_depends_on_master_and_content(self):
         assert song_seed(1, "aa") != song_seed(2, "aa")
@@ -401,6 +426,26 @@ class TestTrendReport:
         for t in tests:
             if not t["all_tied"]:
                 assert t["p_adjusted"] >= t["p_value"]
+
+    def test_each_test_takes_the_finite_decades_only(self):
+        records = synthetic_records()
+        for r in records:
+            if r["genres"] == ["classical"] and r["release_year"] == 1910:
+                r["efficiency"] = math.nan
+        decades, tests, skipped = trend_report(records)
+        assert not skipped
+        classical = {t["measure"]: t for t in tests if t["genre"] == "classical"}
+        assert classical["efficiency"]["tau"] == pytest.approx(-1.0)
+        # three decades, one without a finite value: too few for that test
+        early = [r for r in records if r["release_year"] < 1930]
+        decades, tests, skipped = trend_report(early)
+        assert skipped == ["classical/efficiency"]
+        assert sorted((t["genre"], t["measure"]) for t in tests) == [
+            ("classical", "weighted_efficiency"),
+            ("rock", "efficiency"), ("rock", "weighted_efficiency"),
+        ]
+        row = next(d for d in decades if (d["genre"], d["decade"]) == ("classical", 1910))
+        assert math.isnan(row["efficiency"])
 
     def test_insufficient_decades_skipped(self):
         records = [r for r in synthetic_records() if r["release_year"] < 1920]
@@ -710,7 +755,11 @@ class TestSettings:
         ("analyze", [], "bogus = 1\n"),
         ("analyze", [], "seed = x\n"),
         ("nullmodel", ["--samples", "0"], None),
-    ], ids=["null-samples", "swap-multiplier", "damping", "unknown-key", "seed-text", "nullmodel"])
+        ("analyze", ["--min-duration", "nan"], None),
+        ("analyze", ["--workers", "0"], None),
+        ("analyze", ["--gs-min-group", "0"], None),
+    ], ids=["null-samples", "swap-multiplier", "damping", "unknown-key", "seed-text", "nullmodel",
+            "min-duration", "workers", "gs-min-group"])
     def test_bad_setting_stops_before_any_input_is_read(
         self, command, flags, conf, tmp_path, monkeypatch, capsys
     ):
@@ -732,7 +781,8 @@ class TestSettings:
         assert exc.value.code == 2
 
     def test_bad_setting_is_a_value_error(self):
-        for bad in ({"null_samples": 0}, {"swap_multiplier": 0}, {"damping": 0.0}):
+        for bad in ({"null_samples": 0}, {"swap_multiplier": 0}, {"damping": 0.0},
+                    {"min_duration": -1.0}, {"min_duration": math.inf}):
             with pytest.raises(BadSetting):
                 PipelineConfig(**bad)
         assert issubclass(BadSetting, ValueError)

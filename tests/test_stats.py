@@ -219,6 +219,12 @@ class TestMannKendall:
         with pytest.raises(TooShort):
             mann_kendall([1, 2])
 
+    def test_nan_raises(self):
+        with pytest.raises(OutOfRange):
+            mann_kendall([1, math.nan, 3, 4])
+        with pytest.raises(OutOfRange):
+            mann_kendall([float("nan"), 2.0, float("nan")])
+
 
 class TestPearson:
     def test_perfect_positive(self):
