@@ -1,5 +1,5 @@
-"""Interval-class embeddings, group centroids, GS-scores and a
-deterministic 2-D PCA projection.
+"""Interval-class embeddings, GS-scores and a deterministic 2-D PCA
+projection.
 
 An interval class is the unsigned pitch difference modulo 12, so octave
 placement never matters. Index -> name follows Western convention, from
@@ -9,7 +9,7 @@ perfect unison (0 semitones) up to major seventh (11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,16 +49,13 @@ def interval_vector(g: TransitionGraph) -> np.ndarray:
     return np.bincount(classes.ravel(), weights=g.weights.ravel(), minlength=N_INTERVALS)
 
 
-def interval_fractions(counts: Iterable[Sequence[float]]) -> np.ndarray:
+def interval_fractions(counts: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     """Corpus-level interval shares from per-song interval count vectors
-    (``interval_vector(g)``): summed counts divided by the total."""
-    total = np.zeros(N_INTERVALS)
-    seen = False
-    for c in counts:
-        total += np.asarray(c)
-        seen = True
-    if not seen:
+    (``interval_vector(g)``, one row each): summed counts divided by the
+    total."""
+    if len(counts) == 0:
         raise EmptyGroup("no songs in group")
+    total = np.asarray(counts, dtype=float).sum(axis=0)
     return total / total.sum()
 
 
@@ -84,7 +81,6 @@ def gs_score(vectors: Sequence[np.ndarray]) -> float:
 @dataclass
 class GroupEmbedding:
     label: str
-    centroid: np.ndarray
     member_count: int
     gs_score: float | None  # None when the group is below the size threshold
 
@@ -95,27 +91,20 @@ def check_min_group_size(size: int) -> None:
 
 
 def group_embedding(
-    label: str, vectors: Sequence[np.ndarray], min_group_size: int = 5
+    label: str, vectors: Sequence[np.ndarray] | np.ndarray, min_group_size: int = 5
 ) -> GroupEmbedding:
-    """Centroid for any group; GS-score only at or above the size cut."""
+    """Member count for any group; GS-score only at or above the size cut."""
     check_min_group_size(min_group_size)
     if len(vectors) == 0:
         raise EmptyGroup(f"group {label!r} has no members")
-    matrix = np.asarray(vectors, dtype=float)
     score = gs_score(vectors) if len(vectors) >= min_group_size else None
-    return GroupEmbedding(
-        label=label,
-        centroid=matrix.mean(axis=0),
-        member_count=len(vectors),
-        gs_score=score,
-    )
+    return GroupEmbedding(label=label, member_count=len(vectors), gs_score=score)
 
 
 @dataclass
 class Projection:
     coordinates: np.ndarray  # (n_rows, k)
     explained_variance: np.ndarray  # fraction per component
-    components: np.ndarray  # (k, n_features) loadings
 
 
 def pca_project(matrix: np.ndarray, k: int = 2) -> Projection:
@@ -132,17 +121,15 @@ def pca_project(matrix: np.ndarray, k: int = 2) -> Projection:
     rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
     n_keep = min(k, rank)
     coords = np.zeros((x.shape[0], k))
-    components = np.zeros((k, x.shape[1]))
     for i in range(n_keep):
         load = vt[i]
         sign = 1.0 if load[np.argmax(np.abs(load))] >= 0 else -1.0
-        components[i] = sign * load
         coords[:, i] = sign * u[:, i] * s[i]
     total_var = float(np.sum(s**2))
     explained = np.zeros(k)
     if total_var > 0:
         explained[:n_keep] = (s[:n_keep] ** 2) / total_var
-    return Projection(coordinates=coords, explained_variance=explained, components=components)
+    return Projection(coordinates=coords, explained_variance=explained)
 
 
 @dataclass

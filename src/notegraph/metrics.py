@@ -159,12 +159,18 @@ def weight_histogram(g: TransitionGraph) -> dict[int, int]:
 def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int, float]]:
     """P(W >= w) over every edge weight in a collection of weight histograms.
 
-    Histogram keys may be JSON strings; they are read as integers.
+    Histogram keys may be JSON strings; they are read as integers. The
+    counts are merged under the keys as given first, so each distinct
+    key is read once.
     """
-    hist: dict[int, int] = {}
+    raw: dict[int | str, int] = {}
     for h in histograms:
         for w, c in h.items():
-            hist[int(w)] = hist.get(int(w), 0) + c
+            raw[w] = raw.get(w, 0) + c
+    hist: dict[int, int] = {}
+    for w, c in raw.items():
+        w = int(w)
+        hist[w] = hist.get(w, 0) + c
     total = sum(hist.values())
     if total == 0:
         raise EmptyCollection("no edges in collection")

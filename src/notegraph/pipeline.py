@@ -17,6 +17,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Optional, get_args, get_type_hints
 
@@ -26,6 +27,7 @@ from . import catalog as catalog_mod
 from . import stats as stats_mod
 from .embeddings import (
     INTERVAL_NAMES,
+    N_INTERVALS,
     check_min_group_size,
     component_correlations,
     group_embedding,
@@ -393,37 +395,92 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
 
 # --- aggregation ---
 
-def _genre_groups(records: list[dict]) -> dict[str, list[dict]]:
-    groups: dict[str, list[dict]] = {}
-    for rec in records:
-        for genre in rec.get("genres") or ["all"]:
-            groups.setdefault(genre, []).append(rec)
-    return groups
+# the decade of a record without a release year: decades are multiples
+# of 10, so it is none of them
+_UNDATED = -1
 
 
-def pairwise_genre_tests(records: list[dict], measures=TESTED_MEASURES) -> list[dict]:
+def _rows_by_label(labels: Iterable[Iterable[str]]) -> dict[str, np.ndarray]:
+    """Label -> the indices of the records it tags, in record order, for
+    each record's labels in turn; labels in sorted order."""
+    rows: dict[str, list[int]] = {}
+    for i, tags in enumerate(labels):
+        for label in tags:
+            rows.setdefault(label, []).append(i)
+    return {label: np.array(rows[label], dtype=np.intp) for label in sorted(rows)}
+
+
+class CorpusColumns:
+    """The per-record quantities of a corpus that the aggregate tables
+    read, each built from the records once, on first use.
+
+    A measure is a float column, NaN where a record holds None; the
+    interval vectors and counts are (n, 12) matrices; a grouping maps
+    each label to the row indices of its records.
+    """
+
+    def __init__(self, records: list[dict]):
+        self.records = records
+        self._measures: dict[str, np.ndarray] = {}
+
+    def measure(self, name: str) -> np.ndarray:
+        if name not in self._measures:
+            self._measures[name] = np.array([r[name] for r in self.records], dtype=float)
+        return self._measures[name]
+
+    def _matrix(self, key: str) -> np.ndarray:
+        rows = [r[key] for r in self.records]
+        return np.array(rows, dtype=float).reshape(len(rows), N_INTERVALS)
+
+    @cached_property
+    def vectors(self) -> np.ndarray:
+        return self._matrix("interval_vector")
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        return self._matrix("interval_counts")
+
+    @cached_property
+    def genre_rows(self) -> dict[str, np.ndarray]:
+        """Genre -> rows; a record without a genre counts under "all"."""
+        return _rows_by_label(r.get("genres") or ["all"] for r in self.records)
+
+    def label_rows(self, key: str) -> dict[str, np.ndarray]:
+        """Label -> rows for a catalog field: each genre in "genres", or the
+        value of "era" or "artist"; a record without one is in no group."""
+        if key == "genres":
+            return _rows_by_label(r.get(key) or () for r in self.records)
+        return _rows_by_label((r[key],) if r.get(key) else () for r in self.records)
+
+    @cached_property
+    def decades(self) -> np.ndarray:
+        """Release decade per record; ``_UNDATED`` without a release year."""
+        return np.array([
+            _UNDATED if (year := r.get("release_year")) is None else year // 10 * 10
+            for r in self.records
+        ], dtype=np.int64)
+
+
+def pairwise_genre_tests(cols: CorpusColumns, measures=TESTED_MEASURES) -> list[dict]:
     """Mann-Whitney U for every genre pair, Holm-corrected per measure.
 
     A genre with no finite value of a measure is left out of that
     measure's pairs and its Holm family."""
-    groups = {
-        g: members
-        for g, members in _genre_groups(records).items()
-        if len(members) >= 2
-    }
+    groups = {g: rows for g, rows in cols.genre_rows.items() if len(rows) >= 2}
     if len(groups) < 2:
         raise InsufficientGroups(f"need >= 2 genres with >= 2 songs, got {len(groups)}")
-    names = sorted(groups)
+    names = list(groups)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     rows: list[dict] = []
     for measure in measures:
-        samples = {
-            g: [r[measure] for r in members if _finite(r[measure])]
-            for g, members in groups.items()
-        }
+        column = cols.measure(measure)
+        samples = {}
+        for g, members in groups.items():
+            values = column[members]
+            samples[g] = values[np.isfinite(values)]
         batch = []
         for a, b in pairs:
-            if not (samples[a] and samples[b]):
+            if not (len(samples[a]) and len(samples[b])):
                 continue
             res = stats_mod.mann_whitney_u(samples[a], samples[b], mode="auto")
             batch.append({
@@ -439,35 +496,40 @@ def pairwise_genre_tests(records: list[dict], measures=TESTED_MEASURES) -> list[
 
 
 def trend_report(
-    records: list[dict], measures=TREND_MEASURES, min_decades: int = 3
+    cols: CorpusColumns, measures=TREND_MEASURES, min_decades: int = 3
 ) -> tuple[list[dict], list[dict], list[str]]:
     """Decade-mean series per genre plus a Mann-Kendall test table.
 
     Returns (decade_rows, test_rows, skipped). A decade mean is taken
-    over the finite values, and is NaN when there are none; each test
-    runs on the finite means only. ``skipped`` names each genre with
-    fewer than ``min_decades`` populated decades, and ``genre/measure``
-    for a test with fewer than ``min_decades`` finite means: neither is
-    tested, and neither is fatal.
+    over the finite values, in record order, and is NaN when there are
+    none; each test runs on the finite means only. ``skipped`` names
+    each genre with fewer than ``min_decades`` populated decades, and
+    ``genre/measure`` for a test with fewer than ``min_decades`` finite
+    means: neither is tested, and neither is fatal. Records without a
+    release year are left out.
     """
-    dated = [r for r in records if r.get("release_year") is not None]
     decade_rows: list[dict] = []
     test_rows: list[dict] = []
     skipped: list[str] = []
-    for genre, members in sorted(_genre_groups(dated).items()):
-        by_decade: dict[int, list[dict]] = {}
-        for rec in members:
-            by_decade.setdefault(rec["release_year"] // 10 * 10, []).append(rec)
-        decades = sorted(by_decade)
+    for genre, rows in cols.genre_rows.items():
+        rows = rows[cols.decades[rows] != _UNDATED]
+        if not len(rows):
+            continue
+        decade_of = cols.decades[rows]
+        decades = np.unique(decade_of).tolist()
         if len(decades) < min_decades:
             skipped.append(genre)
             continue
         series: dict[str, list[float]] = {m: [] for m in measures}
         for decade in decades:
-            row = {"genre": genre, "decade": decade, "count": len(by_decade[decade])}
+            members = rows[decade_of == decade]
+            row = {"genre": genre, "decade": decade, "count": len(members)}
             for measure in measures:
-                vals = [r[measure] for r in by_decade[decade] if _finite(r[measure])]
-                mean = sum(vals) / len(vals) if vals else math.nan
+                values = cols.measure(measure)[members]
+                finite = values[np.isfinite(values)].tolist()
+                # summed in order, as a Python float, so the bytes do not
+                # hang on numpy's pairwise summation
+                mean = sum(finite) / len(finite) if finite else math.nan
                 row[measure] = mean
                 series[measure].append(mean)
             decade_rows.append(row)
@@ -492,27 +554,27 @@ def trend_report(
 Table = tuple[list[str], list[list[Any]]]  # (header, rows) of one CSV
 
 
-def _ccdf_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+def _ccdf_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
     rows = [
         [genre, w, p]
-        for genre, members in sorted(_genre_groups(records).items())
-        for w, p in weight_ccdf(r["weight_histogram"] for r in members)
+        for genre, members in cols.genre_rows.items()
+        for w, p in weight_ccdf(cols.records[i]["weight_histogram"] for i in members.tolist())
     ]
     return {"ccdf.csv": (["genre", "weight", "ccdf"], rows)}
 
 
-def _fractions_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+def _fractions_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
     rows = [
-        [genre, i, INTERVAL_NAMES[i], float(frac)]
-        for genre, members in sorted(_genre_groups(records).items())
-        for i, frac in enumerate(interval_fractions(r["interval_counts"] for r in members))
+        [genre, i, INTERVAL_NAMES[i], frac]
+        for genre, members in cols.genre_rows.items()
+        for i, frac in enumerate(interval_fractions(cols.counts[members]).tolist())
     ]
     return {"interval_fractions.csv": (["genre", "interval", "name", "fraction"], rows)}
 
 
-def _genre_tests_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+def _genre_tests_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
     try:
-        rows = pairwise_genre_tests(records)
+        rows = pairwise_genre_tests(cols)
     except InsufficientGroups as exc:
         notes["genre_tests_skipped"] = str(exc)
         return {}
@@ -520,8 +582,8 @@ def _genre_tests_table(records: list[dict], cfg: PipelineConfig, notes: dict) ->
     return {"genre_tests.csv": (header, [[r[c] for c in header] for r in rows])}
 
 
-def _trend_tables(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
-    decade_rows, mk_rows, skipped = trend_report(records)
+def _trend_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+    decade_rows, mk_rows, skipped = trend_report(cols)
     if skipped:
         notes["trend_skipped_genres"] = skipped
     decade_header = ["genre", "decade", "count", *TREND_MEASURES]
@@ -532,16 +594,11 @@ def _trend_tables(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict
     }
 
 
-def _gs_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+def _gs_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
     rows = []
     for group_type, key in (("genre", "genres"), ("era", "era"), ("artist", "artist")):
-        groups: dict[str, list] = {}
-        for rec in records:
-            labels = rec[key] if key == "genres" else [rec[key]] if rec.get(key) else []
-            for label in labels:
-                groups.setdefault(label, []).append(np.asarray(rec["interval_vector"]))
-        for label, vectors in sorted(groups.items()):
-            emb = group_embedding(label, vectors, min_group_size=cfg.gs_min_group_size)
+        for label, members in cols.label_rows(key).items():
+            emb = group_embedding(label, cols.vectors[members], min_group_size=cfg.gs_min_group_size)
             rows.append([
                 group_type, label, emb.member_count,
                 emb.gs_score if emb.gs_score is not None else "",
@@ -549,18 +606,18 @@ def _gs_table(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str
     return {"gs_scores.csv": (["group_type", "label", "member_count", "gs_score"], rows)}
 
 
-def _projection_tables(records: list[dict], cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+def _projection_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
+    records = cols.records
     if len(records) < 2:
         return {}
-    proj = pca_project(np.asarray([r["interval_vector"] for r in records]), k=2)
-    notes["explained_variance"] = [float(v) for v in proj.explained_variance]
+    proj = pca_project(cols.vectors, k=2)
+    notes["explained_variance"] = proj.explained_variance.tolist()
     tables = {"coordinates.csv": (
         ["song_id", "pc1", "pc2"],
-        [[rec["song_id"], float(row[0]), float(row[1])]
-         for rec, row in zip(records, proj.coordinates)],
+        [[rec["song_id"], *row] for rec, row in zip(records, proj.coordinates.tolist())],
     )}
     if len(records) >= 3:
-        features = {m: [r[m] for r in records] for m in TESTED_MEASURES}
+        features = {m: cols.measure(m) for m in TESTED_MEASURES}
         tables["component_correlations.csv"] = (
             ["component", "feature", "r", "p_value", "p_adjusted", "undefined"],
             [[e.component, e.feature, e.r, e.p_value, e.p_adjusted, e.undefined]
@@ -590,24 +647,22 @@ def write_aggregates(
     (skipped tests, PCA explained variance).
 
     ``tables`` limits the output to those file names; builders that
-    write none of them are not run.
+    write none of them are not run. The builders share one
+    ``CorpusColumns`` of the records.
     """
     wanted = None if tables is None else set(tables)
+    cols = CorpusColumns(records)
     notes: dict[str, Any] = {}
     for names, build in AGGREGATE_TABLES:
         if wanted is not None and wanted.isdisjoint(names):
             continue
-        for name, (header, rows) in build(records, cfg, notes).items():
+        for name, (header, rows) in build(cols, cfg, notes).items():
             if wanted is None or name in wanted:
                 _write_csv(out_dir / name, header, rows)
     return notes
 
 
 # --- serialization helpers ---
-
-def _finite(v: Any) -> bool:
-    return isinstance(v, (int, float)) and math.isfinite(v)
-
 
 def _fmt(v: Any) -> str:
     if isinstance(v, float):

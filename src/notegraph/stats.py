@@ -39,13 +39,6 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2))
 
 
-def _tie_counts(values: Sequence[float]) -> list[int]:
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    return [c for c in counts.values() if c > 1]
-
-
 def mann_whitney_u(
     x: Sequence[float], y: Sequence[float], mode: str = "auto"
 ) -> TestResult:
@@ -65,7 +58,7 @@ def mann_whitney_u(
     if mode not in ("exact", "approx", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
     n, m = len(x), len(y)
-    pooled = np.asarray([*x, *y], dtype=float)
+    pooled = np.concatenate((np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
     if np.isnan(pooled).any():
         raise OutOfRange("NaN in a Mann-Whitney sample")
     _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
@@ -86,8 +79,9 @@ def mann_whitney_u(
 
     mu = n * m / 2
     big_n = n + m
-    # Python ints: no overflow, and int / int below rounds once
-    tie_term = sum(t**3 - t for t in counts.tolist())
+    # Python ints: no overflow, and int / int below rounds once; an
+    # untied value adds 1**3 - 1 = 0
+    tie_term = sum(t**3 - t for t in counts[counts > 1].tolist())
     var = (n * m / 12) * (big_n + 1 - tie_term / (big_n * (big_n - 1)))
     if var <= 0:
         return TestResult(statistic=u_obs, p_value=1.0, method="normal-approximation",
@@ -125,13 +119,14 @@ def mann_kendall(series: Sequence[float]) -> TestResult:
     n = len(series)
     if n < 3:
         raise TooShort(f"need >= 3 observations, got {n}")
-    if np.isnan(np.asarray(series, dtype=float)).any():
+    values = np.asarray(series, dtype=float)
+    if np.isnan(values).any():
         raise OutOfRange("NaN in a Mann-Kendall series")
-    s = 0
-    for i, j in combinations(range(n), 2):
-        diff = series[j] - series[i]
-        s += (diff > 0) - (diff < 0)
-    ties = _tie_counts(series)
+    i, j = np.triu_indices(n, 1)
+    diff = values[j] - values[i]
+    s = int(np.count_nonzero(diff > 0)) - int(np.count_nonzero(diff < 0))
+    _, counts = np.unique(values, return_counts=True)
+    ties = counts[counts > 1].tolist()
     n0 = n * (n - 1) / 2
     tie_pairs = sum(t * (t - 1) / 2 for t in ties)
     denom = math.sqrt(n0 * (n0 - tie_pairs))
@@ -152,22 +147,30 @@ def mann_kendall(series: Sequence[float]) -> TestResult:
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
     """Sample Pearson correlation; p from the t-distribution, n-2 df.
-    A NaN or infinity raises ``OutOfRange``."""
+
+    A NaN or infinity raises ``OutOfRange``. A constant sample raises
+    ``ZeroVariance``; constancy is tested on the values themselves,
+    since the mean of repeated floats is inexact and leaves deviations
+    that are not zero.
+    """
     if len(x) != len(y):
         raise LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     n = len(x)
     if n < 3:
         raise TooShort(f"need >= 3 paired observations, got {n}")
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise OutOfRange("non-finite value in a Pearson sample")
-    mx = sum(x) / n
-    my = sum(y) / n
-    sxx = sum((xi - mx) ** 2 for xi in x)
-    syy = sum((yi - my) ** 2 for yi in y)
-    if sxx == 0 or syy == 0:
+    if x.min() == x.max() or y.min() == y.max():
         raise ZeroVariance("correlation undefined for a constant sample")
-    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
-    r = sxy / math.sqrt(sxx * syy)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    # r is scale-free; scaling to a largest deviation of 1 keeps the
+    # squares below from under- or overflowing
+    dx /= np.abs(dx).max()
+    dy /= np.abs(dy).max()
+    r = float((dx * dy).sum()) / math.sqrt((dx * dx).sum() * (dy * dy).sum())
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         p = 0.0

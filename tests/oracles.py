@@ -12,8 +12,10 @@ from itertools import combinations, groupby, permutations
 
 import numpy as np
 
+from notegraph.embeddings import INTERVAL_NAMES
 from notegraph.graph import TransitionGraph
 from notegraph.nullmodels import RandomizerConfig
+from notegraph.pipeline import TESTED_MEASURES, TREND_MEASURES
 from notegraph.stats import EXACT_LIMIT, TestResult
 
 
@@ -244,3 +246,191 @@ def mann_whitney_reference(x, y, mode: str = "auto") -> TestResult:
     z = (diff - correction) / math.sqrt(var)
     p = min(1.0, 2 * (0.5 * math.erfc(abs(z) / math.sqrt(2))))
     return TestResult(statistic=u_obs, p_value=p, method="normal-approximation")
+
+
+# --- aggregate tables, record by record ---
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def _grouped(records: list[dict], labels_of) -> dict:
+    """Label -> member records, in record order; labels sorted."""
+    groups: dict = {}
+    for rec in records:
+        for label in labels_of(rec):
+            groups.setdefault(label, []).append(rec)
+    return dict(sorted(groups.items()))
+
+
+def _genres(rec: dict) -> list:
+    return rec.get("genres") or ["all"]
+
+
+def holm_reference(pvals: list[float]) -> list[float]:
+    """Holm step-down: the k-th smallest p is raised to the largest
+    (m - j) * p_(j) over j <= k, capped at 1."""
+    m = len(pvals)
+    order = sorted(range(m), key=lambda i: pvals[i])
+    adjusted = [0.0] * m
+    for k, idx in enumerate(order):
+        adjusted[idx] = min(1.0, max((m - j) * pvals[order[j]] for j in range(k + 1)))
+    return adjusted
+
+
+def mann_kendall_reference(series: list[float]) -> TestResult:
+    """S over every ordered pair, ties counted from a dict of values."""
+    n = len(series)
+    s = sum((b > a) - (b < a) for a, b in combinations(series, 2))
+    counts: dict[float, int] = {}
+    for v in series:
+        counts[v] = counts.get(v, 0) + 1
+    ties = [t for t in counts.values() if t > 1]
+    n0 = n * (n - 1) / 2
+    denom = math.sqrt(n0 * (n0 - sum(t * (t - 1) / 2 for t in ties)))
+    if denom == 0:
+        return TestResult(statistic=math.nan, p_value=1.0, method="normal-approximation",
+                          all_tied=True)
+    var = (n * (n - 1) * (2 * n + 5) - sum(t * (t - 1) * (2 * t + 5) for t in ties)) / 18
+    z = (s - (s > 0) + (s < 0)) / math.sqrt(var)
+    p = min(1.0, math.erfc(abs(z) / math.sqrt(2)))
+    return TestResult(statistic=s / denom, p_value=p, method="normal-approximation")
+
+
+def aggregate_tables_reference(records: list[dict], min_group_size: int) -> tuple[dict, dict]:
+    """Every aggregate table built by walking the records: (file name ->
+    (header, rows), notes). Correlations come from ``scipy.stats``."""
+    from scipy.stats import pearsonr
+
+    tables: dict = {}
+    notes: dict = {}
+    genres = _grouped(records, _genres)
+
+    rows = []
+    for genre, members in genres.items():
+        hist: dict[int, int] = {}
+        for rec in members:
+            for w, c in rec["weight_histogram"].items():
+                hist[int(w)] = hist.get(int(w), 0) + c
+        total = remaining = sum(hist.values())
+        for w in sorted(hist):
+            rows.append([genre, w, remaining / total])
+            remaining -= hist[w]
+    tables["ccdf.csv"] = (["genre", "weight", "ccdf"], rows)
+
+    rows = []
+    for genre, members in genres.items():
+        sums = [sum(rec["interval_counts"][i] for rec in members) for i in range(12)]
+        rows += [[genre, i, INTERVAL_NAMES[i], sums[i] / sum(sums)] for i in range(12)]
+    tables["interval_fractions.csv"] = (["genre", "interval", "name", "fraction"], rows)
+
+    tested = {g: members for g, members in genres.items() if len(members) >= 2}
+    if len(tested) < 2:
+        notes["genre_tests_skipped"] = f"need >= 2 genres with >= 2 songs, got {len(tested)}"
+    else:
+        names = list(tested)
+        rows = []
+        for measure in TESTED_MEASURES:
+            batch = []
+            for i, a in enumerate(names):
+                for b in names[i + 1:]:
+                    xs = [r[measure] for r in tested[a] if _finite(r[measure])]
+                    ys = [r[measure] for r in tested[b] if _finite(r[measure])]
+                    if xs and ys:
+                        res = mann_whitney_reference(xs, ys)
+                        batch.append([measure, a, b, res.statistic, res.p_value, res.method])
+            adjusted = holm_reference([row[4] for row in batch])
+            rows += [row[:5] + [p_adj, row[5]] for row, p_adj in zip(batch, adjusted)]
+        tables["genre_tests.csv"] = (
+            ["measure", "genre_a", "genre_b", "statistic", "p_value", "p_adjusted", "method"],
+            rows,
+        )
+
+    decade_rows, test_rows, skipped = [], [], []
+    dated = [r for r in records if r.get("release_year") is not None]
+    for genre, members in _grouped(dated, _genres).items():
+        by_decade = _grouped(members, lambda r: [r["release_year"] // 10 * 10])
+        if len(by_decade) < 3:
+            skipped.append(genre)
+            continue
+        series = {m: [] for m in TREND_MEASURES}
+        for decade, in_decade in by_decade.items():
+            row = [genre, decade, len(in_decade)]
+            for measure in TREND_MEASURES:
+                vals = [r[measure] for r in in_decade if _finite(r[measure])]
+                row.append(sum(vals) / len(vals) if vals else math.nan)
+                series[measure].append(row[-1])
+            decade_rows.append(row)
+        for measure in TREND_MEASURES:
+            finite = [v for v in series[measure] if math.isfinite(v)]
+            if len(finite) < 3:
+                skipped.append(f"{genre}/{measure}")
+                continue
+            res = mann_kendall_reference(finite)
+            test_rows.append([genre, measure, res.statistic, res.p_value, res.all_tied])
+    adjusted = holm_reference([row[3] for row in test_rows])
+    if skipped:
+        notes["trend_skipped_genres"] = skipped
+    tables["trend_decades.csv"] = (["genre", "decade", "count", *TREND_MEASURES], decade_rows)
+    tables["trend_tests.csv"] = (
+        ["genre", "measure", "tau", "p_value", "p_adjusted", "all_tied"],
+        [row[:4] + [p_adj, row[4]] for row, p_adj in zip(test_rows, adjusted)],
+    )
+
+    rows = []
+    for group_type, labels_of in (
+        ("genre", lambda r: r.get("genres") or []),
+        ("era", lambda r: [r["era"]] if r.get("era") else []),
+        ("artist", lambda r: [r["artist"]] if r.get("artist") else []),
+    ):
+        for label, members in _grouped(records, labels_of).items():
+            score = ""
+            if len(members) >= min_group_size:
+                vectors = [r["interval_vector"] for r in members]
+                centroid = [sum(col) / len(vectors) for col in zip(*vectors)]
+                c_norm = math.sqrt(sum(c * c for c in centroid))
+                score = sum(
+                    sum(a * c for a, c in zip(v, centroid)) / (math.sqrt(sum(a * a for a in v)) * c_norm)
+                    for v in vectors
+                ) / len(vectors)
+            rows.append([group_type, label, len(members), score])
+    tables["gs_scores.csv"] = (["group_type", "label", "member_count", "gs_score"], rows)
+
+    if len(records) >= 2:
+        # the projection itself: center, SVD, flip each axis so its
+        # largest-magnitude loading is positive
+        x = np.asarray([r["interval_vector"] for r in records], dtype=float)
+        u, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        kept = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+        coords = np.zeros((len(records), 2))
+        for i in range(min(2, kept)):
+            sign = 1.0 if vt[i][np.argmax(np.abs(vt[i]))] >= 0 else -1.0
+            coords[:, i] = sign * u[:, i] * s[i]
+        explained = [float(s[i] ** 2 / np.sum(s**2)) if i < kept else 0.0 for i in range(2)]
+        notes["explained_variance"] = explained
+        tables["coordinates.csv"] = (
+            ["song_id", "pc1", "pc2"],
+            [[r["song_id"], float(c[0]), float(c[1])] for r, c in zip(records, coords)],
+        )
+    if len(records) >= 3:
+        rows, pvals = [], []
+        for comp in range(2):
+            for measure in TESTED_MEASURES:
+                pairs = [(c, r[measure]) for c, r in zip(coords[:, comp].tolist(), records)
+                         if _finite(r[measure])]
+                xs = [p[0] for p in pairs]
+                ys = [float(p[1]) for p in pairs]
+                if len(pairs) < 3 or min(xs) == max(xs) or min(ys) == max(ys):
+                    rows.append([comp, measure, math.nan, math.nan, math.nan, True])
+                    continue
+                res = pearsonr(xs, ys)
+                rows.append([comp, measure, float(res.statistic), float(res.pvalue), None, False])
+                pvals.append(rows[-1][3])
+        adjusted = iter(holm_reference(pvals))
+        for row in rows:
+            if not row[5]:
+                row[4] = next(adjusted)
+        tables["component_correlations.csv"] = (
+            ["component", "feature", "r", "p_value", "p_adjusted", "undefined"], rows,
+        )
+    return tables, notes

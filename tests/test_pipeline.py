@@ -25,6 +25,7 @@ from notegraph.nullmodels import RandomizerConfig, replica_seed
 from notegraph.stats import holm_correction
 from notegraph.pipeline import (
     TESTED_MEASURES,
+    CorpusColumns,
     PipelineConfig,
     pairwise_genre_tests,
     run_pipeline,
@@ -417,7 +418,7 @@ def synthetic_records():
 
 class TestTrendReport:
     def test_decreasing_series_gives_tau_minus_one(self):
-        decades, tests, skipped = trend_report(synthetic_records())
+        decades, tests, skipped = trend_report(CorpusColumns(synthetic_records()))
         assert not skipped
         classical = {t["measure"]: t for t in tests if t["genre"] == "classical"}
         assert classical["efficiency"]["tau"] == pytest.approx(-1.0)
@@ -432,13 +433,13 @@ class TestTrendReport:
         for r in records:
             if r["genres"] == ["classical"] and r["release_year"] == 1910:
                 r["efficiency"] = math.nan
-        decades, tests, skipped = trend_report(records)
+        decades, tests, skipped = trend_report(CorpusColumns(records))
         assert not skipped
         classical = {t["measure"]: t for t in tests if t["genre"] == "classical"}
         assert classical["efficiency"]["tau"] == pytest.approx(-1.0)
         # three decades, one without a finite value: too few for that test
         early = [r for r in records if r["release_year"] < 1930]
-        decades, tests, skipped = trend_report(early)
+        decades, tests, skipped = trend_report(CorpusColumns(early))
         assert skipped == ["classical/efficiency"]
         assert sorted((t["genre"], t["measure"]) for t in tests) == [
             ("classical", "weighted_efficiency"),
@@ -449,7 +450,7 @@ class TestTrendReport:
 
     def test_insufficient_decades_skipped(self):
         records = [r for r in synthetic_records() if r["release_year"] < 1920]
-        _, tests, skipped = trend_report(records)
+        _, tests, skipped = trend_report(CorpusColumns(records))
         assert skipped == ["classical", "rock"]
         assert tests == []
 
@@ -457,20 +458,20 @@ class TestTrendReport:
 class TestPairwiseGenreTests:
     def test_pair_count_and_separation(self):
         records = synthetic_records()
-        rows = pairwise_genre_tests(records, measures=("efficiency",))
+        rows = pairwise_genre_tests(CorpusColumns(records), measures=("efficiency",))
         assert len(rows) == 1  # 2 genres -> 1 pair
         assert rows[0]["p_adjusted"] < 0.001  # clearly separated fixtures
 
     def test_identical_distributions_give_p_one(self):
         records = synthetic_records()
-        rows = pairwise_genre_tests(records, measures=("density",))
+        rows = pairwise_genre_tests(CorpusColumns(records), measures=("density",))
         assert rows[0]["p_adjusted"] == pytest.approx(1.0)
 
     def test_k_genres_make_k_choose_2_pairs(self):
         records = synthetic_records()
         for i, r in enumerate(records):
             r["genres"] = [GENRES[i % 4]]
-        rows = pairwise_genre_tests(records, measures=("efficiency", "density"))
+        rows = pairwise_genre_tests(CorpusColumns(records), measures=("efficiency", "density"))
         assert len(rows) == 2 * (4 * 3 // 2)
 
     def test_single_group_raises(self):
@@ -478,7 +479,7 @@ class TestPairwiseGenreTests:
         for r in records:
             r["genres"] = ["rock"]
         with pytest.raises(InsufficientGroups):
-            pairwise_genre_tests(records)
+            pairwise_genre_tests(CorpusColumns(records))
 
     def test_matches_pairwise_reference_table(self):
         rng = random.Random(11)
@@ -498,7 +499,7 @@ class TestPairwiseGenreTests:
                 records.append(rec)
         records.append({"song_id": "untagged", "genres": [],
                         **{m: rng.choice(values) for m in TESTED_MEASURES}})
-        got = pairwise_genre_tests(records)
+        got = pairwise_genre_tests(CorpusColumns(records))
 
         groups = {}
         for rec in records:
@@ -572,6 +573,113 @@ class TestGenreWithoutFiniteValues:
             return [r for r in rows[label] if r["measure"] != "efficiency"]
         assert others("gappy") == others("clean")
         assert len(others("clean")) == 3 * (len(TESTED_MEASURES) - 1)
+
+
+def fuzz_records(rng: random.Random, n: int) -> list[dict]:
+    """Records as ``analyze`` writes them with the catalog fields joined,
+    with NaN and +-inf measures, songs without genres or a release year
+    (the key missing or empty), a genre of one song, and weight
+    histograms keyed by int and by str."""
+    specials = [math.nan, math.inf, -math.inf]
+    # a pool with repeats, so samples tie; in some corpora one measure
+    # is the same float for every song
+    pool = [0.1, 0.2, 0.2, 0.3, 0.5, 0.7, 1, 2]
+    constant = rng.choice([None, "mean_node_entropy", "density"])
+    records = []
+    for i in range(n):
+        counts = [float(rng.randint(0, 9)) for _ in range(12)]
+        counts[rng.randrange(12)] += 1.0
+        norm = math.sqrt(sum(c * c for c in counts))
+        rec = {
+            "song_id": f"s{i:03d}",
+            "interval_counts": counts,
+            "interval_vector": [c / norm for c in counts],
+            "weight_histogram": {
+                (w if rng.random() < 0.5 else str(w)): rng.randint(1, 9)
+                for w in rng.sample(range(1, 12), rng.randint(1, 4))
+            },
+        }
+        for measure in TESTED_MEASURES:
+            draw = rng.random()
+            rec[measure] = (rng.choice(specials) if draw < 0.15
+                            else 0.7 if measure == constant
+                            else rng.choice(pool) if draw < 0.5 else rng.random())
+        genres = rng.choice([[], ["blues"], ["folk"], ["jazz"], ["jazz", "rock"], ["rock"]])
+        if i == 0:
+            genres = ["solo"]
+        if rng.random() < 0.1:
+            genres = None
+        year = rng.choice([None, *range(1900, 2020, 7)])
+        for key, value in (("genres", genres), ("release_year", year),
+                           ("era", year and f"era{year // 40}"),
+                           ("artist", rng.choice([None, "a0", "a1", "a2"]))):
+            if value is not None or rng.random() < 0.5:
+                rec[key] = value
+        records.append(rec)
+    return records
+
+
+def assert_tables_match(got: dict, want: dict) -> None:
+    """Labels and counts equal; floats within rel 1e-12, or 1e-9 in the
+    Pearson correlations (a different summation order); NaN matches NaN."""
+    assert sorted(got) == sorted(want)
+    for name, (want_header, want_rows) in want.items():
+        header, rows = got[name]
+        assert header == want_header, name
+        assert len(rows) == len(want_rows), name
+        tol = 1e-9 if name == "component_correlations.csv" else 1e-12
+        for row, want_row in zip(rows, want_rows):
+            assert len(row) == len(want_row), (name, row, want_row)
+            for cell, want_cell in zip(row, want_row):
+                if isinstance(want_cell, float):
+                    assert isinstance(cell, float), (name, row, want_row)
+                    assert (math.isnan(cell) and math.isnan(want_cell)
+                            or math.isclose(cell, want_cell, rel_tol=tol)), (name, row, want_row)
+                else:
+                    assert cell == want_cell and not isinstance(cell, float), (name, row, want_row)
+
+
+class TestAggregateTables:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_builders_match_record_by_record_reference(self, seed):
+        records = fuzz_records(random.Random(seed), 60)
+        cfg = PipelineConfig(gs_min_group_size=3)
+        cols = pipeline.CorpusColumns(records)
+        got, notes = {}, {}
+        for _, build in pipeline.AGGREGATE_TABLES:
+            got.update(build(cols, cfg, notes))
+        want, want_notes = oracles.aggregate_tables_reference(records, min_group_size=3)
+        assert_tables_match(got, want)
+        assert notes.keys() == want_notes.keys()
+        for key, value in want_notes.items():
+            if key == "explained_variance":
+                np.testing.assert_allclose(notes[key], value, rtol=1e-12, atol=1e-15)
+            else:
+                assert notes[key] == value
+
+    def test_fuzzed_records_write_every_table_twice_alike(self, tmp_path):
+        always = ["ccdf.csv", "gs_scores.csv", "interval_fractions.csv",
+                  "trend_decades.csv", "trend_tests.csv"]
+        for seed in range(20):
+            rng = random.Random(seed)
+            records = fuzz_records(rng, rng.choice([0, 1, 2, 3, rng.randint(4, 40)]))
+            cfg = PipelineConfig(gs_min_group_size=rng.randint(1, 4))
+            outputs = []
+            for run in ("a", "b"):
+                out = tmp_path / f"{seed}{run}"
+                out.mkdir()
+                notes = pipeline.write_aggregates(records, out, cfg)
+                outputs.append((notes, read_output(out)))
+            assert outputs[0] == outputs[1], seed
+            notes, files = outputs[0]
+            want = list(always)
+            if "genre_tests_skipped" not in notes:
+                want.append("genre_tests.csv")
+            if len(records) >= 2:
+                want.append("coordinates.csv")
+            if len(records) >= 3:
+                want.append("component_correlations.csv")
+            assert sorted(files) == sorted(want), (seed, notes)
 
 
 class TestConfigFile:

@@ -263,6 +263,29 @@ class TestPearson:
         with pytest.raises(TooShort):
             pearson([1, 2], [3, 4])
 
+    @pytest.mark.parametrize("constant, other", [
+        # the mean of repeated 0.1 or 0.7 is not exactly 0.1 or 0.7, so
+        # deviations from it are tiny but not zero
+        ([0.1] * 3, [1, 2, 4]),
+        ([0.7] * 10, list(range(10))),
+    ])
+    def test_constant_float_sample_raises(self, constant, other):
+        with pytest.raises(ZeroVariance):
+            pearson(constant, other)
+        with pytest.raises(ZeroVariance):
+            pearson(other, constant)
+
+    def test_tiny_and_huge_scales(self):
+        # squared deviations of 1e-170 underflow to 0, of 1e170 overflow
+        rng = random.Random(8)
+        x = [rng.gauss(0, 1) for _ in range(12)]
+        y = [rng.gauss(0, 1) for _ in range(12)]
+        want = pearson(x, y)
+        for scale in (1e-170, 1e170):
+            got = pearson([scale * v for v in x], y)
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
+            assert got.p_value == pytest.approx(want.p_value, rel=1e-9)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_raises(self, bad):
         # min(1.0, nan) is 1.0: a NaN used to read as r = 1, p = 0
