@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .errors import BadCatalog
+
 MACRO_GENRE_KEYWORDS = {
     "rock": "rock",
     "pop": "pop",
@@ -117,9 +119,14 @@ def era_bucket(year: int) -> str:
     return "2000-plus"
 
 
-def _parse_int(value: str) -> Optional[int]:
-    value = value.strip()
-    return int(value) if value else None
+def _parse_int(row: dict, name: str) -> Optional[int]:
+    value = (row.get(name) or "").strip()
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise BadCatalog(f"{name} {value!r} is not an integer") from None
 
 
 def build_record(
@@ -144,18 +151,33 @@ def build_record(
 
 
 def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRecord]:
-    """Read the catalog file into song_id -> record."""
+    """Read the catalog file into song_id -> record.
+
+    A file without a song_id column, a row shorter than the header, and a
+    year or popularity that is not an integer raise ``BadCatalog``, which
+    names the file and the 1-based line.
+    """
     records: dict[str, CatalogRecord] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh, delimiter=delimiter):
-            rec = build_record(
-                song_id=row["song_id"].strip(),
-                artists=row.get("artists", ""),
-                genres=[g for g in row.get("genres", "").split("|") if g],
-                year_a=_parse_int(row.get("year_a", "") or ""),
-                year_b=_parse_int(row.get("year_b", "") or ""),
-                popularity=_parse_int(row.get("popularity", "") or ""),
-            )
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        if "song_id" not in (reader.fieldnames or ()):
+            raise BadCatalog(f"{path}, line 1: no song_id column")
+        last = reader.fieldnames[-1]
+        for row in reader:
+            try:
+                if row[last] is None:  # DictReader fills a short row's tail with None
+                    raise BadCatalog(f"{sum(v is not None for v in row.values())} fields, "
+                                     f"the header has {len(reader.fieldnames)}")
+                rec = build_record(
+                    song_id=row["song_id"].strip(),
+                    artists=row.get("artists", ""),
+                    genres=[g for g in row.get("genres", "").split("|") if g],
+                    year_a=_parse_int(row, "year_a"),
+                    year_b=_parse_int(row, "year_b"),
+                    popularity=_parse_int(row, "popularity"),
+                )
+            except BadCatalog as exc:
+                raise BadCatalog(f"{path}, line {reader.line_num}: {exc}") from None
             records[rec.song_id] = rec
     return records
 

@@ -9,6 +9,13 @@ class BadSetting(NotegraphError, ValueError):
     """A setting is unknown, unreadable or out of range."""
 
 
+# --- catalog ---
+
+class BadCatalog(NotegraphError):
+    """A catalog row is shorter than the header, or a field that must be
+    an integer is not."""
+
+
 # --- MIDI parsing ---
 
 class MidiParseError(NotegraphError):

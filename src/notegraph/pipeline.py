@@ -15,7 +15,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
 from pathlib import Path
@@ -325,6 +324,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     files = scan_inputs(cfg.inputs)
     if not files or not any(Path(item).exists() for item in cfg.inputs):
         raise NoInputs(f"no MIDI files under {cfg.inputs!r}")
+    # a bad catalog stops the run before any song is analysed
+    catalog = catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else {}
     out_dir = Path(cfg.output_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -355,6 +356,10 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
             continue
         exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
     if cfg.workers > 1:
+        # imported here: the pool's modules (multiprocessing, socket) cost
+        # every one-worker run and every CLI start a few ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_worker, jobs))
     else:
@@ -367,9 +372,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     records.sort(key=lambda r: r["song_id"])
     exclusions.sort(key=lambda e: e["song_id"])
 
-    catalog_mod.join_catalog(
-        records, catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else {}
-    )
+    catalog_mod.join_catalog(records, catalog)
 
     _write_jsonl(out_dir / "songs.jsonl", records)
     _write_metrics_csv(out_dir / "metrics.csv", records)

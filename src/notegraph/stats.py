@@ -3,7 +3,9 @@ Holm step-down correction, Mann-Kendall trend test, Pearson correlation.
 
 All p-values are two-sided. The exact Mann-Whitney null enumerates every
 group labeling of the pooled sample, so it handles ties correctly; the
-normal approximations carry tie and continuity corrections.
+normal approximations carry tie and continuity corrections. Pearson's
+Student-t tail is computed here, from the regularized incomplete beta
+function, with the standard library alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .errors import (
     EmptySample,
@@ -176,5 +177,59 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> TestResult:
         p = 0.0
     else:
         t_stat = r * math.sqrt((n - 2) / (1 - r * r))
-        p = 2 * float(stdtr(n - 2, -abs(t_stat)))  # Student-t upper tail
+        p = student_t_p(t_stat, n - 2)
     return TestResult(statistic=r, p_value=min(1.0, p), method="exact")
+
+
+# the continued fraction stops when a step changes it by less than this
+_CF_EPS = 1e-16
+# a cap far above need: for the Student-t tail, b = 1/2 or a = 1/2, and
+# no df up to 1e8 took more than 78 steps at any t
+_CF_MAX_STEPS = 1000
+# below this a Lentz denominator counts as zero
+_CF_TINY = 1e-300
+
+
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) without its prefactor, by the
+    modified Lentz method; it converges fast for x < (a + 1) / (a + b + 2)."""
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1)
+    d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+    h = d
+    for m in range(1, _CF_MAX_STEPS + 1):
+        # the even then the odd coefficient of step m
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _CF_TINY else _CF_TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _CF_TINY else _CF_TINY
+            h *= d * c
+        if abs(d * c - 1.0) < _CF_EPS:
+            break
+    return h
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with y = 1 - x given apart
+    so that neither carries a cancellation. Past x = (a + 1) / (a + b + 2)
+    it takes the symmetry I_x(a, b) = 1 - I_y(b, a)."""
+    swap = x >= (a + 1) / (a + b + 2)
+    if swap:
+        a, b, x, y = b, a, y, x
+    if x == 0.0:
+        tail = 0.0
+    else:
+        log_front = (a * math.log(x) + b * math.log(y)
+                     + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+        tail = math.exp(log_front) / a * _beta_cf(a, b, x)
+    return 1.0 - tail if swap else tail
+
+
+def student_t_p(t: float, df: float) -> float:
+    """Two-sided p-value P(|T| >= |t|) of Student's t with ``df`` degrees
+    of freedom: I_x(df/2, 1/2) at x = df / (df + t**2). A t whose square
+    overflows gives x = 0, so p = 0."""
+    t2 = t * t
+    return _betainc(df / 2, 0.5, df / (df + t2), t2 / (df + t2))

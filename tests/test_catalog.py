@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from notegraph.errors import BadCatalog
 from notegraph.catalog import (
     build_record,
     clean_name,
@@ -136,3 +137,28 @@ def test_build_record_and_load_catalog(tmp_path):
     assert cat["s2"].macro_genres == {"rock"}
     assert cat["s2"].release_year is None
     assert cat["s2"].era is None
+
+
+HEADER = "song_id\ttitle\tartists\tgenres\tyear_a\tyear_b\tpopularity\n"
+GOOD_ROW = "s1\tTake Five\tDave Brubeck\tjazz\t1997\t1959\t70\n"
+
+
+@pytest.mark.parametrize("bad_row, message", [
+    ("s2\tShort\tSomeone\n", "line 3: 3 fields, the header has 7"),
+    ("s2\tX\tSomeone\trock\t19x5\t\t\n", "line 3: year_a '19x5' is not an integer"),
+    ("s2\tX\tSomeone\trock\t\t1975.0\t\n", "line 3: year_b '1975.0' is not an integer"),
+    ("s2\tX\tSomeone\trock\t\t\thigh\n", "line 3: popularity 'high' is not an integer"),
+], ids=["short-row", "year_a", "year_b", "popularity"])
+def test_malformed_row_names_file_and_line(tmp_path, bad_row, message):
+    path = tmp_path / "catalog.tsv"
+    path.write_text(HEADER + GOOD_ROW + bad_row + GOOD_ROW.replace("s1", "s3"))
+    with pytest.raises(BadCatalog) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"{path}, {message}"
+
+
+def test_catalog_without_song_id_column(tmp_path):
+    path = tmp_path / "catalog.tsv"
+    path.write_text(HEADER.replace("song_id", "id") + GOOD_ROW)
+    with pytest.raises(BadCatalog, match="line 1: no song_id column"):
+        load_catalog(path)

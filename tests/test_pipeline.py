@@ -767,11 +767,13 @@ class TestCli:
                 assert written == reference(g, cfg).dump_edge_list(), (kind, i)
 
     def test_import_leaves_out_scipy_stats_and_sparse(self):
-        # each costs start-up time or memory on every CLI run (setup_s, peak RSS)
+        # each costs start-up time or memory on every CLI run (setup_s, peak RSS);
+        # the pool is imported only when workers > 1
         src = str(Path(notegraph.__file__).resolve().parents[1])
         out = subprocess.run(
-            [sys.executable, "-c", "import sys, notegraph.cli; "
-             "print(sorted(m for m in ('scipy.stats', 'scipy.sparse') if m in sys.modules))"],
+            [sys.executable, "-c", "import sys, notegraph.cli; print(sorted("
+             "m for m in sys.modules if m.split('.')[0] == 'scipy'"
+             " or m == 'concurrent.futures.process'))"],
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         ).stdout
         assert out == "[]\n"
@@ -881,6 +883,24 @@ class TestSettings:
         monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p))
         assert main([command, str(target), *flags, "--output", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "BadSetting"
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("bad_row", ["s9\tShort\n", "s9\tT\tA\trock\t19x5\t\t\n"],
+                             ids=["short-row", "non-integer-year"])
+    def test_bad_catalog_stops_before_any_input_is_read(
+        self, bad_row, tmp_path, monkeypatch, capsys
+    ):
+        songs = two_songs(tmp_path / "in")
+        catalog = build_catalog(tmp_path)
+        catalog.write_text(catalog.read_text() + bad_row)
+        out = tmp_path / "out"
+        reads = []
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p))
+        assert main(["analyze", str(songs), "--catalog", str(catalog),
+                     "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadCatalog"
+        assert err["message"].startswith(f"{catalog}, line 14: ")
         assert reads == [] and not out.exists()
 
     def test_unparsable_flag_is_a_usage_error(self):

@@ -1,7 +1,11 @@
 import math
 import random
+import sys
+import warnings
 
+import numpy as np
 import pytest
+from scipy.special import stdtr
 from scipy.stats import pearsonr
 
 from oracles import mann_whitney_reference
@@ -19,6 +23,7 @@ from notegraph.stats import (
     mann_kendall,
     mann_whitney_u,
     pearson,
+    student_t_p,
 )
 
 MODES = ("auto", "exact", "approx")
@@ -293,3 +298,53 @@ class TestPearson:
             pearson([1.0, 2.0, bad, 4.0], [1.0, 3.0, 2.0, 5.0])
         with pytest.raises(OutOfRange):
             pearson([1.0, 3.0, 2.0, 5.0], [bad, 2.0, 3.0, 4.0])
+
+
+# degrees of freedom: every small df, and the sizes a corpus gives
+T_TAIL_DFS = [*range(1, 40), 50, 100, 300, 1000, 2498, 5000, 19998, 100000]
+
+
+def log_uniform_t(rng: random.Random, n: int, lo: float, hi: float) -> list[float]:
+    return [10 ** rng.uniform(lo, hi) for _ in range(n)]
+
+
+class TestStudentTail:
+    @pytest.mark.parametrize("df", T_TAIL_DFS)
+    def test_matches_scipy_stdtr(self, df):
+        ts = log_uniform_t(random.Random(df), 200, -4, 2.5)
+        want = 2 * stdtr(df, -np.array(ts))
+        for t, ref in zip(ts, want.tolist()):
+            got = student_t_p(t, df)
+            if ref < sys.float_info.min:
+                # subnormal or zero: both sides have lost their precision
+                assert abs(got - ref) <= sys.float_info.min, (t, got, ref)
+            elif ref < 0.5:
+                assert abs(got - ref) <= 1e-9 * ref, (t, got, ref)
+            else:
+                assert abs(got - ref) <= 1e-10, (t, got, ref)
+
+    def test_closed_forms(self):
+        # df = 1 is Cauchy; df = 2 is 1 - t / sqrt(t^2 + 2), written here
+        # without its cancellation at large t
+        for t in log_uniform_t(random.Random(3), 500, -4, 4):
+            cauchy = 2 / math.pi * math.atan(1 / t)
+            root = math.sqrt(t * t + 2)
+            df2 = 2 / (root * (root + t))
+            for df, want in ((1, cauchy), (2, df2)):
+                for sign in (1, -1):
+                    got = student_t_p(sign * t, df)
+                    assert abs(got - want) <= 1e-13 * want, (df, t, got, want)
+
+    def test_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for df in T_TAIL_DFS:
+                assert student_t_p(0.0, df) == 1.0
+                assert student_t_p(1e300, df) == 0.0
+                assert student_t_p(-1e300, df) == 0.0
+
+    @pytest.mark.parametrize("df", [1, 2, 5, 30, 2498, 100000])
+    def test_falls_as_t_grows(self, df):
+        ps = [student_t_p(10 ** (k / 50), df) for k in range(-250, 151)]
+        assert all(a >= b for a, b in zip(ps, ps[1:]))
+        assert ps[0] > 0.99 and 0.0 <= ps[-1] < 1e-3
