@@ -153,11 +153,13 @@ def build_record(
 def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRecord]:
     """Read the catalog file into song_id -> record.
 
-    A file without a song_id column, a row shorter than the header, and a
-    year or popularity that is not an integer raise ``BadCatalog``, which
-    names the file and the 1-based line.
+    A file without a song_id column, a row with more or fewer fields than
+    the header, a song_id given twice, and a year or popularity that is
+    not an integer raise ``BadCatalog``, which names the file and the
+    1-based line.
     """
     records: dict[str, CatalogRecord] = {}
+    lines: dict[str, int] = {}  # song_id -> the line that gives it
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if "song_id" not in (reader.fieldnames or ()):
@@ -165,9 +167,12 @@ def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRe
         last = reader.fieldnames[-1]
         for row in reader:
             try:
-                if row[last] is None:  # DictReader fills a short row's tail with None
-                    raise BadCatalog(f"{sum(v is not None for v in row.values())} fields, "
-                                     f"the header has {len(reader.fieldnames)}")
+                # DictReader files a long row's extra fields under None, and
+                # fills a short row's tail with None
+                extra = row.pop(None, ())
+                if extra or row[last] is None:
+                    fields = sum(v is not None for v in row.values()) + len(extra)
+                    raise BadCatalog(f"{fields} fields, the header has {len(reader.fieldnames)}")
                 rec = build_record(
                     song_id=row["song_id"].strip(),
                     artists=row.get("artists", ""),
@@ -176,9 +181,13 @@ def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRe
                     year_b=_parse_int(row, "year_b"),
                     popularity=_parse_int(row, "popularity"),
                 )
+                if rec.song_id in lines:
+                    raise BadCatalog(f"song_id {rec.song_id!r} is already on line "
+                                     f"{lines[rec.song_id]}")
             except BadCatalog as exc:
                 raise BadCatalog(f"{path}, line {reader.line_num}: {exc}") from None
             records[rec.song_id] = rec
+            lines[rec.song_id] = reader.line_num
     return records
 
 

@@ -23,7 +23,8 @@ from .graph import parse_edge_list, graph_from_onsets
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 from .pipeline import (
-    SETTING_TYPES, PipelineConfig, read_settings, run_pipeline, write_aggregates,
+    SETTING_TYPES, PipelineConfig, load_songs, make_output_dir, read_settings, run_pipeline,
+    write_aggregates,
 )
 
 # report aliases -> the aggregate tables each one writes
@@ -56,15 +57,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     return PipelineConfig(**settings)
 
 
-def _load_songs(path: str) -> list[dict]:
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
-
-
 def _load_graph(path: str):
     p = Path(path)
     if p.suffix.lower() in (".mid", ".midi"):
@@ -83,8 +75,7 @@ def cmd_nullmodel(args: argparse.Namespace) -> int:
         seed=args.seed, swap_multiplier=args.swap_multiplier, null_samples=args.samples
     )
     g = _load_graph(args.graph)
-    out = Path(args.output_dir or "nullmodel-out")
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(args.output_dir or "nullmodel-out")
     for i, rep in enumerate(rewired_replicas(g, cfg)):
         (out / f"rewired_{i:03d}.edges").write_text(rep.dump_edge_list())
     for i, rep in enumerate(shuffled_replicas(g, cfg)):
@@ -95,11 +86,10 @@ def cmd_nullmodel(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    records = _load_songs(args.songs)
+    records = load_songs(args.songs)
     if cfg.catalog_path:
         catalog_mod.join_catalog(records, catalog_mod.load_catalog(cfg.catalog_path))
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(cfg.output_dir)
     notes = write_aggregates(records, out, cfg, tables=ALIAS_TABLES.get(args.command))
     print(json.dumps(notes, sort_keys=True))
     return 0

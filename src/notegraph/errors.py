@@ -12,8 +12,8 @@ class BadSetting(NotegraphError, ValueError):
 # --- catalog ---
 
 class BadCatalog(NotegraphError):
-    """A catalog row is shorter than the header, or a field that must be
-    an integer is not."""
+    """A catalog row has more or fewer fields than the header, repeats a
+    song_id, or has a field that must be an integer and is not."""
 
 
 # --- MIDI parsing ---
@@ -115,6 +115,10 @@ class ZeroVariance(NotegraphError):
 
 class NoInputs(NotegraphError):
     pass
+
+
+class BadSongsFile(NotegraphError):
+    """A line of songs.jsonl is not a JSON object."""
 
 
 class UnwritableOutput(NotegraphError):

@@ -76,8 +76,11 @@ def weighted_reciprocity_norm(
     when the baseline itself is fully reciprocated (r_NM = 1) the value
     is undefined and reported as NaN with the flag set.
     """
-    r = weighted_reciprocity_raw(g)
     samples = [weighted_reciprocity_raw(rep) for rep in shuffled]
+    return _normalized_reciprocity(weighted_reciprocity_raw(g), samples)
+
+
+def _normalized_reciprocity(r: float, samples: Sequence[float]) -> tuple[float, bool]:
     r_nm = sum(samples) / len(samples)
     if r_nm >= 1.0:
         return math.nan, True
@@ -182,25 +185,37 @@ def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int
     return out
 
 
-def compute_report(g: TransitionGraph, shuffled: Sequence[TransitionGraph]) -> MetricReport:
-    """Assemble every scalar measure for one song graph.
-
-    ``shuffled`` are the out-weight-shuffle replicas that normalize the
-    weighted reciprocity.
-    """
+def compute_report(
+    g: TransitionGraph, shuffled: Sequence[TransitionGraph], rewired: Sequence[TransitionGraph]
+) -> tuple[MetricReport, dict[str, list[float]]]:
+    """Score one song graph against its null replicas: the out-weight
+    shuffles, which also normalize the weighted reciprocity, and the
+    degree-preserving rewirings. The song rides in its replicas' stacks,
+    one hop-distance :func:`efficiencies` call over ``[g, *rewired]`` and
+    one weighted over ``[g, *rewired, *shuffled]``. Returns the report
+    and each null measure's value per replica."""
     rho, full = reciprocity_binary(g)
-    rho_w, degenerate = weighted_reciprocity_norm(g, shuffled)
-    return MetricReport(
+    reciprocity = [weighted_reciprocity_raw(x) for x in (g, *shuffled)]
+    rho_w, degenerate = _normalized_reciprocity(reciprocity[0], reciprocity[1:])
+    hops = efficiencies([g, *rewired])
+    weighted = efficiencies([g, *rewired, *shuffled], weighted=True)
+    report = MetricReport(
         song_id=g.song_id,
         vertex_count=g.node_count,
         edge_count=g.edge_count,
         density=density(g),
         reciprocity_binary=rho,
-        weighted_reciprocity_raw=weighted_reciprocity_raw(g),
+        weighted_reciprocity_raw=reciprocity[0],
         weighted_reciprocity_norm=rho_w,
         mean_node_entropy=mean_node_entropy(g),
-        efficiency=global_efficiency(g, weighted=False),
-        weighted_efficiency=global_efficiency(g, weighted=True),
+        efficiency=hops[0],
+        weighted_efficiency=weighted[0],
         full_density=full,
         degenerate_baseline=degenerate,
     )
+    return report, {
+        "rewired_efficiency": hops[1:],
+        "rewired_weighted_efficiency": weighted[1:len(hops)],
+        "shuffled_weighted_efficiency": weighted[len(hops):],
+        "shuffled_reciprocity": reciprocity[1:],
+    }

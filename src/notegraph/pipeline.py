@@ -36,6 +36,7 @@ from .embeddings import (
 )
 from .errors import (
     BadSetting,
+    BadSongsFile,
     EmptySong,
     InsufficientGroups,
     NoInputs,
@@ -45,13 +46,7 @@ from .errors import (
 )
 from .graph import graph_from_onsets
 from .markov import DEFAULT_DAMPING, check_damping, network_entropy
-from .metrics import (
-    compute_report,
-    efficiencies,
-    weight_ccdf,
-    weight_histogram,
-    weighted_reciprocity_raw,
-)
+from .metrics import compute_report, weight_ccdf, weight_histogram
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 
@@ -200,20 +195,11 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         null_samples=cfg.null_samples,
     )
     shuffled = list(shuffled_replicas(g, null_cfg))
-    report = compute_report(g, shuffled)
-
     try:
         rewired = list(rewired_replicas(g, null_cfg))
     except TooFewEdges:
         rewired = []
-    weighted = efficiencies(rewired + shuffled, weighted=True)
-    null_values = {
-        "rewired_efficiency": efficiencies(rewired),
-        "rewired_weighted_efficiency": weighted[:len(rewired)],
-        "shuffled_weighted_efficiency": weighted[len(rewired):],
-        "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
-    }
-
+    report, null_values = compute_report(g, shuffled, rewired)
     ent = network_entropy(g, damping=cfg.damping)
     counts = interval_vector(g)
 
@@ -314,6 +300,16 @@ def scan_inputs(inputs: list[str]) -> list[Path]:
     return sorted(set(files))
 
 
+def make_output_dir(path: str | Path) -> Path:
+    """The output directory, made if need be; ``UnwritableOutput`` when it
+    cannot be made."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UnwritableOutput(str(exc)) from exc
+    return Path(path)
+
+
 def check_workers(workers: int) -> None:
     if workers < 1:
         raise BadSetting(f"workers must be >= 1, got {workers}")
@@ -326,11 +322,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         raise NoInputs(f"no MIDI files under {cfg.inputs!r}")
     # a bad catalog stops the run before any song is analysed
     catalog = catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else {}
-    out_dir = Path(cfg.output_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UnwritableOutput(str(exc)) from exc
+    out_dir = make_output_dir(cfg.output_dir)
 
     # the stem is the song_id and each content is analysed once: the first
     # file in path order owns its stem and its content
@@ -685,6 +677,25 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def load_songs(path: str | Path) -> list[dict]:
+    """The records of a songs.jsonl file, one UTF-8 JSON object a line;
+    blank lines are skipped. Any other line raises ``BadSongsFile``,
+    which names the file and the 1-based line."""
+    records = []
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise BadSongsFile(f"{path}, line {number}: {exc}") from None
+            if not isinstance(record, dict):
+                raise BadSongsFile(f"{path}, line {number}: not a JSON object")
+            records.append(record)
+    return records
 
 
 def _write_metrics_csv(path: Path, records: list[dict]) -> None:

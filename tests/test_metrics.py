@@ -4,7 +4,7 @@ import random
 import pytest
 
 import oracles
-from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
+from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange, TooFewEdges
 from notegraph.graph import TransitionGraph
 from notegraph.metrics import (
     compute_report,
@@ -35,6 +35,14 @@ def cycle(n, weight=1):
 
 def shuffles(g, null_samples, seed):
     return list(shuffled_replicas(g, RandomizerConfig(seed=seed, null_samples=null_samples)))
+
+
+def rewirings(g, null_samples, seed):
+    """The rewired replicas of ``g``; none when it has too few edges."""
+    try:
+        return list(rewired_replicas(g, RandomizerConfig(seed=seed, null_samples=null_samples)))
+    except TooFewEdges:
+        return []
 
 
 def ccdf(graphs):
@@ -282,12 +290,35 @@ class TestWeightCcdf:
         assert fracs == sorted(fracs, reverse=True)
 
 
+class TestComputeReport:
+    def test_song_and_replicas_score_as_single_graphs(self):
+        rng = random.Random(91)
+        draws = [oracles.random_graph(rng) for _ in range(60)]
+        draws += [oracles.random_graph(rng, max_nodes=30, edge_prob=0.1) for _ in range(4)]
+        assert any(g.edge_count < 2 for g in draws)  # a song without rewired replicas
+        for g in draws:
+            shuffled, rewired = shuffles(g, 4, 3), rewirings(g, 4, 3)
+            rep, samples = compute_report(g, shuffled, rewired)
+            assert rep.efficiency == global_efficiency(g, weighted=False)
+            assert rep.weighted_efficiency == global_efficiency(g, weighted=True)
+            assert rep.weighted_reciprocity_raw == weighted_reciprocity_raw(g)
+            norm, degenerate = weighted_reciprocity_norm(g, shuffled)
+            assert rep.degenerate_baseline == degenerate
+            assert rep.weighted_reciprocity_norm == norm or degenerate
+            assert samples == {
+                "rewired_efficiency": [global_efficiency(r) for r in rewired],
+                "rewired_weighted_efficiency": [global_efficiency(r, True) for r in rewired],
+                "shuffled_weighted_efficiency": [global_efficiency(r, True) for r in shuffled],
+                "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
+            }
+
+
 class TestRanges:
     def test_all_metrics_in_bounds(self):
         rng = random.Random(77)
         for _ in range(200):
             g = oracles.random_graph(rng)
-            rep = compute_report(g, shuffles(g, 3, 1))
+            rep, _ = compute_report(g, shuffles(g, 3, 1), rewirings(g, 3, 1))
             assert 0 <= rep.density <= 1
             assert -1 <= rep.reciprocity_binary <= 1
             assert 0 <= rep.weighted_reciprocity_raw <= 1

@@ -16,7 +16,7 @@ import pytest
 import fixture_midi
 import notegraph
 import oracles
-from notegraph import pipeline
+from notegraph import metrics, pipeline
 from notegraph.cli import _build_config, build_parser, main
 from notegraph.errors import BadSetting, InsufficientGroups, NoInputs, NonConvergence
 from notegraph.graph import graph_from_onsets
@@ -386,6 +386,23 @@ class TestAnalyzeSong:
         for name, values in want.items():
             assert record[f"null_{name}_mean"] == pytest.approx(
                 sum(values) / len(values), abs=1e-12), name
+
+    def test_scores_the_song_in_its_replicas_stacks(self, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (metrics, pipeline):
+            for name in ("efficiencies", "global_efficiency"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        data = fixture_midi.melodic_midi(seed=4)
+        pipeline.analyze_song("s", data, PipelineConfig(null_samples=3, min_duration=0))
+        assert calls == ["efficiencies", "efficiencies"]
 
 
 class TestSongSeed:
@@ -777,6 +794,54 @@ class TestCli:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
         ).stdout
         assert out == "[]\n"
+
+    def test_report_rebuilds_analyze_tables_byte_for_byte(self, corpus, tmp_path):
+        midi_dir, catalog = corpus
+        settings = ["--catalog", str(catalog), "--null-samples", "2", "--seed", "5"]
+        analyzed, reported = tmp_path / "analyze", tmp_path / "report"
+        assert main(["analyze", str(midi_dir), "--output", str(analyzed), *settings]) == 0
+        assert main(["report", str(analyzed / "songs.jsonl"),
+                     "--output", str(reported), *settings]) == 0
+        tables = [name for names, _ in pipeline.AGGREGATE_TABLES for name in names]
+        assert sorted(p.name for p in reported.iterdir()) == sorted(tables)
+        for name in tables:
+            assert (reported / name).read_bytes() == (analyzed / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", ["analyze", "report", "nullmodel"])
+    def test_unwritable_output_exits_1(self, command, corpus, tmp_path, capsys):
+        midi_dir, _ = corpus
+        songs = tmp_path / "songs.jsonl"
+        songs.write_text("")
+        target = {"analyze": midi_dir, "report": songs,
+                  "nullmodel": sorted(midi_dir.glob("song*.mid"))[0]}[command]
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        out = tmp_path / "blocker" / "out"
+        # analyze makes its output directory before it reads a song
+        assert main([command, str(target), "--output", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "UnwritableOutput"
+
+    @pytest.mark.parametrize("bad_line, message", [
+        (b"{bad", "line 3: Expecting property name enclosed in double quotes"),
+        (b"[1, 2]", "line 3: not a JSON object"),
+        (b'{"song_id": "\xff"}', "line 3: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["not-json", "not-an-object", "not-utf-8"])
+    def test_bad_songs_line_names_file_and_line(self, bad_line, message, tmp_path, capsys):
+        songs = tmp_path / "songs.jsonl"
+        songs.write_bytes(b'{"song_id": "a"}\n\n' + bad_line + b"\n")
+        assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadSongsFile"
+        assert err["message"].startswith(f"{songs}, {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
+        records = [{"song_id": "a", "efficiency": math.nan}, {"song_id": "b", "genres": []}]
+        path = tmp_path / "songs.jsonl"
+        pipeline._write_jsonl(path, records)
+        path.write_text("\n" + path.read_text() + "  \n")
+        got = pipeline.load_songs(path)
+        assert [r["song_id"] for r in got] == ["a", "b"]
+        assert math.isnan(got[0]["efficiency"]) and got[1]["genres"] == []
 
     def test_error_exit_code_and_json(self, tmp_path, capsys):
         (tmp_path / "none").mkdir()
