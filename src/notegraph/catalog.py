@@ -1,7 +1,7 @@
 """Offline song metadata: name cleaning, macro-genre keyword tagging,
 release-year reconciliation and era bucketing.
 
-The catalog is a delimiter-separated text file with header columns
+The catalog is a tab-separated text file with header columns
 (song_id, title, artists, genres, year_a, year_b, popularity); year_a is
 the streaming-catalog date, year_b the secondary (estimated) date, and
 genre tags within a field are separated by "|".
@@ -26,8 +26,6 @@ MACRO_GENRE_KEYWORDS = {
     "hiphop": "hip hop",
     "hip hop": "hip hop",
 }
-
-MACRO_GENRES = ("rock", "pop", "electronic", "classical", "jazz", "hip hop")
 
 ERA_BUCKETS = ("pre-1900", "1900-1949", "1950-1979", "1980-1999", "2000-plus")
 
@@ -150,7 +148,7 @@ def build_record(
     )
 
 
-def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRecord]:
+def load_catalog(path: str | Path) -> dict[str, CatalogRecord]:
     """Read the catalog file into song_id -> record.
 
     A file without a song_id column, a row with more or fewer fields than
@@ -161,7 +159,7 @@ def load_catalog(path: str | Path, delimiter: str = "\t") -> dict[str, CatalogRe
     records: dict[str, CatalogRecord] = {}
     lines: dict[str, int] = {}  # song_id -> the line that gives it
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
+        reader = csv.DictReader(fh, delimiter="\t")
         if "song_id" not in (reader.fieldnames or ()):
             raise BadCatalog(f"{path}, line 1: no song_id column")
         last = reader.fieldnames[-1]

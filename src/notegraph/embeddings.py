@@ -78,40 +78,32 @@ def gs_score(vectors: Sequence[np.ndarray]) -> float:
     return float(np.mean((matrix @ centroid) / (norms * c_norm)))
 
 
-@dataclass
-class GroupEmbedding:
-    label: str
-    member_count: int
-    gs_score: float | None  # None when the group is below the size threshold
-
-
 def check_min_group_size(size: int) -> None:
     if size < 1:
         raise BadSetting(f"GS-score min group size must be >= 1, got {size}")
 
 
 def group_embedding(
-    label: str, vectors: Sequence[np.ndarray] | np.ndarray, min_group_size: int = 5
-) -> GroupEmbedding:
-    """Member count for any group; GS-score only at or above the size cut."""
+    label: str, vectors: Sequence[np.ndarray] | np.ndarray, min_group_size: int
+) -> float | None:
+    """The group's GS-score, or None below the size cut."""
     check_min_group_size(min_group_size)
     if len(vectors) == 0:
         raise EmptyGroup(f"group {label!r} has no members")
-    score = gs_score(vectors) if len(vectors) >= min_group_size else None
-    return GroupEmbedding(label=label, member_count=len(vectors), gs_score=score)
+    return gs_score(vectors) if len(vectors) >= min_group_size else None
 
 
 @dataclass
 class Projection:
-    coordinates: np.ndarray  # (n_rows, k)
+    coordinates: np.ndarray  # (n_rows, 2)
     explained_variance: np.ndarray  # fraction per component
 
 
-def pca_project(matrix: np.ndarray, k: int = 2) -> Projection:
-    """Deterministic PCA: mean-center, SVD, fixed sign convention.
+def pca_project(matrix: np.ndarray) -> Projection:
+    """Deterministic 2-D PCA: mean-center, SVD, fixed sign convention.
 
     Each component is flipped so its largest-magnitude loading is
-    positive. Rank-deficient inputs are zero-padded to k components.
+    positive. Rank-deficient inputs are zero-padded to 2 components.
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -119,14 +111,14 @@ def pca_project(matrix: np.ndarray, k: int = 2) -> Projection:
     centered = x - x.mean(axis=0)
     u, s, vt = np.linalg.svd(centered, full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
-    n_keep = min(k, rank)
-    coords = np.zeros((x.shape[0], k))
+    n_keep = min(2, rank)
+    coords = np.zeros((x.shape[0], 2))
     for i in range(n_keep):
         load = vt[i]
         sign = 1.0 if load[np.argmax(np.abs(load))] >= 0 else -1.0
         coords[:, i] = sign * u[:, i] * s[i]
     total_var = float(np.sum(s**2))
-    explained = np.zeros(k)
+    explained = np.zeros(2)
     if total_var > 0:
         explained[:n_keep] = (s[:n_keep] ** 2) / total_var
     return Projection(coordinates=coords, explained_variance=explained)

@@ -118,7 +118,7 @@ class NoInputs(NotegraphError):
 
 
 class BadSongsFile(NotegraphError):
-    """A line of songs.jsonl is not a JSON object."""
+    """A line of songs.jsonl is not a JSON object with every field the tables read."""
 
 
 class UnwritableOutput(NotegraphError):

@@ -66,27 +66,6 @@ def weighted_reciprocity_raw(g: TransitionGraph) -> float:
     return float(np.minimum(g.weights, g.weights.T).sum()) / total
 
 
-def weighted_reciprocity_norm(
-    g: TransitionGraph, shuffled: Sequence[TransitionGraph]
-) -> tuple[float, bool]:
-    """Weighted reciprocity against the out-weight-shuffle baseline.
-
-    ``shuffled`` holds the null replicas of ``g`` (see
-    ``nullmodels.shuffled_replicas``). Returns (value, degenerate_flag);
-    when the baseline itself is fully reciprocated (r_NM = 1) the value
-    is undefined and reported as NaN with the flag set.
-    """
-    samples = [weighted_reciprocity_raw(rep) for rep in shuffled]
-    return _normalized_reciprocity(weighted_reciprocity_raw(g), samples)
-
-
-def _normalized_reciprocity(r: float, samples: Sequence[float]) -> tuple[float, bool]:
-    r_nm = sum(samples) / len(samples)
-    if r_nm >= 1.0:
-        return math.nan, True
-    return (r - r_nm) / (1 - r_nm), False
-
-
 def mean_node_entropy(g: TransitionGraph) -> float:
     """Mean normalized Shannon entropy of per-node out-weight splits."""
     if g.node_count == 0:
@@ -196,7 +175,9 @@ def compute_report(
     and each null measure's value per replica."""
     rho, full = reciprocity_binary(g)
     reciprocity = [weighted_reciprocity_raw(x) for x in (g, *shuffled)]
-    rho_w, degenerate = _normalized_reciprocity(reciprocity[0], reciprocity[1:])
+    r_nm = sum(reciprocity[1:]) / len(shuffled)
+    degenerate = r_nm >= 1.0
+    rho_w = math.nan if degenerate else (reciprocity[0] - r_nm) / (1 - r_nm)
     hops = efficiencies([g, *rewired])
     weighted = efficiencies([g, *rewired, *shuffled], weighted=True)
     report = MetricReport(

@@ -82,6 +82,12 @@ TESTED_MEASURES = (
 
 TREND_MEASURES = ("efficiency", "weighted_efficiency")
 
+TREND_MIN_DECADES = 3  # the fewest decades a trend is tested on
+
+# what the aggregate tables read of a song record; catalog fields are optional
+REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_counts",
+                   *TESTED_MEASURES}
+
 
 @dataclass
 class PipelineConfig:
@@ -106,8 +112,10 @@ class PipelineConfig:
         reads any input."""
         check_damping(self.damping)
         RandomizerConfig(self.seed, self.swap_multiplier, self.null_samples)
-        check_min_duration(self.min_duration)
-        check_workers(self.workers)
+        if not (math.isfinite(self.min_duration) and self.min_duration >= 0):
+            raise BadSetting(f"min_duration must be finite and >= 0, got {self.min_duration}")
+        if self.workers < 1:
+            raise BadSetting(f"workers must be >= 1, got {self.workers}")
         check_min_group_size(self.gs_min_group_size)
 
     def analysis_signature(self) -> str:
@@ -123,11 +131,6 @@ class PipelineConfig:
         """Config echo for reports: only parameters that shape results."""
         skip = ("workers", "cache_dir", "output_dir")
         return {k: v for k, v in asdict(self).items() if k not in skip}
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """The config a ``key = value`` file sets (see ``read_settings``)."""
-        return cls(**read_settings(path))
 
 
 # setting name -> the type its text is read as (a list's items, an
@@ -169,11 +172,6 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
         return math.nan, math.nan
     arr = np.asarray(values)
     return float(arr.mean()), float(arr.std())
-
-
-def check_min_duration(seconds: float) -> None:
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise BadSetting(f"min_duration must be finite and >= 0, got {seconds}")
 
 
 def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, Any]:
@@ -308,11 +306,6 @@ def make_output_dir(path: str | Path) -> Path:
     except OSError as exc:
         raise UnwritableOutput(str(exc)) from exc
     return Path(path)
-
-
-def check_workers(workers: int) -> None:
-    if workers < 1:
-        raise BadSetting(f"workers must be >= 1, got {workers}")
 
 
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
@@ -456,8 +449,9 @@ class CorpusColumns:
         ], dtype=np.int64)
 
 
-def pairwise_genre_tests(cols: CorpusColumns, measures=TESTED_MEASURES) -> list[dict]:
-    """Mann-Whitney U for every genre pair, Holm-corrected per measure.
+def pairwise_genre_tests(cols: CorpusColumns) -> list[dict]:
+    """Mann-Whitney U for every genre pair, Holm-corrected per measure,
+    for each of ``TESTED_MEASURES``.
 
     A genre with no finite value of a measure is left out of that
     measure's pairs and its Holm family."""
@@ -467,7 +461,7 @@ def pairwise_genre_tests(cols: CorpusColumns, measures=TESTED_MEASURES) -> list[
     names = list(groups)
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     rows: list[dict] = []
-    for measure in measures:
+    for measure in TESTED_MEASURES:
         column = cols.measure(measure)
         samples = {}
         for g, members in groups.items():
@@ -477,7 +471,7 @@ def pairwise_genre_tests(cols: CorpusColumns, measures=TESTED_MEASURES) -> list[
         for a, b in pairs:
             if not (len(samples[a]) and len(samples[b])):
                 continue
-            res = stats_mod.mann_whitney_u(samples[a], samples[b], mode="auto")
+            res = stats_mod.mann_whitney_u(samples[a], samples[b])
             batch.append({
                 "measure": measure, "genre_a": a, "genre_b": b,
                 "statistic": res.statistic, "p_value": res.p_value,
@@ -490,16 +484,15 @@ def pairwise_genre_tests(cols: CorpusColumns, measures=TESTED_MEASURES) -> list[
     return rows
 
 
-def trend_report(
-    cols: CorpusColumns, measures=TREND_MEASURES, min_decades: int = 3
-) -> tuple[list[dict], list[dict], list[str]]:
-    """Decade-mean series per genre plus a Mann-Kendall test table.
+def trend_report(cols: CorpusColumns) -> tuple[list[dict], list[dict], list[str]]:
+    """Decade-mean series per genre of each of ``TREND_MEASURES``, plus a
+    Mann-Kendall test table.
 
     Returns (decade_rows, test_rows, skipped). A decade mean is taken
     over the finite values, in record order, and is NaN when there are
     none; each test runs on the finite means only. ``skipped`` names
-    each genre with fewer than ``min_decades`` populated decades, and
-    ``genre/measure`` for a test with fewer than ``min_decades`` finite
+    each genre with fewer than ``TREND_MIN_DECADES`` populated decades,
+    and ``genre/measure`` for a test with fewer than that many finite
     means: neither is tested, and neither is fatal. Records without a
     release year are left out.
     """
@@ -512,14 +505,14 @@ def trend_report(
             continue
         decade_of = cols.decades[rows]
         decades = np.unique(decade_of).tolist()
-        if len(decades) < min_decades:
+        if len(decades) < TREND_MIN_DECADES:
             skipped.append(genre)
             continue
-        series: dict[str, list[float]] = {m: [] for m in measures}
+        series: dict[str, list[float]] = {m: [] for m in TREND_MEASURES}
         for decade in decades:
             members = rows[decade_of == decade]
             row = {"genre": genre, "decade": decade, "count": len(members)}
-            for measure in measures:
+            for measure in TREND_MEASURES:
                 values = cols.measure(measure)[members]
                 finite = values[np.isfinite(values)].tolist()
                 # summed in order, as a Python float, so the bytes do not
@@ -528,9 +521,9 @@ def trend_report(
                 row[measure] = mean
                 series[measure].append(mean)
             decade_rows.append(row)
-        for measure in measures:
+        for measure in TREND_MEASURES:
             finite = [v for v in series[measure] if math.isfinite(v)]
-            if len(finite) < min_decades:
+            if len(finite) < TREND_MIN_DECADES:
                 skipped.append(f"{genre}/{measure}")
                 continue
             res = stats_mod.mann_kendall(finite)
@@ -593,11 +586,8 @@ def _gs_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str
     rows = []
     for group_type, key in (("genre", "genres"), ("era", "era"), ("artist", "artist")):
         for label, members in cols.label_rows(key).items():
-            emb = group_embedding(label, cols.vectors[members], min_group_size=cfg.gs_min_group_size)
-            rows.append([
-                group_type, label, emb.member_count,
-                emb.gs_score if emb.gs_score is not None else "",
-            ])
+            score = group_embedding(label, cols.vectors[members], cfg.gs_min_group_size)
+            rows.append([group_type, label, len(members), "" if score is None else score])
     return {"gs_scores.csv": (["group_type", "label", "member_count", "gs_score"], rows)}
 
 
@@ -605,7 +595,7 @@ def _projection_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) ->
     records = cols.records
     if len(records) < 2:
         return {}
-    proj = pca_project(cols.vectors, k=2)
+    proj = pca_project(cols.vectors)
     notes["explained_variance"] = proj.explained_variance.tolist()
     tables = {"coordinates.csv": (
         ["song_id", "pc1", "pc2"],
@@ -680,9 +670,10 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 
 def load_songs(path: str | Path) -> list[dict]:
-    """The records of a songs.jsonl file, one UTF-8 JSON object a line;
-    blank lines are skipped. Any other line raises ``BadSongsFile``,
-    which names the file and the 1-based line."""
+    """The records of a songs.jsonl file, one UTF-8 JSON object a line
+    with every one of ``REQUIRED_FIELDS``; blank lines are skipped. Any
+    other line raises ``BadSongsFile``, which names the file and the
+    1-based line."""
     records = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
@@ -694,6 +685,9 @@ def load_songs(path: str | Path) -> list[dict]:
                 raise BadSongsFile(f"{path}, line {number}: {exc}") from None
             if not isinstance(record, dict):
                 raise BadSongsFile(f"{path}, line {number}: not a JSON object")
+            if not record.keys() >= REQUIRED_FIELDS:
+                missing = ", ".join(sorted(REQUIRED_FIELDS - record.keys()))
+                raise BadSongsFile(f"{path}, line {number}: missing {missing}")
             records.append(record)
     return records
 

@@ -15,7 +15,6 @@ from notegraph.metrics import (
     reciprocity_binary,
     weight_ccdf,
     weight_histogram,
-    weighted_reciprocity_norm,
     weighted_reciprocity_raw,
 )
 from notegraph.nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
@@ -135,18 +134,24 @@ class TestWeightedReciprocityRaw:
             )
 
 
+def reciprocity_norm(g, shuffled):
+    """The report's normalized weighted reciprocity and its degenerate flag."""
+    rep, _ = compute_report(g, shuffled, [])
+    return rep.weighted_reciprocity_norm, rep.degenerate_baseline
+
+
 class TestWeightedReciprocityNorm:
     def test_single_out_edges_give_zero(self):
         g = cycle(4, weight=3)
         # one out-edge per node: the shuffle is the identity, but r < 1
         assert weighted_reciprocity_raw(g) == 0.0
-        rho_w, flag = weighted_reciprocity_norm(g, shuffles(g, 5, 1))
+        rho_w, flag = reciprocity_norm(g, shuffles(g, 5, 1))
         assert rho_w == pytest.approx(0.0)
         assert not flag
 
     def test_fully_reciprocated_uniform_is_degenerate(self):
         g = graph({(0, 1): 2, (1, 0): 2})
-        rho_w, flag = weighted_reciprocity_norm(g, shuffles(g, 5, 1))
+        rho_w, flag = reciprocity_norm(g, shuffles(g, 5, 1))
         assert flag and math.isnan(rho_w)
 
     def test_equal_out_weights_give_exact_zero(self):
@@ -154,7 +159,7 @@ class TestWeightedReciprocityNorm:
         # and r < 1 keeps the baseline non-degenerate
         g = graph({(0, 1): 2, (0, 2): 2, (1, 0): 2, (2, 1): 2})
         assert 0 < weighted_reciprocity_raw(g) < 1
-        rho_w, flag = weighted_reciprocity_norm(g, shuffles(g, 20, 2))
+        rho_w, flag = reciprocity_norm(g, shuffles(g, 20, 2))
         assert rho_w == pytest.approx(0.0, abs=1e-12)
         assert not flag
 
@@ -170,7 +175,7 @@ class TestWeightedReciprocityNorm:
         values = []
         for seed in range(400):
             start = shuffle_out_weights(base, RandomizerConfig(seed=seed))
-            rho_w, flag = weighted_reciprocity_norm(start, shuffles(start, 25, seed + 10_000))
+            rho_w, flag = reciprocity_norm(start, shuffles(start, 25, seed + 10_000))
             assert not flag
             values.append(rho_w)
         assert abs(sum(values) / len(values)) < 0.05
@@ -302,9 +307,13 @@ class TestComputeReport:
             assert rep.efficiency == global_efficiency(g, weighted=False)
             assert rep.weighted_efficiency == global_efficiency(g, weighted=True)
             assert rep.weighted_reciprocity_raw == weighted_reciprocity_raw(g)
-            norm, degenerate = weighted_reciprocity_norm(g, shuffled)
-            assert rep.degenerate_baseline == degenerate
-            assert rep.weighted_reciprocity_norm == norm or degenerate
+            r_song, *r_shuffled = [oracles.weighted_reciprocity_raw(x) for x in (g, *shuffled)]
+            r_nm = sum(r_shuffled) / len(r_shuffled)
+            assert rep.degenerate_baseline == (r_nm >= 1.0)
+            if rep.degenerate_baseline:
+                assert math.isnan(rep.weighted_reciprocity_norm)
+            else:
+                assert rep.weighted_reciprocity_norm == (r_song - r_nm) / (1 - r_nm)
             assert samples == {
                 "rewired_efficiency": [global_efficiency(r) for r in rewired],
                 "rewired_weighted_efficiency": [global_efficiency(r, True) for r in rewired],

@@ -28,6 +28,7 @@ from notegraph.pipeline import (
     CorpusColumns,
     PipelineConfig,
     pairwise_genre_tests,
+    read_settings,
     run_pipeline,
     song_seed,
     trend_report,
@@ -41,6 +42,13 @@ TEXT_COLUMNS = {
     "method", "name", "group_type", "label", "feature",
     "full_density", "degenerate_baseline", "all_tied", "undefined",
 }
+
+
+def minimal_record(song_id: str) -> dict:
+    """A song record with only the fields the aggregate tables read."""
+    counts = [1.0] + [0.0] * 11
+    return {"song_id": song_id, "weight_histogram": {"1": 1}, "interval_vector": counts,
+            "interval_counts": counts, **{m: 0.5 for m in TESTED_MEASURES}}
 
 
 def build_corpus(root: Path, n_songs: int = 12) -> Path:
@@ -475,20 +483,23 @@ class TestTrendReport:
 class TestPairwiseGenreTests:
     def test_pair_count_and_separation(self):
         records = synthetic_records()
-        rows = pairwise_genre_tests(CorpusColumns(records), measures=("efficiency",))
+        rows = [r for r in pairwise_genre_tests(CorpusColumns(records))
+                if r["measure"] == "efficiency"]
         assert len(rows) == 1  # 2 genres -> 1 pair
         assert rows[0]["p_adjusted"] < 0.001  # clearly separated fixtures
 
     def test_identical_distributions_give_p_one(self):
         records = synthetic_records()
-        rows = pairwise_genre_tests(CorpusColumns(records), measures=("density",))
+        rows = [r for r in pairwise_genre_tests(CorpusColumns(records))
+                if r["measure"] == "density"]
         assert rows[0]["p_adjusted"] == pytest.approx(1.0)
 
     def test_k_genres_make_k_choose_2_pairs(self):
         records = synthetic_records()
         for i, r in enumerate(records):
             r["genres"] = [GENRES[i % 4]]
-        rows = pairwise_genre_tests(CorpusColumns(records), measures=("efficiency", "density"))
+        rows = [r for r in pairwise_genre_tests(CorpusColumns(records))
+                if r["measure"] in ("efficiency", "density")]
         assert len(rows) == 2 * (4 * 3 // 2)
 
     def test_single_group_raises(self):
@@ -710,7 +721,7 @@ class TestConfigFile:
             "inputs = a b\n"
             "output_dir = out\n"
         )
-        cfg = PipelineConfig.from_file(path)
+        cfg = PipelineConfig(**read_settings(path))
         assert cfg.min_duration == 30.0
         assert cfg.damping == 0.1
         assert cfg.seed == 99
@@ -721,7 +732,7 @@ class TestConfigFile:
         path = tmp_path / "bad.conf"
         path.write_text("bogus = 1\n")
         with pytest.raises(ValueError):
-            PipelineConfig.from_file(path)
+            PipelineConfig(**read_settings(path))
 
 
 class TestCli:
@@ -827,15 +838,31 @@ class TestCli:
     ], ids=["not-json", "not-an-object", "not-utf-8"])
     def test_bad_songs_line_names_file_and_line(self, bad_line, message, tmp_path, capsys):
         songs = tmp_path / "songs.jsonl"
-        songs.write_bytes(b'{"song_id": "a"}\n\n' + bad_line + b"\n")
+        songs.write_bytes(json.dumps(minimal_record("a")).encode() + b"\n\n" + bad_line + b"\n")
         assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BadSongsFile"
         assert err["message"].startswith(f"{songs}, {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("drop", [
+        ["weight_histogram"], ["efficiency"], ["song_id"],
+        ["density", "efficiency", "interval_counts", "interval_vector", "mean_node_entropy",
+         "vertex_count", "weight_histogram", "weighted_efficiency", "weighted_reciprocity_raw"],
+    ], ids=["no-weight-histogram", "no-measure", "no-song-id", "song-id-only"])
+    def test_record_without_a_field_the_tables_read(self, drop, tmp_path, capsys):
+        record = {k: v for k, v in minimal_record("b").items() if k not in drop}
+        songs = tmp_path / "songs.jsonl"
+        songs.write_text(json.dumps(minimal_record("a")) + "\n" + json.dumps(record) + "\n")
+        assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        missing = ", ".join(drop)
+        assert err == {"error": "BadSongsFile", "message": f"{songs}, line 2: missing {missing}"}
+        assert not (tmp_path / "out").exists()
+
     def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
-        records = [{"song_id": "a", "efficiency": math.nan}, {"song_id": "b", "genres": []}]
+        records = [{**minimal_record("a"), "efficiency": math.nan},
+                   {**minimal_record("b"), "genres": []}]
         path = tmp_path / "songs.jsonl"
         pipeline._write_jsonl(path, records)
         path.write_text("\n" + path.read_text() + "  \n")
@@ -896,7 +923,7 @@ class TestSettings:
             f"{name} = {text}\n" for name, text, _ in CONFIG_FLAGS.values()))
         flags = [arg for flag, (_, text, _) in CONFIG_FLAGS.items() for arg in (flag, text)]
         from_flags = _build_config(build_parser().parse_args(["analyze", "x", "y", *flags]))
-        assert PipelineConfig.from_file(path) == from_flags
+        assert PipelineConfig(**read_settings(path)) == from_flags
         assert from_flags.inputs == ["x", "y"] and from_flags.seed == 5
 
     def test_flags_override_the_config_file(self, tmp_path):
