@@ -44,6 +44,11 @@ class EmptySong(NotegraphError):
     """No note transitions survive in any channel."""
 
 
+class BadEdgeList(NotegraphError):
+    """An edge-list line is not "source target weight": two distinct
+    pitches in 0-127 and a positive integer weight, each edge once."""
+
+
 # --- metrics ---
 
 class DegenerateGraph(NotegraphError):

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import EmptySong
+from .errors import BadEdgeList, EmptySong
 from .midi import NoteOnset
 
 
@@ -91,14 +91,30 @@ class TransitionGraph:
 
 
 def parse_edge_list(text: str, song_id: str = "") -> TransitionGraph:
-    """Inverse of :meth:`TransitionGraph.dump_edge_list`."""
+    """Inverse of :meth:`TransitionGraph.dump_edge_list`; blank lines are
+    skipped. A line that is not a new edge between two distinct pitches
+    in 0-127 with a positive integer weight raises ``BadEdgeList``,
+    which names the 1-based line."""
     edges: dict[tuple[int, int], int] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
             continue
-        s, t, w = line.split()
-        edges[(int(s), int(t))] = int(w)
+        try:
+            s, t, w = (int(field) for field in line.split())
+        except ValueError:
+            raise BadEdgeList(f"line {number}: not three integers: {line.strip()!r}") from None
+        if not (0 <= s <= 127 and 0 <= t <= 127):
+            problem = "pitch outside 0-127"
+        elif s == t:
+            problem = "self-loop"
+        elif w < 1:
+            problem = "weight below 1"
+        elif (s, t) in edges:
+            problem = "repeated edge"
+        else:
+            edges[(s, t)] = w
+            continue
+        raise BadEdgeList(f"line {number}: {problem}: {line.strip()!r}")
     if not edges:
         raise EmptySong("edge list contains no edges")
     return TransitionGraph(song_id=song_id, edges=edges)

@@ -53,9 +53,9 @@ from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 
 # Part of every cache key. Bump it whenever per-song results change for
-# the same inputs and config (an algorithm or its float summation order),
-# so entries written by older code are misses.
-RESULTS_VERSION = 2
+# the same inputs and config (an algorithm, its float summation order or
+# the record's fields), so entries written by older code are misses.
+RESULTS_VERSION = 3
 
 # stable export order for metrics.csv and the test batteries
 METRIC_COLUMNS = (
@@ -206,7 +206,6 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         "content_hash": content_hash,
         "duration": m.duration,
         "network_entropy": ent.total,
-        "network_entropy_undamped_rows": ent.total_undamped_rows,
         "interval_vector": [float(v) for v in counts / np.linalg.norm(counts)],
         "interval_counts": [float(v) for v in counts],
         "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},

@@ -74,6 +74,8 @@ def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
     assert summary["songs_analyzed"] == 4
     assert counts["pipeline.analyze_calls"] == 4
     assert "pipeline.duplicate_analyses" not in counts
+    # one weighted efficiency per song, the song alone
+    assert counts["metrics.efficiency_calls"] == 4
     assert counts["nullmodels.rewire_calls"] == 4 * 2
     assert counts["nullmodels.rewire_attempts"] == 10 * 2 * counts["graph.edges"]
     assert 0 < counts["nullmodels.rewire_moved"] <= counts["nullmodels.rewire_attempts"]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from notegraph.errors import EmptySong
+from notegraph.errors import BadEdgeList, EmptySong
 from notegraph.graph import (
     TransitionGraph,
     build_graph,
@@ -103,6 +103,21 @@ def test_edge_list_roundtrip():
     dumped = g.dump_edge_list()
     assert dumped.splitlines() == sorted(dumped.splitlines())
     assert parse_edge_list(dumped).edges == g.edges
+
+
+@pytest.mark.parametrize("bad", [
+    "60 62 x", "60 62", "60 62 1 4", "60 62 1.5",
+    "60 60 1", "60 62 0", "60 62 -2", "60 128 1", "-1 62 1", "62 64 9",
+], ids=["text-weight", "two-fields", "four-fields", "float-weight", "self-loop",
+        "zero-weight", "negative-weight", "pitch-above-127", "pitch-below-0", "repeated-edge"])
+def test_edge_list_rejects_a_bad_line_by_number(bad):
+    text = "62 64 1\n\n60 64 2\n" + bad + "\n"
+    with pytest.raises(BadEdgeList, match=r"^line 4: "):
+        parse_edge_list(text)
+
+
+def test_edge_list_keeps_the_extreme_pitches():
+    assert parse_edge_list("0 127 1\n127 0 5\n").edges == {(0, 127): 1, (127, 0): 5}
 
 
 def test_graphs_and_replicas_are_read_only():

@@ -24,26 +24,26 @@ class TestStochasticMatrix:
         m = stochastic_matrix(g, damping=0.05)
         # node 0 splits evenly over two targets; damping mixes in 1/3
         expected = 0.95 * 0.5 + 0.05 / 3
-        assert m.damped[0, 1] == pytest.approx(expected)
-        assert m.damped[0, 2] == pytest.approx(expected)
-        assert m.damped[0, 0] == pytest.approx(0.05 / 3)
+        assert m[0, 1] == pytest.approx(expected)
+        assert m[0, 2] == pytest.approx(expected)
+        assert m[0, 0] == pytest.approx(0.05 / 3)
 
     def test_rows_sum_to_one(self):
         rng = random.Random(1)
         for _ in range(50):
             g = oracles.random_graph(rng)
             m = stochastic_matrix(g)
-            np.testing.assert_allclose(m.damped.sum(axis=1), 1.0, atol=1e-12)
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     def test_dangling_row_is_uniform_after_damping(self):
         g = graph({(0, 1): 1, (0, 2): 1})  # nodes 1, 2 have no out-edges
         m = stochastic_matrix(g, damping=0.05)
-        np.testing.assert_allclose(m.damped[1], 1 / 3, atol=1e-15)
-        np.testing.assert_allclose(m.damped[2], 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(m[1], 1 / 3, atol=1e-15)
+        np.testing.assert_allclose(m[2], 1 / 3, atol=1e-15)
 
     def test_single_node(self):
         m = stochastic_matrix(graph({}, isolated={60}))
-        np.testing.assert_allclose(m.damped, [[1.0]])
+        np.testing.assert_allclose(m, [[1.0]])
 
     def test_bad_damping_rejected(self):
         with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ class TestStationaryDistribution:
         g = graph({(0, 1): 3, (1, 0): 1})
         m = stochastic_matrix(g, damping=0.05)
         pi = stationary_distribution(m)
-        expected = oracles.exact_two_state_stationary(m.damped)
+        expected = oracles.exact_two_state_stationary(m)
         np.testing.assert_allclose(pi.probabilities, expected, atol=1e-12)
 
     def test_fixed_point_and_normalization(self):
@@ -85,12 +85,11 @@ class TestNetworkEntropy:
             assert ent.total == pytest.approx(math.log(n), abs=1e-10)
 
     def test_uniform_complete_graph_near_log_n(self):
-        # loop-free rows are uniform over n-1 targets: log(n-1) for the
-        # raw rows, never above log n for the damped ones
+        # loop-free rows are uniform over n-1 targets: damping mixes in
+        # the uniform row, so the rate lies near log(n-1), never above log n
         for n in (3, 5, 8):
             g = graph({(i, j): 2 for i in range(n) for j in range(n) if i != j})
             ent = network_entropy(g, damping=0.05)
-            assert ent.total_undamped_rows == pytest.approx(math.log(n - 1), abs=1e-10)
             assert math.log(n - 1) - 0.1 < ent.total <= math.log(n) + 1e-12
 
     def test_cycle_matches_dense_oracle(self):
@@ -121,13 +120,7 @@ class TestNetworkEntropy:
         assert values == sorted(values)
         assert values[-1] == pytest.approx(math.log(6), rel=0.05)
 
-    def test_undamped_row_variant_differs(self):
-        g = graph({(0, 1): 3, (1, 0): 1, (1, 2): 1, (2, 0): 1})
-        ent = network_entropy(g)
-        assert ent.total != ent.total_undamped_rows
-
     def test_node_entropies_nonnegative(self):
         g = graph({(0, 1): 1, (1, 0): 2, (1, 2): 5, (2, 1): 1})
         m = stochastic_matrix(g)
         assert (node_entropies(m) >= 0).all()
-        assert (node_entropies(m, damped_rows=False) >= 0).all()

@@ -316,8 +316,6 @@ class TestComputeReport:
                 assert rep.weighted_reciprocity_norm == (r_song - r_nm) / (1 - r_nm)
             assert samples == {
                 "rewired_efficiency": [global_efficiency(r) for r in rewired],
-                "rewired_weighted_efficiency": [global_efficiency(r, True) for r in rewired],
-                "shuffled_weighted_efficiency": [global_efficiency(r, True) for r in shuffled],
                 "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
             }
 

@@ -385,23 +385,37 @@ class TestAnalyzeSong:
         shuffled = [oracles.shuffle_reference(g, c) for c in replicas]
         want = {
             "rewired_efficiency": [oracles.global_efficiency(r, False) for r in rewired],
-            "rewired_weighted_efficiency": [oracles.global_efficiency(r, True) for r in rewired],
-            "shuffled_weighted_efficiency": [oracles.global_efficiency(r, True) for r in shuffled],
             "shuffled_reciprocity": [oracles.weighted_reciprocity_raw(r) for r in shuffled],
         }
-        # the two weighted means differ, so swapped halves of one stack show
-        assert len({sum(v) for v in want.values()}) == len(want)
         for name, values in want.items():
-            assert record[f"null_{name}_mean"] == pytest.approx(
-                sum(values) / len(values), abs=1e-12), name
+            mean = sum(values) / len(values)
+            std = math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+            assert record[f"null_{name}_mean"] == pytest.approx(mean, abs=1e-12), name
+            assert record[f"null_{name}_std"] == pytest.approx(std, abs=1e-12), name
+
+    def test_record_has_exactly_the_expected_fields(self):
+        # a field no output reads must not come back unnoticed; duration
+        # and network_entropy are read by the benchmark's record check
+        record = pipeline.analyze_song(
+            "s", fixture_midi.melodic_midi(seed=4), PipelineConfig(null_samples=2, min_duration=0))
+        assert set(record) == {
+            "song_id", "content_hash", "duration", "weight_histogram",
+            "interval_vector", "interval_counts",
+            "vertex_count", "edge_count", "density", "reciprocity_binary",
+            "weighted_reciprocity_raw", "weighted_reciprocity_norm", "mean_node_entropy",
+            "efficiency", "weighted_efficiency", "network_entropy",
+            "full_density", "degenerate_baseline",
+            "null_rewired_efficiency_mean", "null_rewired_efficiency_std",
+            "null_shuffled_reciprocity_mean", "null_shuffled_reciprocity_std",
+        }
 
     def test_scores_the_song_in_its_replicas_stacks(self, monkeypatch):
         calls = []
 
         def counted(name, real):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
+            def wrapper(graphs, weighted=False):
+                calls.append((name, len(graphs) if name == "efficiencies" else 1, weighted))
+                return real(graphs, weighted)
             return wrapper
 
         for module in (metrics, pipeline):
@@ -410,7 +424,13 @@ class TestAnalyzeSong:
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         data = fixture_midi.melodic_midi(seed=4)
         pipeline.analyze_song("s", data, PipelineConfig(null_samples=3, min_duration=0))
-        assert calls == ["efficiencies", "efficiencies"]
+        # one hop stack over [g, *rewired]; the weighted score of g alone
+        # goes through global_efficiency, which stacks one graph
+        assert calls == [
+            ("efficiencies", 4, False),
+            ("global_efficiency", 1, True),
+            ("efficiencies", 1, True),
+        ]
 
 
 class TestSongSeed:
@@ -793,6 +813,21 @@ class TestCli:
                                     ("shuffled", oracles.shuffle_reference)):
                 written = (out / f"{kind}_{i:03d}.edges").read_text()
                 assert written == reference(g, cfg).dump_edge_list(), (kind, i)
+
+    def test_nullmodel_reads_its_own_replicas_and_rejects_a_bad_edge_list(
+            self, corpus, tmp_path, capsys):
+        midi_dir, _ = corpus
+        target = sorted(midi_dir.glob("song*.mid"))[0]
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["nullmodel", str(target), "--samples", "1", "--output", str(first)]) == 0
+        replica = first / "rewired_000.edges"
+        assert main(["nullmodel", str(replica), "--samples", "1", "--output", str(second)]) == 0
+        capsys.readouterr()
+        bad = tmp_path / "bad.edges"
+        bad.write_text("60 62 1\n60 62 x\n")
+        assert main(["nullmodel", str(bad), "--output", str(tmp_path / "none")]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "BadEdgeList", "message": "line 2: not three integers: '60 62 x'"}
 
     def test_import_leaves_out_scipy_stats_and_sparse(self):
         # each costs start-up time or memory on every CLI run (setup_s, peak RSS);

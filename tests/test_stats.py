@@ -348,3 +348,40 @@ class TestStudentTail:
         ps = [student_t_p(10 ** (k / 50), df) for k in range(-250, 151)]
         assert all(a >= b for a, b in zip(ps, ps[1:]))
         assert ps[0] > 0.99 and 0.0 <= ps[-1] < 1e-3
+
+
+# Calibration under the null: seeded uniform draws, alpha = 0.05, and a
+# 99.9% binomial band (z = 3.29) around alpha for the rejection rate
+ALPHA = 0.05
+
+
+def band(draws):
+    half = 3.29 * math.sqrt(ALPHA * (1 - ALPHA) / draws)
+    return ALPHA - half, ALPHA + half
+
+
+def rejection_rate(p_value, draws, seed):
+    rng = np.random.default_rng(seed)
+    return sum(p_value(rng) < ALPHA for _ in range(draws)) / draws
+
+
+class TestCalibration:
+    def test_approximate_mann_whitney_rejects_at_alpha(self):
+        def p(rng):
+            return mann_whitney_u(rng.random(15), rng.random(15), mode="approx").p_value
+        low, high = band(4000)
+        assert low <= rejection_rate(p, 4000, seed=31) <= high
+
+    def test_exact_mann_whitney_is_conservative(self):
+        # U takes few values at 5/5, so the exact test rejects below alpha
+        def p(rng):
+            return mann_whitney_u(rng.random(5), rng.random(5), mode="exact").p_value
+        _, high = band(2000)
+        assert rejection_rate(p, 2000, seed=32) <= high
+
+    @pytest.mark.parametrize("n", [12, 20])
+    def test_mann_kendall_rejects_at_alpha(self, n):
+        def p(rng):
+            return mann_kendall(rng.random(n).tolist()).p_value
+        low, high = band(4000)
+        assert low <= rejection_rate(p, 4000, seed=33 + n) <= high
