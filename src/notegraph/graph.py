@@ -97,10 +97,11 @@ def parse_edge_list(text: str, song_id: str = "") -> TransitionGraph:
     which names the 1-based line."""
     edges: dict[tuple[int, int], int] = {}
     for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+        fields = line.split()
+        if not fields:
             continue
         try:
-            s, t, w = (int(field) for field in line.split())
+            s, t, w = map(int, fields)
         except ValueError:
             raise BadEdgeList(f"line {number}: not three integers: {line.strip()!r}") from None
         if not (0 <= s <= 127 and 0 <= t <= 127):
