@@ -1,11 +1,10 @@
 """notegraph: note-transition network analysis of MIDI corpora."""
 
 from .graph import TransitionGraph, build_graph, graph_from_onsets, group_chords
-from .metrics import MetricReport, compute_report
+from .metrics import compute_report
 from .midi import NoteOnset, ParsedMidi, onset_stream, parse_midi
 
 __all__ = [
-    "MetricReport",
     "NoteOnset",
     "ParsedMidi",
     "TransitionGraph",

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .errors import BadCatalog
 
@@ -40,16 +39,6 @@ MIN_YEAR_JAZZ = 1900
 _FEAT_TOKEN = re.compile(r"\b(?:feat\.|ft\.)", re.IGNORECASE)
 _PARENS = re.compile(r"\([^)]*\)")
 _NON_ALNUM = re.compile(r"[^0-9a-zA-Z]+")
-
-
-@dataclass
-class CatalogRecord:
-    song_id: str
-    clean_artist: str = ""
-    macro_genres: frozenset[str] = frozenset()
-    release_year: Optional[int] = None
-    era: Optional[str] = None
-    popularity: Optional[int] = None
 
 
 def clean_name(s: str) -> str:
@@ -128,35 +117,34 @@ def _parse_int(row: dict, name: str) -> Optional[int]:
 
 
 def build_record(
-    song_id: str,
     artists: str = "",
     genres: Iterable[str] = (),
     year_a: Optional[int] = None,
     year_b: Optional[int] = None,
     popularity: Optional[int] = None,
-) -> CatalogRecord:
-    """Derive all cleaned and reconciled fields for one raw row."""
+) -> dict[str, Any]:
+    """The cleaned and reconciled fields of one raw row, as a song record
+    is joined with them."""
     macro = macro_genres(genres)
     year = reconcile_release_year(year_a, year_b, macro)
-    return CatalogRecord(
-        song_id=song_id,
-        clean_artist=clean_name(first_artist(artists)),
-        macro_genres=macro,
-        release_year=year,
-        era=era_bucket(year) if year is not None else None,
-        popularity=popularity,
-    )
+    return {
+        "genres": sorted(macro),
+        "release_year": year,
+        "era": era_bucket(year) if year is not None else None,
+        "artist": clean_name(first_artist(artists)),
+        "popularity": popularity,
+    }
 
 
-def load_catalog(path: str | Path) -> dict[str, CatalogRecord]:
-    """Read the catalog file into song_id -> record.
+def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
+    """Read the catalog file into song_id -> the fields of ``build_record``.
 
     A file without a song_id column, a row with more or fewer fields than
     the header, a song_id given twice, and a year or popularity that is
     not an integer raise ``BadCatalog``, which names the file and the
     1-based line.
     """
-    records: dict[str, CatalogRecord] = {}
+    records: dict[str, dict[str, Any]] = {}
     lines: dict[str, int] = {}  # song_id -> the line that gives it
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter="\t")
@@ -171,31 +159,27 @@ def load_catalog(path: str | Path) -> dict[str, CatalogRecord]:
                 if extra or row[last] is None:
                     fields = sum(v is not None for v in row.values()) + len(extra)
                     raise BadCatalog(f"{fields} fields, the header has {len(reader.fieldnames)}")
+                song_id = row["song_id"].strip()
                 rec = build_record(
-                    song_id=row["song_id"].strip(),
                     artists=row.get("artists", ""),
                     genres=[g for g in row.get("genres", "").split("|") if g],
                     year_a=_parse_int(row, "year_a"),
                     year_b=_parse_int(row, "year_b"),
                     popularity=_parse_int(row, "popularity"),
                 )
-                if rec.song_id in lines:
-                    raise BadCatalog(f"song_id {rec.song_id!r} is already on line "
-                                     f"{lines[rec.song_id]}")
+                if song_id in lines:
+                    raise BadCatalog(f"song_id {song_id!r} is already on line {lines[song_id]}")
             except BadCatalog as exc:
                 raise BadCatalog(f"{path}, line {reader.line_num}: {exc}") from None
-            records[rec.song_id] = rec
-            lines[rec.song_id] = reader.line_num
+            records[song_id] = rec
+            lines[song_id] = reader.line_num
     return records
 
 
-def join_catalog(songs: list[dict], catalog: dict[str, CatalogRecord]) -> None:
+def join_catalog(songs: list[dict], catalog: dict[str, dict[str, Any]]) -> None:
     """Set each song record's catalog fields in place; unmatched songs get
     no genres and None for the rest."""
     for song in songs:
-        entry = catalog.get(song["song_id"])
-        song["genres"] = sorted(entry.macro_genres) if entry else []
-        song["release_year"] = entry.release_year if entry else None
-        song["era"] = entry.era if entry else None
-        song["artist"] = entry.clean_artist if entry else None
-        song["popularity"] = entry.popularity if entry else None
+        song.update(catalog.get(song["song_id"]) or {
+            "genres": [], "release_year": None, "era": None, "artist": None, "popularity": None,
+        })

@@ -10,29 +10,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
 from .graph import TransitionGraph
-
-
-@dataclass
-class MetricReport:
-    song_id: str
-    vertex_count: int
-    edge_count: int
-    density: float
-    reciprocity_binary: float
-    weighted_reciprocity_raw: float
-    weighted_reciprocity_norm: float
-    mean_node_entropy: float
-    efficiency: float
-    weighted_efficiency: float
-    full_density: bool = False  # binary reciprocity undefined at density 1
-    degenerate_baseline: bool = False  # r_NM = 1, normalized value undefined
 
 
 def density(g: TransitionGraph) -> float:
@@ -166,31 +149,30 @@ def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int
 
 def compute_report(
     g: TransitionGraph, shuffled: Sequence[TransitionGraph], rewired: Sequence[TransitionGraph]
-) -> tuple[MetricReport, dict[str, list[float]]]:
+) -> tuple[dict[str, float], dict[str, list[float]]]:
     """Score one song graph against its null replicas: the out-weight
     shuffles, which normalize the weighted reciprocity, and the
     degree-preserving rewirings. The song rides in its rewired replicas'
     hop-distance :func:`efficiencies` stack; its weighted efficiency is
-    scored alone. Returns the report and each null measure's value per
-    replica."""
+    scored alone. Returns the song's measures and flags by name, and
+    each null measure's value per replica."""
     rho, full = reciprocity_binary(g)
     reciprocity = [weighted_reciprocity_raw(x) for x in (g, *shuffled)]
     r_nm = sum(reciprocity[1:]) / len(shuffled)
     degenerate = r_nm >= 1.0
     rho_w = math.nan if degenerate else (reciprocity[0] - r_nm) / (1 - r_nm)
     hops = efficiencies([g, *rewired])
-    report = MetricReport(
-        song_id=g.song_id,
-        vertex_count=g.node_count,
-        edge_count=g.edge_count,
-        density=density(g),
-        reciprocity_binary=rho,
-        weighted_reciprocity_raw=reciprocity[0],
-        weighted_reciprocity_norm=rho_w,
-        mean_node_entropy=mean_node_entropy(g),
-        efficiency=hops[0],
-        weighted_efficiency=global_efficiency(g, weighted=True),
-        full_density=full,
-        degenerate_baseline=degenerate,
-    )
-    return report, {"rewired_efficiency": hops[1:], "shuffled_reciprocity": reciprocity[1:]}
+    fields = {
+        "vertex_count": g.node_count,
+        "edge_count": g.edge_count,
+        "density": density(g),
+        "reciprocity_binary": rho,
+        "weighted_reciprocity_raw": reciprocity[0],
+        "weighted_reciprocity_norm": rho_w,
+        "mean_node_entropy": mean_node_entropy(g),
+        "efficiency": hops[0],
+        "weighted_efficiency": global_efficiency(g, weighted=True),
+        "full_density": full,  # binary reciprocity undefined at density 1
+        "degenerate_baseline": degenerate,  # r_NM = 1, normalized value undefined
+    }
+    return fields, {"rewired_efficiency": hops[1:], "shuffled_reciprocity": reciprocity[1:]}

@@ -57,7 +57,7 @@ CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 # the record's fields), so entries written by older code are misses.
 RESULTS_VERSION = 3
 
-# stable export order for metrics.csv and the test batteries
+# the columns of metrics.csv after song_id, in order
 METRIC_COLUMNS = (
     "vertex_count",
     "edge_count",
@@ -69,6 +69,8 @@ METRIC_COLUMNS = (
     "efficiency",
     "weighted_efficiency",
     "network_entropy",
+    "full_density",
+    "degenerate_baseline",
 )
 
 TESTED_MEASURES = (
@@ -197,7 +199,7 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         rewired = list(rewired_replicas(g, null_cfg))
     except TooFewEdges:
         rewired = []
-    report, null_values = compute_report(g, shuffled, rewired)
+    fields, null_values = compute_report(g, shuffled, rewired)
     ent = network_entropy(g, damping=cfg.damping)
     counts = interval_vector(g)
 
@@ -209,12 +211,10 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         "interval_vector": [float(v) for v in counts / np.linalg.norm(counts)],
         "interval_counts": [float(v) for v in counts],
         "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
+        **fields,
     }
     for name, values in null_values.items():
         record[f"null_{name}_mean"], record[f"null_{name}_std"] = _mean_std(values)
-    for key, value in asdict(report).items():
-        if key != "song_id":
-            record[key] = value
     return record
 
 
@@ -359,8 +359,16 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     catalog_mod.join_catalog(records, catalog)
 
     _write_jsonl(out_dir / "songs.jsonl", records)
-    _write_metrics_csv(out_dir / "metrics.csv", records)
-    _write_embeddings_csv(out_dir / "embeddings.csv", records)
+    _write_csv(
+        out_dir / "metrics.csv",
+        ["song_id", *METRIC_COLUMNS],
+        [[r["song_id"], *[r[c] for c in METRIC_COLUMNS]] for r in records],
+    )
+    _write_csv(
+        out_dir / "embeddings.csv",
+        ["song_id", *[f"iv_{i}" for i in range(N_INTERVALS)]],
+        [[r["song_id"], *r["interval_vector"]] for r in records],
+    )
     _write_csv(
         out_dir / "exclusions.csv",
         ["song_id", "path", "reason"],
@@ -690,18 +698,3 @@ def load_songs(path: str | Path) -> list[dict]:
             records.append(record)
     return records
 
-
-def _write_metrics_csv(path: Path, records: list[dict]) -> None:
-    header = ["song_id", *METRIC_COLUMNS, "full_density", "degenerate_baseline"]
-    rows = [
-        [rec["song_id"], *[rec[c] for c in METRIC_COLUMNS],
-         rec["full_density"], rec["degenerate_baseline"]]
-        for rec in records
-    ]
-    _write_csv(path, header, rows)
-
-
-def _write_embeddings_csv(path: Path, records: list[dict]) -> None:
-    header = ["song_id", *[f"iv_{i}" for i in range(12)]]
-    rows = [[rec["song_id"], *rec["interval_vector"]] for rec in records]
-    _write_csv(path, header, rows)

@@ -113,17 +113,16 @@ class TestEraBucket:
 
 def test_build_record_and_load_catalog(tmp_path):
     rec = build_record(
-        "s1",
         artists="Dave Brubeck; Paul Desmond",
         genres=["cool jazz"],
         year_a=1997,
         year_b=1959,
         popularity=70,
     )
-    assert rec.clean_artist == "dave brubeck"
-    assert rec.macro_genres == {"jazz"}
-    assert rec.release_year == 1959
-    assert rec.era == "1950-1979"
+    assert rec["artist"] == "dave brubeck"
+    assert rec["genres"] == ["jazz"]
+    assert rec["release_year"] == 1959
+    assert rec["era"] == "1950-1979"
 
     path = tmp_path / "catalog.tsv"
     path.write_text(
@@ -132,11 +131,11 @@ def test_build_record_and_load_catalog(tmp_path):
         "s2\tNo Dates\tSomeone\trock\t\t\t\n"
     )
     cat = load_catalog(path)
-    assert cat["s1"].release_year == 1959
-    assert cat["s1"].macro_genres == {"jazz"}
-    assert cat["s2"].macro_genres == {"rock"}
-    assert cat["s2"].release_year is None
-    assert cat["s2"].era is None
+    assert cat["s1"]["release_year"] == 1959
+    assert cat["s1"]["genres"] == ["jazz"]
+    assert cat["s2"]["genres"] == ["rock"]
+    assert cat["s2"]["release_year"] is None
+    assert cat["s2"]["era"] is None
 
 
 HEADER = "song_id\ttitle\tartists\tgenres\tyear_a\tyear_b\tpopularity\n"

@@ -137,7 +137,7 @@ class TestWeightedReciprocityRaw:
 def reciprocity_norm(g, shuffled):
     """The report's normalized weighted reciprocity and its degenerate flag."""
     rep, _ = compute_report(g, shuffled, [])
-    return rep.weighted_reciprocity_norm, rep.degenerate_baseline
+    return rep["weighted_reciprocity_norm"], rep["degenerate_baseline"]
 
 
 class TestWeightedReciprocityNorm:
@@ -304,16 +304,16 @@ class TestComputeReport:
         for g in draws:
             shuffled, rewired = shuffles(g, 4, 3), rewirings(g, 4, 3)
             rep, samples = compute_report(g, shuffled, rewired)
-            assert rep.efficiency == global_efficiency(g, weighted=False)
-            assert rep.weighted_efficiency == global_efficiency(g, weighted=True)
-            assert rep.weighted_reciprocity_raw == weighted_reciprocity_raw(g)
+            assert rep["efficiency"] == global_efficiency(g, weighted=False)
+            assert rep["weighted_efficiency"] == global_efficiency(g, weighted=True)
+            assert rep["weighted_reciprocity_raw"] == weighted_reciprocity_raw(g)
             r_song, *r_shuffled = [oracles.weighted_reciprocity_raw(x) for x in (g, *shuffled)]
             r_nm = sum(r_shuffled) / len(r_shuffled)
-            assert rep.degenerate_baseline == (r_nm >= 1.0)
-            if rep.degenerate_baseline:
-                assert math.isnan(rep.weighted_reciprocity_norm)
+            assert rep["degenerate_baseline"] == (r_nm >= 1.0)
+            if rep["degenerate_baseline"]:
+                assert math.isnan(rep["weighted_reciprocity_norm"])
             else:
-                assert rep.weighted_reciprocity_norm == (r_song - r_nm) / (1 - r_nm)
+                assert rep["weighted_reciprocity_norm"] == (r_song - r_nm) / (1 - r_nm)
             assert samples == {
                 "rewired_efficiency": [global_efficiency(r) for r in rewired],
                 "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
@@ -326,12 +326,12 @@ class TestRanges:
         for _ in range(200):
             g = oracles.random_graph(rng)
             rep, _ = compute_report(g, shuffles(g, 3, 1), rewirings(g, 3, 1))
-            assert 0 <= rep.density <= 1
-            assert -1 <= rep.reciprocity_binary <= 1
-            assert 0 <= rep.weighted_reciprocity_raw <= 1
-            assert 0 <= rep.mean_node_entropy <= 1
-            assert 0 <= rep.efficiency <= 1
-            assert 0 <= rep.weighted_efficiency <= rep.efficiency + 1e-12
+            assert 0 <= rep["density"] <= 1
+            assert -1 <= rep["reciprocity_binary"] <= 1
+            assert 0 <= rep["weighted_reciprocity_raw"] <= 1
+            assert 0 <= rep["mean_node_entropy"] <= 1
+            assert 0 <= rep["efficiency"] <= 1
+            assert 0 <= rep["weighted_efficiency"] <= rep["efficiency"] + 1e-12
 
 
 def test_empty_graph_errors():
