@@ -90,6 +90,9 @@ TREND_MIN_DECADES = 3  # the fewest decades a trend is tested on
 REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_counts",
                    *TESTED_MEASURES}
 
+# what analyze's outputs read of a cached record
+CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS)
+
 
 @dataclass
 class PipelineConfig:
@@ -255,15 +258,19 @@ def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, An
 
 
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
-    """The cached entry, or None when it is missing, unreadable or not
-    an entry of this content (a miss: the song is recomputed)."""
+    """The cached entry of this content: an exclusion with a string
+    reason, or a record with every one of ``CACHED_FIELDS``. Anything
+    else, missing or unreadable, is None (a miss: the song is
+    recomputed and its entry overwritten)."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
         return None
-    if isinstance(cached, dict) and cached.get("content_hash") == content_hash:
-        return cached
-    return None
+    if not isinstance(cached, dict) or cached.get("content_hash") != content_hash:
+        return None
+    if "reason" in cached:
+        return cached if isinstance(cached["reason"], str) else None
+    return cached if cached.keys() >= CACHED_FIELDS else None
 
 
 def _write_cache(path: Path, entry: dict) -> None:

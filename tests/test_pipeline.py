@@ -216,7 +216,13 @@ class TestRunPipeline:
         summary = run("new")
         assert summary["computed"] == 12 and summary["cached"] == 0
 
-    def test_corrupt_cache_entry_is_a_miss(self, corpus, tmp_path):
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw, record: raw[:50].decode(),
+        lambda raw, record: json.dumps({k: v for k, v in record.items() if k != "efficiency"}),
+        lambda raw, record: json.dumps({"content_hash": record["content_hash"], "reason": None}),
+        lambda raw, record: json.dumps([record]),
+    ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list"])
+    def test_corrupt_cache_entry_is_a_miss(self, corrupt, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
         def run(out):
@@ -227,11 +233,13 @@ class TestRunPipeline:
             ))
         run("cold")
         run("warm")
-        entry = sorted(cache.glob("*.json"))[0]
-        entry.write_bytes(entry.read_bytes()[:50])
+        # the first entry that is a song's record, not an exclusion
+        entry, raw = next((e, e.read_bytes()) for e in sorted(cache.glob("*.json"))
+                          if "reason" not in json.loads(e.read_bytes()))
+        entry.write_text(corrupt(raw, json.loads(raw)))
         summary = run("repaired")
         assert summary["computed"] == 1 and summary["cached"] == 11
-        json.loads(entry.read_text())  # recomputed and overwritten
+        assert entry.read_bytes() == raw  # recomputed and overwritten
         assert not list(cache.glob("*.tmp"))
         assert read_output(tmp_path / "warm") == read_output(tmp_path / "repaired")
 
