@@ -1,10 +1,11 @@
 """Offline song metadata: name cleaning, macro-genre keyword tagging,
 release-year reconciliation and era bucketing.
 
-The catalog is a tab-separated text file with header columns
-(song_id, title, artists, genres, year_a, year_b, popularity); year_a is
-the streaming-catalog date, year_b the secondary (estimated) date, and
-genre tags within a field are separated by "|".
+The catalog is a tab-separated text file with a header row. Its columns
+song_id, artists, genres, year_a and year_b are read, and any other
+(title, popularity) is ignored; year_a is the streaming-catalog date,
+year_b the secondary (estimated) date, and genre tags within a field
+are separated by "|".
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ def build_record(
     genres: Iterable[str] = (),
     year_a: Optional[int] = None,
     year_b: Optional[int] = None,
-    popularity: Optional[int] = None,
 ) -> dict[str, Any]:
     """The cleaned and reconciled fields of one raw row, as a song record
     is joined with them."""
@@ -132,7 +132,6 @@ def build_record(
         "release_year": year,
         "era": era_bucket(year) if year is not None else None,
         "artist": clean_name(first_artist(artists)),
-        "popularity": popularity,
     }
 
 
@@ -140,9 +139,8 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     """Read the catalog file into song_id -> the fields of ``build_record``.
 
     A file without a song_id column, a row with more or fewer fields than
-    the header, a song_id given twice, and a year or popularity that is
-    not an integer raise ``BadCatalog``, which names the file and the
-    1-based line.
+    the header, a song_id given twice, and a year that is not an integer
+    raise ``BadCatalog``, which names the file and the 1-based line.
     """
     records: dict[str, dict[str, Any]] = {}
     lines: dict[str, int] = {}  # song_id -> the line that gives it
@@ -165,7 +163,6 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
                     genres=[g for g in row.get("genres", "").split("|") if g],
                     year_a=_parse_int(row, "year_a"),
                     year_b=_parse_int(row, "year_b"),
-                    popularity=_parse_int(row, "popularity"),
                 )
                 if song_id in lines:
                     raise BadCatalog(f"song_id {song_id!r} is already on line {lines[song_id]}")
@@ -180,6 +177,5 @@ def join_catalog(songs: list[dict], catalog: dict[str, dict[str, Any]]) -> None:
     """Set each song record's catalog fields in place; unmatched songs get
     no genres and None for the rest."""
     for song in songs:
-        song.update(catalog.get(song["song_id"]) or {
-            "genres": [], "release_year": None, "era": None, "artist": None, "popularity": None,
-        })
+        song.update(catalog.get(song["song_id"])
+                    or {"genres": [], "release_year": None, "era": None, "artist": None})

@@ -117,7 +117,6 @@ def test_build_record_and_load_catalog(tmp_path):
         genres=["cool jazz"],
         year_a=1997,
         year_b=1959,
-        popularity=70,
     )
     assert rec["artist"] == "dave brubeck"
     assert rec["genres"] == ["jazz"]
@@ -146,16 +145,22 @@ GOOD_ROW = "s1\tTake Five\tDave Brubeck\tjazz\t1997\t1959\t70\n"
     ("s2\tShort\tSomeone\n", "line 3: 3 fields, the header has 7"),
     ("s2\tX\tSomeone\trock\t19x5\t\t\n", "line 3: year_a '19x5' is not an integer"),
     ("s2\tX\tSomeone\trock\t\t1975.0\t\n", "line 3: year_b '1975.0' is not an integer"),
-    ("s2\tX\tSomeone\trock\t\t\thigh\n", "line 3: popularity 'high' is not an integer"),
     ("s2\tLong\tSomeone\trock\t\t\t\textra\n", "line 3: 8 fields, the header has 7"),
     (GOOD_ROW.replace("Take Five", "Again"), "line 3: song_id 's1' is already on line 2"),
-], ids=["short-row", "year_a", "year_b", "popularity", "long-row", "duplicate-song-id"])
+], ids=["short-row", "year_a", "year_b", "long-row", "duplicate-song-id"])
 def test_malformed_row_names_file_and_line(tmp_path, bad_row, message):
     path = tmp_path / "catalog.tsv"
     path.write_text(HEADER + GOOD_ROW + bad_row + GOOD_ROW.replace("s1", "s3"))
     with pytest.raises(BadCatalog) as exc:
         load_catalog(path)
     assert str(exc.value) == f"{path}, {message}"
+
+
+def test_popularity_column_is_not_read(tmp_path):
+    path = tmp_path / "catalog.tsv"
+    path.write_text(HEADER + GOOD_ROW + "s2\tX\tSomeone\trock\t\t\thigh\n")
+    cat = load_catalog(path)
+    assert cat["s2"] == {"genres": ["rock"], "release_year": None, "era": None, "artist": "someone"}
 
 
 def test_catalog_without_song_id_column(tmp_path):
