@@ -704,4 +704,3 @@ def load_songs(path: str | Path) -> list[dict]:
                 raise BadSongsFile(f"{path}, line {number}: missing {missing}")
             records.append(record)
     return records
-

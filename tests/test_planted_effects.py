@@ -11,8 +11,6 @@ none is planted.
 import csv
 import random
 
-import pytest
-
 import fixture_midi
 import oracles
 from notegraph.pipeline import PipelineConfig, run_pipeline
@@ -38,9 +36,9 @@ def walk_midi(rng: random.Random, width: int) -> bytes:
     return fixture_midi.write_midi(notes)
 
 
-def run_corpus(root, songs: list[tuple[str, int, int]], seed: int) -> dict[str, list[dict]]:
+def run_corpus(root, songs: list[tuple[str, int, int]], seed: int, table: str) -> list[dict]:
     """Analyse one walk per (genre, year, width); returns the rows of the
-    test tables by file name."""
+    output table ``table``."""
     rng = random.Random(seed)
     midi_dir = root / "midi"
     midi_dir.mkdir()
@@ -56,12 +54,8 @@ def run_corpus(root, songs: list[tuple[str, int, int]], seed: int) -> dict[str, 
         null_samples=2, min_duration=0, seed=seed,
     ))
     assert summary["songs_analyzed"] == len(songs)
-    tables = {}
-    for name in ("genre_tests.csv", "trend_tests.csv"):
-        if (out / name).exists():
-            with open(out / name, newline="") as fh:
-                tables[name] = list(csv.DictReader(fh))
-    return tables
+    with open(out / table, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 GENRE_WIDTHS = {"classical": 24, "jazz": 12, "rock": 6}
@@ -71,7 +65,7 @@ SONGS_PER_GENRE = 12
 def test_genre_widths_separate_every_pair(tmp_path):
     songs = [(genre, 1990, width) for genre, width in GENRE_WIDTHS.items()
              for _ in range(SONGS_PER_GENRE)]
-    rows = run_corpus(tmp_path, songs, seed=1)["genre_tests.csv"]
+    rows = run_corpus(tmp_path, songs, 1, "genre_tests.csv")
     center = SONGS_PER_GENRE * SONGS_PER_GENRE / 2
     # a wider walk visits more pitches and is less efficient
     for measure, sign in (("vertex_count", 1), ("efficiency", -1)):
@@ -90,7 +84,7 @@ def test_genre_widths_separate_every_pair(tmp_path):
 def test_narrowing_walks_trend_up_in_efficiency(tmp_path):
     widths = [24, 20, 17, 13, 10, 6]
     songs = [("rock", 1960 + 10 * d, width) for d, width in enumerate(widths) for _ in range(4)]
-    rows = run_corpus(tmp_path, songs, seed=1)["trend_tests.csv"]
+    rows = run_corpus(tmp_path, songs, 1, "trend_tests.csv")
     (row,) = [r for r in rows if r["genre"] == "rock" and r["measure"] == "efficiency"]
     assert float(row["tau"]) > 0
     assert float(row["p_value"]) < 0.05
@@ -98,6 +92,6 @@ def test_narrowing_walks_trend_up_in_efficiency(tmp_path):
 
 def test_equal_widths_give_no_strong_genre_effect(tmp_path):
     songs = [(genre, 1990, 12) for genre in GENRE_WIDTHS for _ in range(SONGS_PER_GENRE)]
-    rows = run_corpus(tmp_path, songs, seed=1)["genre_tests.csv"]
+    rows = run_corpus(tmp_path, songs, 1, "genre_tests.csv")
     assert rows
     assert min(float(r["p_adjusted"]) for r in rows) >= 1e-3
