@@ -89,8 +89,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     records = load_songs(args.songs)
     if cfg.catalog_path:
         catalog_mod.join_catalog(records, catalog_mod.load_catalog(cfg.catalog_path))
-    out = make_output_dir(cfg.output_dir)
-    notes = write_aggregates(records, out, cfg, tables=ALIAS_TABLES.get(args.command))
+    notes = write_aggregates(records, cfg.output_dir, cfg, tables=ALIAS_TABLES.get(args.command))
     print(json.dumps(notes, sort_keys=True))
     return 0
 

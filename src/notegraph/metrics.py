@@ -62,57 +62,39 @@ def mean_node_entropy(g: TransitionGraph) -> float:
     return float((h / np.log(degree[split])).sum()) / g.node_count
 
 
+# int32 distance of an unreachable pair: the sum of two still fits
+_NO_PATH = 2**30 - 1
+
+
 def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
     """Mean inverse shortest-path distance over ordered node pairs.
 
     Unreachable pairs contribute 0. The weighted variant uses total edge
     weight as path cost; with all weights >= 1 it never exceeds the
-    unweighted value. See :func:`efficiencies`.
+    unweighted value.
+
+    Distances come from one Floyd-Warshall over the (n, n) int32 matrix
+    of path costs (n <= 128 pitches): the edge weight, or 1 for hop
+    distance. Weights are integer counts, so the sums are exact while
+    the total weight, which bounds every shortest path, stays below
+    ``_NO_PATH``; at or above it ``OutOfRange`` is raised.
     """
-    return efficiencies([g], weighted)[0]
-
-
-# int32 distance of an unreachable pair: the sum of two still fits
-_NO_PATH = 2**30 - 1
-
-
-def efficiencies(graphs: Sequence[TransitionGraph], weighted: bool = False) -> list[float]:
-    """:func:`global_efficiency` of each graph, for graphs that share one
-    ``node_list`` (a song and its null replicas).
-
-    Distances come from one Floyd-Warshall over the (k, n, n) int32
-    stack of the graphs' path costs (n <= 128 pitches): the edge weight,
-    or 1 for hop distance. Weights are integer counts, so the sums are
-    exact while a graph's total weight, which bounds every shortest
-    path, stays below ``_NO_PATH``; at or above it ``OutOfRange`` is
-    raised.
-    """
-    if not graphs:
-        return []
-    node_list = graphs[0].node_list
-    n = len(node_list)
+    n = g.node_count
     if n < 2:
         raise DegenerateGraph(f"efficiency undefined for {n} node(s)")
-    if any(g.node_list != node_list for g in graphs):
-        raise ValueError("graphs must share one node_list")
-    d = np.full((len(graphs), n, n), _NO_PATH, dtype=np.int32)
-    for dist, g in zip(d, graphs):
-        w = g.weights
-        if weighted and g.total_weight >= _NO_PATH:
-            raise OutOfRange(f"total weight {g.total_weight} not below {_NO_PATH}")
-        linked = w > 0
-        dist[linked] = w[linked] if weighted else 1
+    if weighted and g.total_weight >= _NO_PATH:
+        raise OutOfRange(f"total weight {g.total_weight} not below {_NO_PATH}")
+    d = np.full((n, n), _NO_PATH, dtype=np.int32)
+    linked = g.weights > 0
+    d[linked] = g.weights[linked] if weighted else 1
     via = np.empty_like(d)
     for k in range(n):
-        np.add(d[:, :, k, None], d[:, None, k, :], out=via)
+        np.add(d[:, k, None], d[None, k, :], out=via)
         np.minimum(d, via, out=d)
-    out = []
-    for dist in d:
-        inverse = np.where(dist < _NO_PATH, dist, np.inf)
-        np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
-        np.divide(1.0, inverse, out=inverse)
-        out.append(float(inverse.sum()) / (n * (n - 1)))
-    return out
+    inverse = np.where(d < _NO_PATH, d, np.inf)
+    np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
+    np.divide(1.0, inverse, out=inverse)
+    return float(inverse.sum()) / (n * (n - 1))
 
 
 def weight_histogram(g: TransitionGraph) -> dict[int, int]:
@@ -148,20 +130,16 @@ def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int
 
 
 def compute_report(
-    g: TransitionGraph, shuffled: Sequence[TransitionGraph], rewired: Sequence[TransitionGraph]
+    g: TransitionGraph, shuffled: Sequence[TransitionGraph]
 ) -> tuple[dict[str, float], dict[str, list[float]]]:
-    """Score one song graph against its null replicas: the out-weight
-    shuffles, which normalize the weighted reciprocity, and the
-    degree-preserving rewirings. The song rides in its rewired replicas'
-    hop-distance :func:`efficiencies` stack; its weighted efficiency is
-    scored alone. Returns the song's measures and flags by name, and
-    each null measure's value per replica."""
+    """Score one song graph against its out-weight shuffles, which
+    normalize the weighted reciprocity. Returns the song's measures and
+    flags by name, and the shuffled replicas' weighted reciprocity."""
     rho, full = reciprocity_binary(g)
     reciprocity = [weighted_reciprocity_raw(x) for x in (g, *shuffled)]
     r_nm = sum(reciprocity[1:]) / len(shuffled)
     degenerate = r_nm >= 1.0
     rho_w = math.nan if degenerate else (reciprocity[0] - r_nm) / (1 - r_nm)
-    hops = efficiencies([g, *rewired])
     fields = {
         "vertex_count": g.node_count,
         "edge_count": g.edge_count,
@@ -170,9 +148,9 @@ def compute_report(
         "weighted_reciprocity_raw": reciprocity[0],
         "weighted_reciprocity_norm": rho_w,
         "mean_node_entropy": mean_node_entropy(g),
-        "efficiency": hops[0],
+        "efficiency": global_efficiency(g),
         "weighted_efficiency": global_efficiency(g, weighted=True),
         "full_density": full,  # binary reciprocity undefined at density 1
         "degenerate_baseline": degenerate,  # r_NM = 1, normalized value undefined
     }
-    return fields, {"rewired_efficiency": hops[1:], "shuffled_reciprocity": reciprocity[1:]}
+    return fields, {"shuffled_reciprocity": reciprocity[1:]}

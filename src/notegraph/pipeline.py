@@ -41,21 +41,20 @@ from .errors import (
     InsufficientGroups,
     NoInputs,
     NotegraphError,
-    TooFewEdges,
     UnwritableOutput,
 )
 from .graph import graph_from_onsets
 from .markov import DEFAULT_DAMPING, check_damping, network_entropy
 from .metrics import compute_report, weight_ccdf, weight_histogram
 from .midi import onset_stream, parse_midi
-from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
+from .nullmodels import RandomizerConfig, shuffled_replicas
 
 CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 
 # Part of every cache key. Bump it whenever per-song results change for
 # the same inputs and config (an algorithm, its float summation order or
 # the record's fields), so entries written by older code are misses.
-RESULTS_VERSION = 3
+RESULTS_VERSION = 4
 
 # the columns of metrics.csv after song_id, in order
 METRIC_COLUMNS = (
@@ -94,6 +93,29 @@ REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_c
 CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS)
 
 
+def bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
+    """The first of ``names``, sorted, whose value is not of its kind, or
+    None: a flag is a bool, an interval vector or count list holds 12
+    numbers, the weight histogram is an object of integer counts keyed
+    by weight, and a measure is one of ``number``. ``song_id`` is not
+    checked."""
+    for name in sorted(names):
+        value = record[name]
+        if name in ("full_density", "degenerate_baseline"):
+            ok = type(value) is bool
+        elif name in ("interval_vector", "interval_counts"):
+            ok = (type(value) is list and len(value) == N_INTERVALS
+                  and all(type(v) in (int, float) for v in value))
+        elif name == "weight_histogram":
+            ok = type(value) is dict and all(
+                w.isdigit() and type(c) is int for w, c in value.items())
+        else:
+            ok = name == "song_id" or type(value) in number
+        if not ok:
+            return name
+    return None
+
+
 @dataclass
 class PipelineConfig:
     """Every setting of a run. A config-file key is the field's name, and
@@ -106,7 +128,6 @@ class PipelineConfig:
     min_duration: float = 60.0
     damping: float = DEFAULT_DAMPING
     null_samples: int = RandomizerConfig.null_samples
-    swap_multiplier: int = RandomizerConfig.swap_multiplier
     seed: int = RandomizerConfig.seed
     workers: int = 1
     gs_min_group_size: int = 5
@@ -116,7 +137,7 @@ class PipelineConfig:
         """Raise ``BadSetting`` on an out-of-range setting, before the run
         reads any input."""
         check_damping(self.damping)
-        RandomizerConfig(self.seed, self.swap_multiplier, self.null_samples)
+        RandomizerConfig(self.seed, null_samples=self.null_samples)
         if not (math.isfinite(self.min_duration) and self.min_duration >= 0):
             raise BadSetting(f"min_duration must be finite and >= 0, got {self.min_duration}")
         if self.workers < 1:
@@ -128,7 +149,7 @@ class PipelineConfig:
         the results version."""
         key = (
             f"{RESULTS_VERSION}|{self.min_duration}|{self.damping}|{self.null_samples}"
-            f"|{self.swap_multiplier}|{self.seed}"
+            f"|{self.seed}"
         )
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
@@ -172,13 +193,6 @@ def song_seed(master_seed: int, content_hash: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _mean_std(values: list[float]) -> tuple[float, float]:
-    if not values:
-        return math.nan, math.nan
-    arr = np.asarray(values)
-    return float(arr.mean()), float(arr.std())
-
-
 def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, Any]:
     """Full per-song analysis; returns a JSON-serializable record.
 
@@ -192,17 +206,8 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
             f"duration {m.duration:.2f}s not longer than {cfg.min_duration:g}s"
         )
     g = graph_from_onsets(onset_stream(m), song_id=song_id)
-    null_cfg = RandomizerConfig(
-        seed=song_seed(cfg.seed, content_hash),
-        swap_multiplier=cfg.swap_multiplier,
-        null_samples=cfg.null_samples,
-    )
-    shuffled = list(shuffled_replicas(g, null_cfg))
-    try:
-        rewired = list(rewired_replicas(g, null_cfg))
-    except TooFewEdges:
-        rewired = []
-    fields, null_values = compute_report(g, shuffled, rewired)
+    null_cfg = RandomizerConfig(song_seed(cfg.seed, content_hash), null_samples=cfg.null_samples)
+    fields, null_values = compute_report(g, list(shuffled_replicas(g, null_cfg)))
     ent = network_entropy(g, damping=cfg.damping)
     counts = interval_vector(g)
 
@@ -217,7 +222,9 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         **fields,
     }
     for name, values in null_values.items():
-        record[f"null_{name}_mean"], record[f"null_{name}_std"] = _mean_std(values)
+        arr = np.asarray(values)
+        record[f"null_{name}_mean"] = float(arr.mean())
+        record[f"null_{name}_std"] = float(arr.std())
     return record
 
 
@@ -259,9 +266,9 @@ def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, An
 
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
     """The cached entry of this content: an exclusion with a string
-    reason, or a record with every one of ``CACHED_FIELDS``. Anything
-    else, missing or unreadable, is None (a miss: the song is
-    recomputed and its entry overwritten)."""
+    reason, or a record with every one of ``CACHED_FIELDS``, each of its
+    kind (see ``bad_field``). Anything else, missing or unreadable, is
+    None (a miss: the song is recomputed and its entry overwritten)."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
@@ -270,7 +277,9 @@ def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
         return None
     if "reason" in cached:
         return cached if isinstance(cached["reason"], str) else None
-    return cached if cached.keys() >= CACHED_FIELDS else None
+    if not cached.keys() >= CACHED_FIELDS or bad_field(cached, CACHED_FIELDS):
+        return None
+    return cached
 
 
 def _write_cache(path: Path, entry: dict) -> None:
@@ -638,7 +647,7 @@ AGGREGATE_TABLES = (
 
 def write_aggregates(
     records: list[dict],
-    out_dir: Path,
+    out_dir: str | Path,
     cfg: PipelineConfig,
     tables: Optional[Iterable[str]] = None,
 ) -> dict[str, Any]:
@@ -647,17 +656,29 @@ def write_aggregates(
 
     ``tables`` limits the output to those file names; builders that
     write none of them are not run. The builders share one
-    ``CorpusColumns`` of the records.
+    ``CorpusColumns`` of the records. Every table is built before the
+    output directory is made, so a record holding a value of the wrong
+    kind raises ``BadSongsFile``, naming the song and the field, and
+    writes nothing; valid records are not checked.
     """
     wanted = None if tables is None else set(tables)
     cols = CorpusColumns(records)
     notes: dict[str, Any] = {}
-    for names, build in AGGREGATE_TABLES:
-        if wanted is not None and wanted.isdisjoint(names):
-            continue
-        for name, (header, rows) in build(cols, cfg, notes).items():
-            if wanted is None or name in wanted:
-                _write_csv(out_dir / name, header, rows)
+    built: dict[str, Table] = {}
+    try:
+        for names, build in AGGREGATE_TABLES:
+            if wanted is None or not wanted.isdisjoint(names):
+                built.update(build(cols, cfg, notes))
+    except (AttributeError, TypeError, ValueError):
+        for record in records:
+            if name := bad_field(record, REQUIRED_FIELDS, (int, float, type(None))):
+                message = f"song {record['song_id']!r}: {name} has the wrong type or shape"
+                raise BadSongsFile(message) from None
+        raise
+    out = make_output_dir(out_dir)
+    for name, (header, rows) in built.items():
+        if wanted is None or name in wanted:
+            _write_csv(out / name, header, rows)
     return notes
 
 

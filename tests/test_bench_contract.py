@@ -74,14 +74,25 @@ def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
     assert summary["songs_analyzed"] == 4
     assert counts["pipeline.analyze_calls"] == 4
     assert "pipeline.duplicate_analyses" not in counts
-    # one weighted efficiency per song, the song alone
-    assert counts["metrics.efficiency_calls"] == 4
-    assert counts["nullmodels.rewire_calls"] == 4 * 2
-    assert counts["nullmodels.rewire_attempts"] == 10 * 2 * counts["graph.edges"]
-    assert 0 < counts["nullmodels.rewire_moved"] <= counts["nullmodels.rewire_attempts"]
+    # the hop and the weighted efficiency of each song, the song alone
+    assert counts["metrics.efficiency_calls"] == 4 * 2
+    assert "nullmodels.rewire_calls" not in counts  # analyze draws shuffles only
     n_measures = len(notegraph.pipeline.TESTED_MEASURES)
     assert counts["stats.mwu_calls"] == n_measures
     assert counts["stats.mwu_pairs"] == n_measures * 2 * 2
+
+    # the rewiring is observed where it is still drawn: nullmodel
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert notegraph.cli.main(["nullmodel", str(midi_dir / "s0.mid"), "--samples", "2",
+                                   "--output", str(tmp_path / "null")]) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    assert counts["nullmodels.rewire_calls"] == 2
+    assert counts["nullmodels.rewire_attempts"] == 10 * 2 * counts["graph.edges"]
+    assert 0 < counts["nullmodels.rewire_moved"] <= counts["nullmodels.rewire_attempts"]
 
 
 def test_graph_keeps_the_attributes_the_bench_reads():

@@ -4,12 +4,11 @@ import random
 import pytest
 
 import oracles
-from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange, TooFewEdges
+from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
 from notegraph.graph import TransitionGraph
 from notegraph.metrics import (
     compute_report,
     density,
-    efficiencies,
     global_efficiency,
     mean_node_entropy,
     reciprocity_binary,
@@ -34,14 +33,6 @@ def cycle(n, weight=1):
 
 def shuffles(g, null_samples, seed):
     return list(shuffled_replicas(g, RandomizerConfig(seed=seed, null_samples=null_samples)))
-
-
-def rewirings(g, null_samples, seed):
-    """The rewired replicas of ``g``; none when it has too few edges."""
-    try:
-        return list(rewired_replicas(g, RandomizerConfig(seed=seed, null_samples=null_samples)))
-    except TooFewEdges:
-        return []
 
 
 def ccdf(graphs):
@@ -136,7 +127,7 @@ class TestWeightedReciprocityRaw:
 
 def reciprocity_norm(g, shuffled):
     """The report's normalized weighted reciprocity and its degenerate flag."""
-    rep, _ = compute_report(g, shuffled, [])
+    rep, _ = compute_report(g, shuffled)
     return rep["weighted_reciprocity_norm"], rep["degenerate_baseline"]
 
 
@@ -229,46 +220,40 @@ class TestGlobalEfficiency:
 
 
 class TestEfficiencies:
-    def stacks(self):
-        """Stacks that share one node_list: sparse graphs with loop-only
-        isolated pitches and their null replicas, 2-node graphs, one
-        graph alone, and none."""
+    def graphs(self):
+        """Sparse graphs with loop-only isolated pitches and their null
+        replicas, and 2-node and complete graphs."""
         rng = random.Random(13)
-        stacks = []
+        graphs = []
         for _ in range(3):
             g = oracles.random_graph(rng, max_nodes=30, edge_prob=0.08)
             free = sorted(set(range(128)) - g.nodes)
             g = TransitionGraph(song_id="s", edges=g.edges, isolated=rng.sample(free, 3))
             cfg = RandomizerConfig(seed=rng.randrange(2**32), null_samples=4)
-            stacks.append([g, *rewired_replicas(g, cfg), *shuffled_replicas(g, cfg)])
-        stacks.append([graph({(0, 1): 1}), graph({(0, 1): 3, (1, 0): 2}), graph({(1, 0): 7})])
-        stacks.append([complete_digraph(5, weight=3)])
-        stacks.append([])
-        return stacks
+            graphs += [g, *rewired_replicas(g, cfg), *shuffled_replicas(g, cfg)]
+        graphs += [graph({(0, 1): 1}), graph({(0, 1): 3, (1, 0): 2}), graph({(1, 0): 7})]
+        graphs.append(complete_digraph(5, weight=3))
+        return graphs
 
-    def test_stack_matches_oracle_and_single_graphs(self):
-        for graphs in self.stacks():
+    def test_matches_oracle_on_null_replicas(self):
+        for g in self.graphs():
             for weighted in (False, True):
-                got = efficiencies(graphs, weighted)
-                assert got == [global_efficiency(g, weighted) for g in graphs]
-                assert got == pytest.approx(
-                    [oracles.global_efficiency(g, weighted) for g in graphs], abs=1e-12
+                assert global_efficiency(g, weighted) == pytest.approx(
+                    oracles.global_efficiency(g, weighted), abs=1e-12
                 )
 
-    def test_stack_needs_one_node_list(self):
-        with pytest.raises(ValueError):
-            efficiencies([graph({(0, 1): 1}), graph({(0, 2): 1})])
+    def test_degenerate_graph(self):
         with pytest.raises(DegenerateGraph):
-            efficiencies([TransitionGraph(edges={}, isolated=frozenset({5}))])
+            global_efficiency(TransitionGraph(edges={}, isolated=frozenset({5})))
 
     def test_total_weight_limit(self):
         for weight in (2**30 - 1, 2**30):
             g = graph({(0, 1): weight})
             with pytest.raises(OutOfRange):
-                efficiencies([g], weighted=True)
-            assert efficiencies([g]) == [0.5]  # hop distance has no weight to overflow
+                global_efficiency(g, weighted=True)
+            assert global_efficiency(g) == 0.5  # hop distance has no weight to overflow
         below = graph({(0, 1): 2**30 - 2})
-        assert efficiencies([below], weighted=True) == [0.5 / (2**30 - 2)]
+        assert global_efficiency(below, weighted=True) == 0.5 / (2**30 - 2)
 
 
 class TestWeightCcdf:
@@ -300,10 +285,9 @@ class TestComputeReport:
         rng = random.Random(91)
         draws = [oracles.random_graph(rng) for _ in range(60)]
         draws += [oracles.random_graph(rng, max_nodes=30, edge_prob=0.1) for _ in range(4)]
-        assert any(g.edge_count < 2 for g in draws)  # a song without rewired replicas
         for g in draws:
-            shuffled, rewired = shuffles(g, 4, 3), rewirings(g, 4, 3)
-            rep, samples = compute_report(g, shuffled, rewired)
+            shuffled = shuffles(g, 4, 3)
+            rep, samples = compute_report(g, shuffled)
             assert rep["efficiency"] == global_efficiency(g, weighted=False)
             assert rep["weighted_efficiency"] == global_efficiency(g, weighted=True)
             assert rep["weighted_reciprocity_raw"] == weighted_reciprocity_raw(g)
@@ -315,7 +299,6 @@ class TestComputeReport:
             else:
                 assert rep["weighted_reciprocity_norm"] == (r_song - r_nm) / (1 - r_nm)
             assert samples == {
-                "rewired_efficiency": [global_efficiency(r) for r in rewired],
                 "shuffled_reciprocity": [weighted_reciprocity_raw(r) for r in shuffled],
             }
 
@@ -325,7 +308,7 @@ class TestRanges:
         rng = random.Random(77)
         for _ in range(200):
             g = oracles.random_graph(rng)
-            rep, _ = compute_report(g, shuffles(g, 3, 1), rewirings(g, 3, 1))
+            rep, _ = compute_report(g, shuffles(g, 3, 1))
             assert 0 <= rep["density"] <= 1
             assert -1 <= rep["reciprocity_binary"] <= 1
             assert 0 <= rep["weighted_reciprocity_raw"] <= 1

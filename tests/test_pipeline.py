@@ -16,7 +16,7 @@ import pytest
 import fixture_midi
 import notegraph
 import oracles
-from notegraph import metrics, pipeline
+from notegraph import metrics, nullmodels, pipeline
 from notegraph.cli import _build_config, build_parser, main
 from notegraph.errors import BadSetting, InsufficientGroups, NoInputs, NonConvergence
 from notegraph.graph import graph_from_onsets
@@ -221,7 +221,11 @@ class TestRunPipeline:
         lambda raw, record: json.dumps({k: v for k, v in record.items() if k != "efficiency"}),
         lambda raw, record: json.dumps({"content_hash": record["content_hash"], "reason": None}),
         lambda raw, record: json.dumps([record]),
-    ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list"])
+        lambda raw, record: json.dumps({**record, "efficiency": "x"}),
+        lambda raw, record: json.dumps({**record, "interval_vector": record["interval_vector"][:11]}),
+        lambda raw, record: json.dumps({**record, "weight_histogram": [1, 2]}),
+    ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list",
+            "text-efficiency", "short-interval-vector", "list-weight-histogram"])
     def test_corrupt_cache_entry_is_a_miss(self, corrupt, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
@@ -387,12 +391,9 @@ class TestAnalyzeSong:
         record = pipeline.analyze_song("s", data, cfg)
         g = graph_from_onsets(onset_stream(parse_midi(data)), song_id="s")
         seed = song_seed(cfg.seed, hashlib.sha256(data).hexdigest())
-        replicas = [RandomizerConfig(replica_seed(seed, i), cfg.swap_multiplier, 1)
+        shuffled = [oracles.shuffle_reference(g, RandomizerConfig(replica_seed(seed, i)))
                     for i in range(cfg.null_samples)]
-        rewired = [oracles.rewire_reference(g, c) for c in replicas]
-        shuffled = [oracles.shuffle_reference(g, c) for c in replicas]
         want = {
-            "rewired_efficiency": [oracles.global_efficiency(r, False) for r in rewired],
             "shuffled_reciprocity": [oracles.weighted_reciprocity_raw(r) for r in shuffled],
         }
         for name, values in want.items():
@@ -413,32 +414,26 @@ class TestAnalyzeSong:
             "weighted_reciprocity_raw", "weighted_reciprocity_norm", "mean_node_entropy",
             "efficiency", "weighted_efficiency", "network_entropy",
             "full_density", "degenerate_baseline",
-            "null_rewired_efficiency_mean", "null_rewired_efficiency_std",
             "null_shuffled_reciprocity_mean", "null_shuffled_reciprocity_std",
         }
 
-    def test_scores_the_song_in_its_replicas_stacks(self, monkeypatch):
+    def test_scores_the_song_alone_and_rewires_nothing(self, monkeypatch):
         calls = []
+        real = metrics.global_efficiency
 
-        def counted(name, real):
-            def wrapper(graphs, weighted=False):
-                calls.append((name, len(graphs) if name == "efficiencies" else 1, weighted))
-                return real(graphs, weighted)
-            return wrapper
+        def counted(g, weighted=False):
+            calls.append((g.song_id, weighted))
+            return real(g, weighted)
 
-        for module in (metrics, pipeline):
-            for name in ("efficiencies", "global_efficiency"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        def rewire(g, cfg):
+            raise AssertionError("analyze_song drew a rewired replica")
+
+        monkeypatch.setattr(metrics, "global_efficiency", counted)
+        monkeypatch.setattr(nullmodels, "rewire_edges", rewire)
         data = fixture_midi.melodic_midi(seed=4)
         pipeline.analyze_song("s", data, PipelineConfig(null_samples=3, min_duration=0))
-        # one hop stack over [g, *rewired]; the weighted score of g alone
-        # goes through global_efficiency, which stacks one graph
-        assert calls == [
-            ("efficiencies", 4, False),
-            ("global_efficiency", 1, True),
-            ("efficiencies", 1, True),
-        ]
+        # the hop, then the weighted efficiency of the song itself
+        assert calls == [("s", False), ("s", True)]
 
 
 class TestSongSeed:
@@ -903,6 +898,22 @@ class TestCli:
         assert err == {"error": "BadSongsFile", "message": f"{songs}, line 2: missing {missing}"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("efficiency", "x"),
+        ("interval_vector", [1.0] + [0.0] * 10),
+        ("weight_histogram", [1, 2]),
+    ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram"])
+    def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
+        records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
+        records[0]["efficiency"] = None  # read as NaN, not a fault
+        songs = tmp_path / "songs.jsonl"
+        songs.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadSongsFile",
+                       "message": f"song 'b': {field} has the wrong type or shape"}
+        assert not (tmp_path / "out").exists()
+
     def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
         records = [{**minimal_record("a"), "efficiency": math.nan},
                    {**minimal_record("b"), "genres": []}]
@@ -928,7 +939,6 @@ CONFIG_FLAGS = {
     "--min-duration": ("min_duration", "30", 30.0),
     "--damping": ("damping", "0.1", 0.1),
     "--null-samples": ("null_samples", "3", 3),
-    "--swap-multiplier": ("swap_multiplier", "4", 4),
     "--seed": ("seed", "5", 5),
     "--workers": ("workers", "2", 2),
     "--gs-min-group": ("gs_min_group_size", "6", 6),
@@ -995,7 +1005,7 @@ class TestSettings:
 
     @pytest.mark.parametrize("command, flags, conf", [
         ("analyze", ["--null-samples", "0"], None),
-        ("analyze", ["--swap-multiplier", "0"], None),
+        ("analyze", [], "swap_multiplier = 10\n"),
         ("analyze", ["--damping", "1"], None),
         ("analyze", [], "bogus = 1\n"),
         ("analyze", [], "seed = x\n"),
@@ -1003,8 +1013,9 @@ class TestSettings:
         ("analyze", ["--min-duration", "nan"], None),
         ("analyze", ["--workers", "0"], None),
         ("analyze", ["--gs-min-group", "0"], None),
+        ("nullmodel", ["--swap-multiplier", "0"], None),
     ], ids=["null-samples", "swap-multiplier", "damping", "unknown-key", "seed-text", "nullmodel",
-            "min-duration", "workers", "gs-min-group"])
+            "min-duration", "workers", "gs-min-group", "nullmodel-swap-multiplier"])
     def test_bad_setting_stops_before_any_input_is_read(
         self, command, flags, conf, tmp_path, monkeypatch, capsys
     ):
@@ -1044,7 +1055,7 @@ class TestSettings:
         assert exc.value.code == 2
 
     def test_bad_setting_is_a_value_error(self):
-        for bad in ({"null_samples": 0}, {"swap_multiplier": 0}, {"damping": 0.0},
+        for bad in ({"null_samples": 0}, {"damping": 0.0},
                     {"min_duration": -1.0}, {"min_duration": math.inf}):
             with pytest.raises(BadSetting):
                 PipelineConfig(**bad)
