@@ -93,7 +93,7 @@ REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_c
 CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS)
 
 
-def bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
+def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
     """The first of ``names``, sorted, whose value is not of its kind, or
     None: a flag is a bool, an interval vector or count list holds 12
     numbers, the weight histogram is an object of integer counts keyed
@@ -267,7 +267,7 @@ def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, An
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
     """The cached entry of this content: an exclusion with a string
     reason, or a record with every one of ``CACHED_FIELDS``, each of its
-    kind (see ``bad_field``). Anything else, missing or unreadable, is
+    kind (see ``_bad_field``). Anything else, missing or unreadable, is
     None (a miss: the song is recomputed and its entry overwritten)."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
@@ -277,7 +277,7 @@ def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
         return None
     if "reason" in cached:
         return cached if isinstance(cached["reason"], str) else None
-    if not cached.keys() >= CACHED_FIELDS or bad_field(cached, CACHED_FIELDS):
+    if not cached.keys() >= CACHED_FIELDS or _bad_field(cached, CACHED_FIELDS):
         return None
     return cached
 
@@ -671,7 +671,7 @@ def write_aggregates(
                 built.update(build(cols, cfg, notes))
     except (AttributeError, TypeError, ValueError):
         for record in records:
-            if name := bad_field(record, REQUIRED_FIELDS, (int, float, type(None))):
+            if name := _bad_field(record, REQUIRED_FIELDS, (int, float, type(None))):
                 message = f"song {record['song_id']!r}: {name} has the wrong type or shape"
                 raise BadSongsFile(message) from None
         raise
