@@ -129,28 +129,26 @@ def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int
     return out
 
 
-def compute_report(
-    g: TransitionGraph, shuffled: Sequence[TransitionGraph]
-) -> tuple[dict[str, float], dict[str, list[float]]]:
+def compute_report(g: TransitionGraph, shuffled: Sequence[TransitionGraph]) -> dict[str, float]:
     """Score one song graph against its out-weight shuffles, which
     normalize the weighted reciprocity. Returns the song's measures and
-    flags by name, and the shuffled replicas' weighted reciprocity."""
+    flags by name, and the shuffled replicas' mean weighted reciprocity,
+    which is the baseline that normalized it."""
     rho, full = reciprocity_binary(g)
-    reciprocity = [weighted_reciprocity_raw(x) for x in (g, *shuffled)]
-    r_nm = sum(reciprocity[1:]) / len(shuffled)
+    r = weighted_reciprocity_raw(g)
+    r_nm = sum(weighted_reciprocity_raw(x) for x in shuffled) / len(shuffled)
     degenerate = r_nm >= 1.0
-    rho_w = math.nan if degenerate else (reciprocity[0] - r_nm) / (1 - r_nm)
-    fields = {
+    return {
         "vertex_count": g.node_count,
         "edge_count": g.edge_count,
         "density": density(g),
         "reciprocity_binary": rho,
-        "weighted_reciprocity_raw": reciprocity[0],
-        "weighted_reciprocity_norm": rho_w,
+        "weighted_reciprocity_raw": r,
+        "weighted_reciprocity_norm": math.nan if degenerate else (r - r_nm) / (1 - r_nm),
         "mean_node_entropy": mean_node_entropy(g),
         "efficiency": global_efficiency(g),
         "weighted_efficiency": global_efficiency(g, weighted=True),
         "full_density": full,  # binary reciprocity undefined at density 1
         "degenerate_baseline": degenerate,  # r_NM = 1, normalized value undefined
+        "null_shuffled_reciprocity_mean": r_nm,
     }
-    return fields, {"shuffled_reciprocity": reciprocity[1:]}

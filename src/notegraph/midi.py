@@ -38,18 +38,6 @@ class ParsedMidi:
     duration: float  # seconds to the last note-on or note-off on any channel
 
 
-def _read_u16(data: bytes, pos: int) -> int:
-    if pos + 2 > len(data):
-        raise TruncatedChunk("unexpected end of data while reading u16")
-    return int.from_bytes(data[pos:pos + 2], "big")
-
-
-def _read_u32(data: bytes, pos: int) -> int:
-    if pos + 4 > len(data):
-        raise TruncatedChunk("unexpected end of data while reading u32")
-    return int.from_bytes(data[pos:pos + 4], "big")
-
-
 def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
     """Read a variable-length quantity; returns (value, new position)."""
     value = 0
@@ -135,12 +123,12 @@ def parse_midi(data: bytes) -> ParsedMidi:
     """Decode a Standard MIDI File (format 0 or 1) from raw bytes."""
     if len(data) < 14 or data[:4] != b"MThd":
         raise MalformedHeader("missing MThd chunk")
-    header_len = _read_u32(data, 4)
+    header_len = int.from_bytes(data[4:8], "big")
     if header_len < 6:
         raise MalformedHeader(f"header length {header_len} < 6")
-    fmt = _read_u16(data, 8)
-    n_tracks = _read_u16(data, 10)
-    division = _read_u16(data, 12)
+    fmt = int.from_bytes(data[8:10], "big")
+    n_tracks = int.from_bytes(data[10:12], "big")
+    division = int.from_bytes(data[12:14], "big")
     if fmt not in (0, 1):
         raise UnsupportedFormat(f"SMF format {fmt} not supported")
     if division & 0x8000:
@@ -157,7 +145,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
         if pos + 8 > len(data):
             raise TruncatedChunk("chunk header runs past end of file")
         chunk_id = data[pos:pos + 4]
-        chunk_len = _read_u32(data, pos + 4)
+        chunk_len = int.from_bytes(data[pos + 4:pos + 8], "big")
         body_start = pos + 8
         body_end = body_start + chunk_len
         if body_end > len(data):

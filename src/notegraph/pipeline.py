@@ -54,7 +54,7 @@ CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 # Part of every cache key. Bump it whenever per-song results change for
 # the same inputs and config (an algorithm, its float summation order or
 # the record's fields), so entries written by older code are misses.
-RESULTS_VERSION = 4
+RESULTS_VERSION = 5
 
 # the columns of metrics.csv after song_id, in order
 METRIC_COLUMNS = (
@@ -89,16 +89,18 @@ TREND_MIN_DECADES = 3  # the fewest decades a trend is tested on
 REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_counts",
                    *TESTED_MEASURES}
 
-# what analyze's outputs read of a cached record
-CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS)
+# every field of a song's record as analyze_song returns it: a cache
+# entry that holds any other set is a miss
+CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS) | {
+    "content_hash", "duration", "null_shuffled_reciprocity_mean"}
 
 
 def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
     """The first of ``names``, sorted, whose value is not of its kind, or
     None: a flag is a bool, an interval vector or count list holds 12
     numbers, the weight histogram is an object of integer counts keyed
-    by weight, and a measure is one of ``number``. ``song_id`` is not
-    checked."""
+    by weight, and a measure is one of ``number``. ``song_id`` and
+    ``content_hash`` are not checked."""
     for name in sorted(names):
         value = record[name]
         if name in ("full_density", "degenerate_baseline"):
@@ -110,7 +112,7 @@ def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float))
             ok = type(value) is dict and all(
                 w.isdigit() and type(c) is int for w, c in value.items())
         else:
-            ok = name == "song_id" or type(value) in number
+            ok = name in ("song_id", "content_hash") or type(value) in number
         if not ok:
             return name
     return None
@@ -207,25 +209,19 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         )
     g = graph_from_onsets(onset_stream(m), song_id=song_id)
     null_cfg = RandomizerConfig(song_seed(cfg.seed, content_hash), null_samples=cfg.null_samples)
-    fields, null_values = compute_report(g, list(shuffled_replicas(g, null_cfg)))
+    report = compute_report(g, list(shuffled_replicas(g, null_cfg)))
     ent = network_entropy(g, damping=cfg.damping)
     counts = interval_vector(g)
-
-    record: dict[str, Any] = {
+    return {
         "song_id": song_id,
         "content_hash": content_hash,
         "duration": m.duration,
         "network_entropy": ent.total,
-        "interval_vector": [float(v) for v in counts / np.linalg.norm(counts)],
-        "interval_counts": [float(v) for v in counts],
+        "interval_vector": (counts / np.linalg.norm(counts)).tolist(),
+        "interval_counts": counts.tolist(),
         "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
-        **fields,
+        **report,
     }
-    for name, values in null_values.items():
-        arr = np.asarray(values)
-        record[f"null_{name}_mean"] = float(arr.mean())
-        record[f"null_{name}_std"] = float(arr.std())
-    return record
 
 
 def _worker(args: tuple[str, str, str, PipelineConfig]) -> dict[str, Any]:
@@ -266,7 +262,7 @@ def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, An
 
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
     """The cached entry of this content: an exclusion with a string
-    reason, or a record with every one of ``CACHED_FIELDS``, each of its
+    reason, or a record with exactly the ``CACHED_FIELDS``, each of its
     kind (see ``_bad_field``). Anything else, missing or unreadable, is
     None (a miss: the song is recomputed and its entry overwritten)."""
     try:
@@ -277,7 +273,7 @@ def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
         return None
     if "reason" in cached:
         return cached if isinstance(cached["reason"], str) else None
-    if not cached.keys() >= CACHED_FIELDS or _bad_field(cached, CACHED_FIELDS):
+    if cached.keys() != CACHED_FIELDS or _bad_field(cached, CACHED_FIELDS):
         return None
     return cached
 
@@ -425,9 +421,11 @@ class CorpusColumns:
     """The per-record quantities of a corpus that the aggregate tables
     read, each built from the records once, on first use.
 
-    A measure is a float column, NaN where a record holds None; the
-    interval vectors and counts are (n, 12) matrices; a grouping maps
-    each label to the row indices of its records.
+    A measure is a float column, NaN where a record holds None, and any
+    other value but an int or float (numeric text, a bool) raises
+    ``ValueError``; the interval vectors and counts are (n, 12)
+    matrices; a grouping maps each label to the row indices of its
+    records.
     """
 
     def __init__(self, records: list[dict]):
@@ -436,7 +434,10 @@ class CorpusColumns:
 
     def measure(self, name: str) -> np.ndarray:
         if name not in self._measures:
-            self._measures[name] = np.array([r[name] for r in self.records], dtype=float)
+            values = [r[name] for r in self.records]
+            if not set(map(type, values)) <= {int, float, type(None)}:
+                raise ValueError(f"{name} holds a value that is not a number")
+            self._measures[name] = np.array(values, dtype=float)
         return self._measures[name]
 
     def _matrix(self, key: str) -> np.ndarray:
@@ -684,18 +685,11 @@ def write_aggregates(
 
 # --- serialization helpers ---
 
-def _fmt(v: Any) -> str:
-    if isinstance(v, float):
-        return repr(float(v))  # np.float64 subclasses float but reprs as np.float64(...)
-    return str(v)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
