@@ -8,16 +8,13 @@ and their transition counts summed into one graph per song.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from functools import cached_property
-from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import BadEdgeList, EmptySong
-from .midi import NoteOnset
+from .errors import BadEdgeList, EmptySong, OutOfRange
 
 
 class TransitionGraph:
@@ -121,39 +118,43 @@ def parse_edge_list(text: str, song_id: str = "") -> TransitionGraph:
     return TransitionGraph(song_id=song_id, edges=edges)
 
 
-def group_chords(onsets: list[NoteOnset]) -> list[frozenset[int]]:
-    """Merge same-tick onsets of one channel into chords, each the set of
-    its pitches, order kept."""
-    return [
-        frozenset(o.pitch for o in group)
-        for _, group in groupby(onsets, key=lambda o: o.tick)
-    ]
+def graph_from_onsets(onsets, song_id: str = "") -> TransitionGraph:
+    """Build a song's graph from (channel, tick, pitch) rows.
 
-
-def build_graph(chord_sequences: list[list[frozenset[int]]], song_id: str = "") -> TransitionGraph:
-    """Sum per-channel chord-to-chord transitions into one graph.
-
-    Raises EmptySong when no channel contributes any non-loop transition.
+    Each channel keeps its rows in the order given; a chord starts
+    wherever the channel or the tick changes, and a pitch repeated
+    within a chord counts once. Raises EmptySong when no channel
+    contributes a non-loop transition and OutOfRange for a pitch outside
+    0-127.
     """
-    counts: dict[tuple[int, int], int] = defaultdict(int)
-    loop_pitches: set[int] = set()
-    for chords in chord_sequences:
-        for a, b in zip(chords, chords[1:]):
-            for x in a:
-                for y in b:
-                    if x == y:
-                        loop_pitches.add(x)
-                    else:
-                        counts[(x, y)] += 1
-    if not counts:
+    rows = np.asarray(onsets, dtype=np.int64).reshape(-1, 3)
+    channel, tick, pitch = rows[np.argsort(rows[:, 0], kind="stable")].T
+    if pitch.size and not (0 <= pitch.min() and pitch.max() <= 127):
+        raise OutOfRange(f"pitch {pitch[(pitch < 0) | (pitch > 127)][0]} outside 0-127")
+    starts = np.ones(len(pitch), dtype=bool)
+    starts[1:] = (channel[1:] != channel[:-1]) | (tick[1:] != tick[:-1])
+    # one sorted key per (chord, pitch), repeats dropped
+    key = np.sort((np.cumsum(starts) - 1) * 128 + pitch)
+    key = key[np.diff(key, prepend=-1) != 0]
+    chord, pitch = key >> 7, key & 127
+    size = np.bincount(chord, minlength=int(starts.sum()))
+    first = np.cumsum(size) - size
+    chord_channel = channel[starts]
+    has_next = np.zeros(len(size), dtype=bool)
+    has_next[:-1] = chord_channel[1:] == chord_channel[:-1]
+    # each pitch of a chord with a same-channel successor meets every
+    # pitch of that successor
+    paired = has_next[chord]
+    nxt = chord[paired] + 1
+    reps = size[nxt]
+    offset = np.repeat(first[nxt] - (np.cumsum(reps) - reps), reps)
+    src = np.repeat(pitch[paired], reps)
+    tgt = pitch[offset + np.arange(len(offset))]
+    counts = np.bincount(src * 128 + tgt, minlength=128 * 128).reshape(128, 128)
+    loops = counts.diagonal() > 0
+    np.fill_diagonal(counts, 0)
+    if not counts.any():
         raise EmptySong("no non-loop transitions")
-    return TransitionGraph(song_id=song_id, edges=counts, isolated=loop_pitches)
-
-
-def graph_from_onsets(onsets: list[NoteOnset], song_id: str = "") -> TransitionGraph:
-    """Group a mixed-channel onset stream into chords and build the graph."""
-    by_channel: dict[int, list[NoteOnset]] = defaultdict(list)
-    for o in onsets:
-        by_channel[o.channel].append(o)
-    sequences = [group_chords(by_channel[ch]) for ch in sorted(by_channel)]
-    return build_graph(sequences, song_id=song_id)
+    nodes = np.flatnonzero(counts.any(axis=0) | counts.any(axis=1) | loops)
+    weights = counts[np.ix_(nodes, nodes)].astype(np.float64)
+    return object.__new__(TransitionGraph)._set(song_id, tuple(nodes.tolist()), weights)

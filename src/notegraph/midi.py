@@ -9,7 +9,8 @@ excluded from onset streams.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     BadVariableLengthQuantity,
@@ -22,18 +23,11 @@ DEFAULT_TEMPO_US = 500_000  # microseconds per quarter note (120 BPM)
 PERCUSSION_CHANNEL = 9
 
 
-class NoteOnset(NamedTuple):
-    """A sounding note start, in absolute ticks. The field order is the
-    onset stream's sort order."""
-
-    channel: int
-    tick: int
-    pitch: int
-
-
 @dataclass
 class ParsedMidi:
-    onsets: list[NoteOnset]  # every sounding note start, in file order, drums included
+    # (k, 3) int64 rows (channel, tick, pitch): every sounding note start,
+    # in file order, drums included
+    onsets: np.ndarray
     tempo_changes: list[tuple[int, int]]  # (tick, microseconds per quarter)
     duration: float  # seconds to the last note-on or note-off on any channel
 
@@ -53,30 +47,52 @@ def _read_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
 
 
 def _parse_track(
-    data: bytes, start: int, end: int, onsets: list[NoteOnset], tempos: list[tuple[int, int]]
+    data: bytes, start: int, end: int, onsets: list[int], tempos: list[tuple[int, int]]
 ) -> int:
-    """Decode one MTrk body, appending its sounding note starts to
-    ``onsets`` and its tempo events to ``tempos``; returns the tick of
-    its last note-on or note-off (0 if it has none)."""
+    """Decode one MTrk body, appending channel, tick and pitch of each
+    sounding note start to the flat list ``onsets`` and its tempo events
+    to ``tempos``; returns the tick of its last note-on or note-off (0
+    if it has none)."""
     last_note_tick = 0
     tick = 0
     running_status: int | None = None
     pos = start
     while pos < end:
-        delta, pos = _read_vlq(data, pos, end)
-        tick += delta
-        if pos >= end:
-            raise TruncatedChunk("event status missing at chunk end")
         byte = data[pos]
-        if byte >= 0x80:
-            status = byte
+        if byte < 0x80:  # one-byte delta, the common case
+            tick += byte
             pos += 1
         else:
-            if running_status is None:
-                raise TruncatedChunk("data byte with no running status")
+            delta, pos = _read_vlq(data, pos, end)
+            tick += delta
+        if pos >= end:
+            raise TruncatedChunk("event status missing at chunk end")
+        status = data[pos]
+        if status >= 0x80:
+            pos += 1
+        elif running_status is None:
+            raise TruncatedChunk("data byte with no running status")
+        else:
             status = running_status
 
-        if status == 0xFF:  # meta event
+        if status < 0xF0:  # channel voice message
+            running_status = status
+            kind = status & 0xF0
+            if kind == 0xC0 or kind == 0xD0:
+                if pos + 1 > end:
+                    raise TruncatedChunk("channel message data runs past chunk end")
+                pos += 1
+                continue
+            if pos + 2 > end:
+                raise TruncatedChunk("channel message data runs past chunk end")
+            if kind == 0x90:
+                last_note_tick = tick
+                if data[pos + 1] & 0x7F:  # velocity 0 is the note-off shorthand
+                    onsets += (status & 0x0F, tick, data[pos] & 0x7F)
+            elif kind == 0x80:
+                last_note_tick = tick
+            pos += 2
+        elif status == 0xFF:  # meta event
             running_status = None
             if pos >= end:
                 raise TruncatedChunk("meta event type missing")
@@ -90,32 +106,18 @@ def _parse_track(
             pos += length
             if meta_type == 0x2F:  # end of track
                 break
-        elif status in (0xF0, 0xF7):  # sysex
+        elif status == 0xF0 or status == 0xF7:  # sysex
             running_status = None
             length, pos = _read_vlq(data, pos, end)
             if pos + length > end:
                 raise TruncatedChunk("sysex data runs past chunk end")
             pos += length
-        elif status >= 0xF0:  # stray system common / realtime
+        else:  # stray system common / realtime
             running_status = None
             skip = {0xF2: 2, 0xF3: 1}.get(status, 0)
             if pos + skip > end:
                 raise TruncatedChunk("system message data runs past chunk end")
             pos += skip
-        else:  # channel voice message
-            running_status = status
-            kind = status & 0xF0
-            channel = status & 0x0F
-            n_data = 1 if kind in (0xC0, 0xD0) else 2
-            if pos + n_data > end:
-                raise TruncatedChunk("channel message data runs past chunk end")
-            d1 = data[pos] & 0x7F
-            d2 = data[pos + 1] & 0x7F if n_data == 2 else 0
-            pos += n_data
-            if kind == 0x90 or kind == 0x80:
-                last_note_tick = tick
-                if kind == 0x90 and d2:  # velocity 0 is the note-off shorthand
-                    onsets.append(NoteOnset(channel, tick, d1))
     return last_note_tick
 
 
@@ -137,7 +139,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
         raise MalformedHeader("zero ticks per quarter note")
 
     pos = 8 + header_len
-    onsets: list[NoteOnset] = []
+    onsets: list[int] = []
     tempos: list[tuple[int, int]] = []
     last_tick = 0
     parsed = 0
@@ -160,7 +162,7 @@ def parse_midi(data: bytes) -> ParsedMidi:
 
     tempo_map = _dedupe_tempos(tempos)
     return ParsedMidi(
-        onsets=onsets,
+        onsets=np.array(onsets, dtype=np.int64).reshape(-1, 3),
         tempo_changes=tempo_map,
         duration=_tick_to_seconds(last_tick, tempo_map, division),
     )
@@ -189,8 +191,9 @@ def _tick_to_seconds(tick: int, tempo_changes: list[tuple[int, int]], tpq: int) 
     return seconds
 
 
-def onset_stream(m: ParsedMidi) -> list[NoteOnset]:
-    """All sounding note starts but the drums', sorted by (channel, tick,
-    pitch). Note-offs and velocity-0 note-ons (the SMF note-off
-    shorthand) were already dropped by the parser."""
-    return sorted(o for o in m.onsets if o.channel != PERCUSSION_CHANNEL)
+def onset_stream(m: ParsedMidi) -> np.ndarray:
+    """All sounding note starts but the drums', as (k, 3) rows sorted by
+    (channel, tick, pitch). Note-offs and velocity-0 note-ons (the SMF
+    note-off shorthand) were already dropped by the parser."""
+    rows = m.onsets[m.onsets[:, 0] != PERCUSSION_CHANNEL]
+    return rows[np.lexsort(rows.T[::-1])]

@@ -8,11 +8,19 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from itertools import combinations, groupby, permutations
 
 import numpy as np
 
 from notegraph.embeddings import INTERVAL_NAMES
+from notegraph.errors import (
+    BadVariableLengthQuantity,
+    EmptySong,
+    MalformedHeader,
+    TruncatedChunk,
+    UnsupportedFormat,
+)
 from notegraph.graph import TransitionGraph
 from notegraph.nullmodels import RandomizerConfig
 from notegraph.pipeline import TESTED_MEASURES, TREND_MEASURES
@@ -187,6 +195,169 @@ def total_transition_weight(onsets_by_channel: dict[int, list[tuple[int, int]]])
         for a, b in zip(chords, chords[1:]):
             total += sum(1 for x in a for y in b if x != y)
     return total
+
+
+def graph_reference(onsets, song_id: str = "") -> TransitionGraph:
+    """The dict builder: split a mixed-channel stream of (channel, tick,
+    pitch) rows by channel, merge same-tick runs into chord sets and sum
+    every chord pair's transitions, one dict entry at a time."""
+    by_channel: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for channel, tick, pitch in onsets:
+        by_channel[channel].append((tick, pitch))
+    sequences = [
+        [frozenset(p for _, p in group) for _, group in groupby(by_channel[ch], key=lambda o: o[0])]
+        for ch in sorted(by_channel)
+    ]
+    counts: dict[tuple[int, int], int] = defaultdict(int)
+    loop_pitches: set[int] = set()
+    for chords in sequences:
+        for a, b in zip(chords, chords[1:]):
+            for x in a:
+                for y in b:
+                    if x == y:
+                        loop_pitches.add(x)
+                    else:
+                        counts[(x, y)] += 1
+    if not counts:
+        raise EmptySong("no non-loop transitions")
+    return TransitionGraph(song_id=song_id, edges=counts, isolated=loop_pitches)
+
+
+REFERENCE_TEMPO_US = 500_000
+
+
+def _reference_vlq(data: bytes, pos: int, end: int) -> tuple[int, int]:
+    value = 0
+    for i in range(4):
+        if pos >= end:
+            raise TruncatedChunk("variable-length quantity runs past chunk end")
+        byte = data[pos]
+        pos += 1
+        value = (value << 7) | (byte & 0x7F)
+        if not byte & 0x80:
+            return value, pos
+    raise BadVariableLengthQuantity("variable-length quantity longer than 4 bytes")
+
+
+def _reference_track(
+    data: bytes, start: int, end: int, onsets: list, tempos: list[tuple[int, int]]
+) -> int:
+    last_note_tick = 0
+    tick = 0
+    running_status: int | None = None
+    pos = start
+    while pos < end:
+        delta, pos = _reference_vlq(data, pos, end)
+        tick += delta
+        if pos >= end:
+            raise TruncatedChunk("event status missing at chunk end")
+        byte = data[pos]
+        if byte >= 0x80:
+            status = byte
+            pos += 1
+        else:
+            if running_status is None:
+                raise TruncatedChunk("data byte with no running status")
+            status = running_status
+
+        if status == 0xFF:  # meta event
+            running_status = None
+            if pos >= end:
+                raise TruncatedChunk("meta event type missing")
+            meta_type = data[pos]
+            pos += 1
+            length, pos = _reference_vlq(data, pos, end)
+            if pos + length > end:
+                raise TruncatedChunk("meta event data runs past chunk end")
+            if meta_type == 0x51 and length == 3:
+                tempos.append((tick, int.from_bytes(data[pos:pos + 3], "big")))
+            pos += length
+            if meta_type == 0x2F:  # end of track
+                break
+        elif status in (0xF0, 0xF7):  # sysex
+            running_status = None
+            length, pos = _reference_vlq(data, pos, end)
+            if pos + length > end:
+                raise TruncatedChunk("sysex data runs past chunk end")
+            pos += length
+        elif status >= 0xF0:  # stray system common / realtime
+            running_status = None
+            skip = {0xF2: 2, 0xF3: 1}.get(status, 0)
+            if pos + skip > end:
+                raise TruncatedChunk("system message data runs past chunk end")
+            pos += skip
+        else:  # channel voice message
+            running_status = status
+            kind = status & 0xF0
+            channel = status & 0x0F
+            n_data = 1 if kind in (0xC0, 0xD0) else 2
+            if pos + n_data > end:
+                raise TruncatedChunk("channel message data runs past chunk end")
+            d1 = data[pos] & 0x7F
+            d2 = data[pos + 1] & 0x7F if n_data == 2 else 0
+            pos += n_data
+            if kind == 0x90 or kind == 0x80:
+                last_note_tick = tick
+                if kind == 0x90 and d2:  # velocity 0 is the note-off shorthand
+                    onsets.append((channel, tick, d1))
+    return last_note_tick
+
+
+def parse_reference(data: bytes) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]], float]:
+    """The per-event parser: (onsets as (channel, tick, pitch) tuples in
+    file order, drums included; tempo map; duration in seconds)."""
+    if len(data) < 14 or data[:4] != b"MThd":
+        raise MalformedHeader("missing MThd chunk")
+    header_len = int.from_bytes(data[4:8], "big")
+    if header_len < 6:
+        raise MalformedHeader(f"header length {header_len} < 6")
+    fmt = int.from_bytes(data[8:10], "big")
+    n_tracks = int.from_bytes(data[10:12], "big")
+    division = int.from_bytes(data[12:14], "big")
+    if fmt not in (0, 1):
+        raise UnsupportedFormat(f"SMF format {fmt} not supported")
+    if division & 0x8000:
+        raise UnsupportedFormat("SMPTE time division not supported")
+    if division == 0:
+        raise MalformedHeader("zero ticks per quarter note")
+
+    pos = 8 + header_len
+    onsets: list[tuple[int, int, int]] = []
+    tempos: list[tuple[int, int]] = []
+    last_tick = 0
+    parsed = 0
+    while parsed < n_tracks and pos < len(data):
+        if pos + 8 > len(data):
+            raise TruncatedChunk("chunk header runs past end of file")
+        chunk_id = data[pos:pos + 4]
+        chunk_len = int.from_bytes(data[pos + 4:pos + 8], "big")
+        body_start = pos + 8
+        body_end = body_start + chunk_len
+        if body_end > len(data):
+            raise TruncatedChunk(f"{chunk_id!r} chunk body runs past end of file")
+        if chunk_id == b"MTrk":
+            last_tick = max(last_tick, _reference_track(data, body_start, body_end, onsets, tempos))
+            parsed += 1
+        pos = body_end
+    if parsed < n_tracks:
+        raise TruncatedChunk(f"header declares {n_tracks} tracks, found {parsed}")
+
+    by_tick: dict[int, int] = {}
+    for tick, tempo in sorted(tempos, key=lambda t: t[0]):
+        by_tick[tick] = tempo
+    tempo_map = sorted(by_tick.items())
+    seconds = 0.0
+    cur_tick = 0
+    cur_tempo = REFERENCE_TEMPO_US
+    for change_tick, tempo in tempo_map:
+        if change_tick >= last_tick:
+            break
+        if change_tick > cur_tick:
+            seconds += (change_tick - cur_tick) * cur_tempo / (division * 1e6)
+            cur_tick = change_tick
+        cur_tempo = tempo
+    seconds += (last_tick - cur_tick) * cur_tempo / (division * 1e6)
+    return onsets, tempo_map, seconds
 
 
 def exact_two_state_stationary(damped: np.ndarray) -> np.ndarray:

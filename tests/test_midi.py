@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from notegraph.errors import (
@@ -13,15 +14,14 @@ from notegraph.midi import onset_stream, parse_midi
 
 import fixture_midi
 from fixture_midi import header_chunk, note_off, note_on, track_chunk, vlq, write_midi
+from oracles import parse_reference
 
 
 def test_single_note_duration_and_onset():
     data = write_midi([(0, 0, 60, 480)], tpq=480, tempos=[(0, 500_000)])
     m = parse_midi(data)
     onsets = onset_stream(m)
-    assert len(onsets) == 1
-    assert onsets[0].pitch == 60
-    assert onsets[0].tick == 0
+    assert onsets.tolist() == [[0, 0, 60]]  # (channel, tick, pitch)
     # note-off at tick 480 = one quarter at 120 BPM
     assert m.duration == pytest.approx(0.5)
 
@@ -29,7 +29,7 @@ def test_single_note_duration_and_onset():
 def test_empty_file_parses_to_empty_stream():
     data = header_chunk(0, 1, 480) + track_chunk([])
     m = parse_midi(data)
-    assert onset_stream(m) == []
+    assert len(onset_stream(m)) == 0
     assert m.duration == 0.0
 
 
@@ -93,7 +93,7 @@ def test_duration_runs_to_the_last_note_event():
         [(0, 0, 60, 480), (480, 0, 62, 480), (0, 9, 36, 1920)], tempos=[(0, 500_000)], fmt=1
     )
     assert parse_midi(drums).duration == pytest.approx(2.0)
-    assert [o.pitch for o in onset_stream(parse_midi(drums))] == [60, 62]
+    assert onset_stream(parse_midi(drums))[:, 2].tolist() == [60, 62]
     # a trailing velocity-0 note-on is a note event
     vel0 = header_chunk(0, 1, 480) + track_chunk(
         [(0, note_on(0, 60)), (480, note_on(0, 60, velocity=0)), (960, note_on(0, 62, velocity=0))]
@@ -107,7 +107,7 @@ def test_duration_runs_to_the_last_note_event():
 
 def test_drum_channel_excluded():
     data = write_midi([(0, 9, 36, 240), (0, 9, 38, 240)])
-    assert onset_stream(parse_midi(data)) == []
+    assert len(onset_stream(parse_midi(data))) == 0
 
 
 def test_two_channels_stay_grouped():
@@ -115,11 +115,9 @@ def test_two_channels_stay_grouped():
         [(0, 0, 60, 240), (120, 1, 72, 240), (240, 0, 62, 240), (360, 1, 74, 240)]
     )
     onsets = onset_stream(parse_midi(data))
-    channels = [o.channel for o in onsets]
+    channels = onsets[:, 0].tolist()
     assert channels == sorted(channels)
-    assert [(o.channel, o.pitch) for o in onsets] == [
-        (0, 60), (0, 62), (1, 72), (1, 74)
-    ]
+    assert onsets[:, [0, 2]].tolist() == [[0, 60], [0, 62], [1, 72], [1, 74]]
 
 
 def test_velocity_zero_note_on_is_note_off():
@@ -133,7 +131,7 @@ def test_velocity_zero_note_on_is_note_off():
     chunk = b"MTrk" + len(body + b"\x00\xff\x2f\x00").to_bytes(4, "big") + body + b"\x00\xff\x2f\x00"
     m = parse_midi(header_chunk(0, 1, 480) + chunk)
     onsets = onset_stream(m)
-    assert [o.pitch for o in onsets] == [60, 62]
+    assert onsets[:, 2].tolist() == [60, 62]
 
 
 def test_roundtrip_tick_pitch_channel_multiset():
@@ -143,7 +141,7 @@ def test_roundtrip_tick_pitch_channel_multiset():
         for _ in range(200)
     ]
     m = parse_midi(write_midi(notes, fmt=1))
-    got = sorted((o.tick, o.pitch, o.channel) for o in onset_stream(m))
+    got = sorted((tick, pitch, channel) for channel, tick, pitch in onset_stream(m).tolist())
     expected = sorted((t, p, c) for t, c, p, _ in notes)
     assert got == expected
 
@@ -168,7 +166,8 @@ def test_fuzz_never_panics():
             pass
 
 
-def test_mutated_fixture_files_raise_only_parse_errors():
+def mutated_fixtures():
+    """3000 fixture files, each with bit flips, a truncation or both."""
     rng = random.Random(2024)
     notes = [(i * 240, i % 3, 48 + (i * 7) % 36, 240) for i in range(60)]
     fixtures = [
@@ -183,10 +182,74 @@ def test_mutated_fixture_files_raise_only_parse_errors():
                 data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
         if trial % 3 != 0:  # truncation
             del data[rng.randrange(len(data)):]
+        yield bytes(data)
+
+
+def test_mutated_fixture_files_raise_only_parse_errors():
+    for data in mutated_fixtures():
         try:
-            onset_stream(parse_midi(bytes(data)))
+            onset_stream(parse_midi(data))
         except MidiParseError:
             pass
+
+
+def random_track(rng: random.Random) -> bytes:
+    """An MTrk chunk of every event kind the parser decodes: notes and
+    velocity-0 note-ons, 1- and 2-byte channel messages, running status,
+    long deltas, tempo and text meta events, sysex and system messages."""
+    body = bytearray()
+    running = None
+    for _ in range(rng.randint(0, 60)):
+        body += vlq(rng.choice((0, 0, 1, 127, 128, 480, 20_000, 2**21)))
+        kind = rng.randrange(10)
+        channel = rng.choice((0, 1, 9, 15))
+        if kind < 5:
+            status = rng.choice((0x90, 0x90, 0x80)) | channel
+            payload = bytes([rng.randrange(128), rng.choice((0, 1, 64, 127))])
+        elif kind == 5:
+            status = rng.choice((0xC0, 0xD0)) | channel
+            payload = bytes([rng.randrange(128)])
+        elif kind == 6:
+            status = rng.choice((0xA0, 0xB0, 0xE0)) | channel
+            payload = bytes([rng.randrange(128), rng.randrange(128)])
+        elif kind == 7:
+            status = 0xFF
+            payload = rng.choice((b"\x51\x03" + rng.randrange(1, 2**24).to_bytes(3, "big"), b"\x01\x02hi"))
+        elif kind == 8:
+            status = rng.choice((0xF0, 0xF7))
+            payload = b"\x03\x7e\x7f\xf7"
+        else:
+            status = rng.choice((0xF2, 0xF3, 0xF6, 0xF8))
+            payload = bytes(rng.randrange(128) for _ in range({0xF2: 2, 0xF3: 1}.get(status, 0)))
+        if status != running or rng.random() < 0.3:
+            body.append(status)
+        body += payload
+        running = status if status < 0xF0 else None
+    body += vlq(0) + b"\xff\x2f\x00"
+    return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+
+def test_parser_matches_the_per_event_reference():
+    rng = random.Random(31)
+    valid = [
+        header_chunk(fmt, n, rng.choice((96, 480, 960))) + b"".join(random_track(rng) for _ in range(n))
+        for fmt, n in ((rng.randrange(2), rng.randint(1, 4)) for _ in range(300))
+    ]
+    parsed = []
+    for data in [*valid, *mutated_fixtures()]:
+        try:
+            expected = parse_reference(data)
+        except MidiParseError as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_midi(data)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            continue
+        m = parse_midi(data)
+        assert m.onsets.dtype == np.int64 and m.onsets.shape == (len(expected[0]), 3)
+        assert list(map(tuple, m.onsets.tolist())) == expected[0]
+        assert (m.tempo_changes, m.duration) == expected[1:]
+        parsed.append(data)
+    assert parsed[:len(valid)] == valid and len(parsed) > 1000
 
 
 def test_duration_monotone_in_last_tick():
