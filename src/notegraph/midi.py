@@ -114,7 +114,8 @@ def _parse_track(
             pos += length
         else:  # stray system common / realtime
             running_status = None
-            skip = {0xF2: 2, 0xF3: 1}.get(status, 0)
+            # MTC quarter frame and song select carry 1 data byte, song position 2
+            skip = {0xF1: 1, 0xF2: 2, 0xF3: 1}.get(status, 0)
             if pos + skip > end:
                 raise TruncatedChunk("system message data runs past chunk end")
             pos += skip

@@ -120,6 +120,20 @@ def test_two_channels_stay_grouped():
     assert onsets[:, [0, 2]].tolist() == [[0, 60], [0, 62], [1, 72], [1, 74]]
 
 
+@pytest.mark.parametrize("message", [b"\xf1\x05", b"\xf2\x10\x20", b"\xf3\x07"],
+                         ids=["mtc-quarter-frame", "song-position", "song-select"])
+def test_system_common_message_keeps_the_track_in_sync(message):
+    body = (
+        vlq(0) + note_on(0, 60) + vlq(240) + note_off(0, 60)
+        + vlq(0) + message
+        + vlq(0) + note_on(0, 62) + vlq(240) + note_off(0, 62)
+        + vlq(0) + b"\xff\x2f\x00"
+    )
+    m = parse_midi(header_chunk(0, 1, 480) + b"MTrk" + len(body).to_bytes(4, "big") + body)
+    assert onset_stream(m).tolist() == [[0, 0, 60], [0, 240, 62]]
+    assert m.duration == pytest.approx(0.5)
+
+
 def test_velocity_zero_note_on_is_note_off():
     # running status: note-on, then pitch/velocity pairs without a status byte
     body = (
@@ -219,8 +233,8 @@ def random_track(rng: random.Random) -> bytes:
             status = rng.choice((0xF0, 0xF7))
             payload = b"\x03\x7e\x7f\xf7"
         else:
-            status = rng.choice((0xF2, 0xF3, 0xF6, 0xF8))
-            payload = bytes(rng.randrange(128) for _ in range({0xF2: 2, 0xF3: 1}.get(status, 0)))
+            status = rng.choice((0xF1, 0xF2, 0xF3, 0xF6, 0xF8))
+            payload = bytes(rng.randrange(128) for _ in range({0xF1: 1, 0xF2: 2, 0xF3: 1}.get(status, 0)))
         if status != running or rng.random() < 0.3:
             body.append(status)
         body += payload
