@@ -78,12 +78,8 @@ def _parse_track(
         if status < 0xF0:  # channel voice message
             running_status = status
             kind = status & 0xF0
-            if kind == 0xC0 or kind == 0xD0:
-                if pos + 1 > end:
-                    raise TruncatedChunk("channel message data runs past chunk end")
-                pos += 1
-                continue
-            if pos + 2 > end:
+            n_data = 1 if kind == 0xC0 or kind == 0xD0 else 2
+            if pos + n_data > end:
                 raise TruncatedChunk("channel message data runs past chunk end")
             if kind == 0x90:
                 last_note_tick = tick
@@ -91,7 +87,7 @@ def _parse_track(
                     onsets += (status & 0x0F, tick, data[pos] & 0x7F)
             elif kind == 0x80:
                 last_note_tick = tick
-            pos += 2
+            pos += n_data
         elif status == 0xFF:  # meta event
             running_status = None
             if pos >= end:
