@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -5,6 +6,7 @@ import pytest
 
 import fixture_midi
 import oracles
+from notegraph.cli import main
 from notegraph.errors import EmptyGraph, TooFewEdges
 from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
@@ -173,3 +175,75 @@ def test_replicas_are_deterministic_and_distinct_by_index():
     shuffled_a = [rep.edges for rep in shuffled_replicas(g, CFG)]
     shuffled_b = [rep.edges for rep in shuffled_replicas(g, CFG)]
     assert shuffled_a == shuffled_b
+
+
+# SHA-256 of each file `nullmodel --samples 3` writes, in file-name order
+# (rewired_000..002, then shuffled_000..002), per input and
+# --swap-multiplier; the edge lists hold integers only. Every swap on the
+# loop's 4-edge graph makes a loop or a repeated edge, so its rewired
+# replicas are the graph itself
+GOLDEN_REPLICAS = {
+    ("melodic_1", 1): (
+        "548b49f1ae0778fc95bc4700742ab5b62e111649a79b50855ed2c78d799ee711",  # rewired_000.edges
+        "42169cb449d16bc6a2d9d0c1610b5c6555d57348cd699cd422137e947151e726",  # rewired_001.edges
+        "a53c0e0fc9d883893a886a6fdbfa5c517dccf3f330d27df3c83b1e7df54fbbfb",  # rewired_002.edges
+        "c8a17f002664bd63c4ea5e4bd33638e7246be8377445ad68ae1ce3681e1680c9",  # shuffled_000.edges
+        "f75b2ee557a4f579acef998f9667582f6a9a04f13a007b68594b24e0ff373b1d",  # shuffled_001.edges
+        "56a77e697e2c58bc287d62f90406aebc4b22b9ac07d9182971826533566f733e",  # shuffled_002.edges
+    ),
+    ("melodic_1", 10): (
+        "1a8a9db683262255be6e79506a423c7b56158b7d45e8c5dcfe4a2db9570224ca",  # rewired_000.edges
+        "247656ea483a54a88e19f7f84f7fc421898f6ea73c66db400df1d79161210020",  # rewired_001.edges
+        "234c9c1c87fe663ca6b76270adcb8b68c40f0f3a157f783a377e7507e0d362c9",  # rewired_002.edges
+        "c8a17f002664bd63c4ea5e4bd33638e7246be8377445ad68ae1ce3681e1680c9",  # shuffled_000.edges
+        "f75b2ee557a4f579acef998f9667582f6a9a04f13a007b68594b24e0ff373b1d",  # shuffled_001.edges
+        "56a77e697e2c58bc287d62f90406aebc4b22b9ac07d9182971826533566f733e",  # shuffled_002.edges
+    ),
+    ("melodic_2", 1): (
+        "cbf4ddd5f4ceadb6023be72f1bf4a955587e6c4c262118506be3c673c91cccfc",  # rewired_000.edges
+        "32409f447475211241482ab1bb3c4e29b893cb2a768cc471b4a6a873a5963fdf",  # rewired_001.edges
+        "8a7bffcc76bd966cc184427af6fcd45d484759b52d3a01e2560974d2cdba88b6",  # rewired_002.edges
+        "0c0e5adac7ba55cfeef9585fa2abdd86fca1d2d1a8c66e0aefe459c5ca532f38",  # shuffled_000.edges
+        "612a7d544e66ef91694c20788db9ef008651975fd8ba57e21f9edc841d8c4542",  # shuffled_001.edges
+        "878d2a6705d77e0dc09c98b96c8ae2717c8628ad1f1e5d55216ed53b94f82ddf",  # shuffled_002.edges
+    ),
+    ("melodic_2", 10): (
+        "7853cdd52aa6d9209e2becaed45164d0ec287358db18bbd50911352d2fd6ad39",  # rewired_000.edges
+        "165a59f7af89f28fefb76db21562d6f0562d7283dfa65b35a65e42a5c2c3319b",  # rewired_001.edges
+        "d32af596763f6996c600a5519fddc6d066f52193222657794fb31e6d2566f3d4",  # rewired_002.edges
+        "0c0e5adac7ba55cfeef9585fa2abdd86fca1d2d1a8c66e0aefe459c5ca532f38",  # shuffled_000.edges
+        "612a7d544e66ef91694c20788db9ef008651975fd8ba57e21f9edc841d8c4542",  # shuffled_001.edges
+        "878d2a6705d77e0dc09c98b96c8ae2717c8628ad1f1e5d55216ed53b94f82ddf",  # shuffled_002.edges
+    ),
+    ("loop", 1): (
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_000.edges
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_001.edges
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_002.edges
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # shuffled_000.edges
+        "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_001.edges
+        "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_002.edges
+    ),
+    ("loop", 10): (
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_000.edges
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_001.edges
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_002.edges
+        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # shuffled_000.edges
+        "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_001.edges
+        "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_002.edges
+    ),
+}
+REPLICA_FILES = [f"{kind}_{i:03d}.edges" for kind in ("rewired", "shuffled") for i in range(3)]
+
+
+@pytest.mark.parametrize("name, multiplier", sorted(GOLDEN_REPLICAS))
+def test_nullmodel_replicas_keep_their_digest(name, multiplier, tmp_path):
+    data = fixture_midi.loop_midi() if name == "loop" else fixture_midi.melodic_midi(
+        seed=int(name.removeprefix("melodic_")))
+    song = tmp_path / f"{name}.mid"
+    song.write_bytes(data)
+    out = tmp_path / "out"
+    assert main(["nullmodel", str(song), "--samples", "3",
+                 "--swap-multiplier", str(multiplier), "--output", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == REPLICA_FILES
+    digests = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest() for f in REPLICA_FILES)
+    assert digests == GOLDEN_REPLICAS[(name, multiplier)]
