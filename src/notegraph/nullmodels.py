@@ -17,11 +17,6 @@ import numpy as np
 from .errors import BadSetting, EmptyGraph, TooFewEdges
 from .graph import TransitionGraph
 
-# Mersenne Twister words drawn per block by _draw_pairs: bounds the
-# memory a replica's draws take, whatever the edge count.
-_BLOCK_WORDS = 4096
-
-
 @dataclass(frozen=True)
 class RandomizerConfig:
     seed: int = 0
@@ -45,14 +40,14 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     Each attempt draws two edges i, j with ``rng.randrange(|E|)``; edges
     are numbered in (source, target) order, the row-major order of the
     nonzero entries of ``weights``. The swap (a->b, c->d) => (a->d, c->b)
-    is rejected when it would create a loop or duplicate an existing edge. Each edge keeps its weight
+    is rejected when a == c (that covers i == j) or when it would create
+    a loop or duplicate an existing edge. Each edge keeps its weight
     through the move, so the weight multiset is conserved too.
 
     Sources never move, so the loop keeps only each edge's target (a
     ``node_list`` index) and an n*n adjacency bitmap whose diagonal is
     set: a swap that would make a loop then fails the same test as one
-    that would duplicate an edge. Pairs with a common source are dropped
-    before the loop, as they are always rejected (that covers i == j).
+    that would duplicate an edge.
     """
     if g.edge_count < 2:
         raise TooFewEdges(f"need >= 2 edges to rewire, got {g.edge_count}")
@@ -62,46 +57,25 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     src, tgt = np.nonzero(w)
     weight = w[src, tgt]
     n_edges = len(src)
-    row = src * n
+    row = (src * n).tolist()
     tgt = tgt.tolist()
     adj = bytearray(((w > 0) | np.eye(n, dtype=bool)).tobytes())
-    for ii, jj in _draw_pairs(rng, n_edges, cfg.swap_multiplier * n_edges):
-        keep = src[ii] != src[jj]
-        ii, jj = ii[keep], jj[keep]
-        for i, j, ri, rj in zip(ii.tolist(), jj.tolist(), row[ii].tolist(), row[jj].tolist()):
-            b = tgt[i]
-            d = tgt[j]
-            if adj[ri + d] or adj[rj + b]:
-                continue
-            adj[ri + b] = adj[rj + d] = 0
-            adj[ri + d] = adj[rj + b] = 1
-            tgt[i] = d
-            tgt[j] = b
+    for _ in range(cfg.swap_multiplier * n_edges):
+        i = rng.randrange(n_edges)
+        j = rng.randrange(n_edges)
+        ri = row[i]
+        rj = row[j]
+        b = tgt[i]
+        d = tgt[j]
+        if ri == rj or adj[ri + d] or adj[rj + b]:
+            continue
+        adj[ri + b] = adj[rj + d] = 0
+        adj[ri + d] = adj[rj + b] = 1
+        tgt[i] = d
+        tgt[j] = b
     out = np.zeros((n, n))
     out[src, tgt] = weight
     return g.with_weights(out)
-
-
-def _draw_pairs(rng: random.Random, n: int, pairs: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``pairs`` successive (rng.randrange(n), rng.randrange(n)) draws, as
-    (first, second) index arrays in blocks of at most _BLOCK_WORDS / 2.
-
-    For n < 2**32, CPython's randrange(n) takes getrandbits(k), k =
-    n.bit_length(), until the value is below n, and each getrandbits(k)
-    is one 32-bit Mersenne Twister word shifted right by 32 - k.
-    getrandbits(32 * m) returns the next m words, least significant
-    first. The last block may leave words of ``rng`` unused.
-    """
-    shift = 32 - n.bit_length()
-    carry = np.empty(0, dtype=np.int64)
-    while pairs > 0:
-        block = rng.getrandbits(32 * _BLOCK_WORDS).to_bytes(4 * _BLOCK_WORDS, "little")
-        words = np.frombuffer(block, dtype="<u4") >> shift
-        draws = np.concatenate((carry, words[words < n]))
-        m = min(len(draws) // 2, pairs)
-        pairs -= m
-        carry = draws[2 * m:]
-        yield draws[0 : 2 * m : 2], draws[1 : 2 * m : 2]
 
 
 def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:

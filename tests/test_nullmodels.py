@@ -11,9 +11,7 @@ from notegraph.errors import EmptyGraph, TooFewEdges
 from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import (
-    _BLOCK_WORDS,
     RandomizerConfig,
-    _draw_pairs,
     replica_seed,
     rewire_edges,
     rewired_replicas,
@@ -105,18 +103,6 @@ class TestRewireEdges:
                     reference = oracles.rewire_reference(g, cfg)
                     assert rewired.edges == reference.edges
                     assert rewired.node_list == reference.node_list
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 127, 128, 129, 1760])
-def test_draw_pairs_follow_randrange(n):
-    # the bulk draws rely on how CPython's randrange uses getrandbits;
-    # several blocks, so pairs straddle block boundaries
-    pairs = 3 * _BLOCK_WORDS
-    blocks = list(_draw_pairs(random.Random(n), n, pairs))
-    assert len(blocks) > 2
-    drawn = [v for first, second in blocks for pair in zip(first.tolist(), second.tolist()) for v in pair]
-    rng = random.Random(n)
-    assert drawn == [rng.randrange(n) for _ in range(2 * pairs)]
 
 
 class TestShuffleOutWeights:
