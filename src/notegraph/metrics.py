@@ -108,11 +108,13 @@ def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int
 
     Histogram keys may be JSON strings; they are read as integers. The
     counts are merged under the keys as given first, so each distinct
-    key is read once.
+    key is read once. A count below 1 raises ValueError.
     """
     raw: dict[int | str, int] = {}
     for h in histograms:
         for w, c in h.items():
+            if c < 1:
+                raise ValueError(f"weight {w}: count {c} is below 1")
             raw[w] = raw.get(w, 0) + c
     hist: dict[int, int] = {}
     for w, c in raw.items():

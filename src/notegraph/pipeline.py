@@ -98,19 +98,20 @@ CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS) | {
 def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
     """The first of ``names``, sorted, whose value is not of its kind, or
     None: a flag is a bool, an interval vector or count list holds 12
-    numbers, the weight histogram is an object of integer counts keyed
-    by weight, and a measure is one of ``number``. ``song_id`` and
-    ``content_hash`` are not checked."""
+    finite numbers, the weight histogram is an object of integer counts
+    of at least 1 keyed by ASCII-digit weights, and a measure is one of
+    ``number``. ``song_id`` and ``content_hash`` are not checked."""
     for name in sorted(names):
         value = record[name]
         if name in ("full_density", "degenerate_baseline"):
             ok = type(value) is bool
         elif name in ("interval_vector", "interval_counts"):
             ok = (type(value) is list and len(value) == N_INTERVALS
-                  and all(type(v) in (int, float) for v in value))
+                  and all(type(v) in (int, float) and math.isfinite(v) for v in value))
         elif name == "weight_histogram":
             ok = type(value) is dict and all(
-                w.isdigit() and type(c) is int for w, c in value.items())
+                w.isascii() and w.isdigit() and type(c) is int and c >= 1
+                for w, c in value.items())
         else:
             ok = name in ("song_id", "content_hash") or type(value) in number
         if not ok:
@@ -700,10 +701,11 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
 
 def load_songs(path: str | Path) -> list[dict]:
     """The records of a songs.jsonl file, one UTF-8 JSON object a line
-    with every one of ``REQUIRED_FIELDS``; blank lines are skipped. Any
-    other line raises ``BadSongsFile``, which names the file and the
-    1-based line."""
+    with every one of ``REQUIRED_FIELDS`` and a ``song_id`` string that
+    no earlier line gives; blank lines are skipped. Any other line
+    raises ``BadSongsFile``, which names the file and the 1-based line."""
     records = []
+    lines: dict[str, int] = {}  # song_id -> the line that gives it
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -717,5 +719,12 @@ def load_songs(path: str | Path) -> list[dict]:
             if not record.keys() >= REQUIRED_FIELDS:
                 missing = ", ".join(sorted(REQUIRED_FIELDS - record.keys()))
                 raise BadSongsFile(f"{path}, line {number}: missing {missing}")
+            song_id = record["song_id"]
+            if type(song_id) is not str:
+                raise BadSongsFile(f"{path}, line {number}: song_id is not a string")
+            if song_id in lines:
+                raise BadSongsFile(
+                    f"{path}, line {number}: song_id {song_id!r} is already on line {lines[song_id]}")
+            lines[song_id] = number
             records.append(record)
     return records

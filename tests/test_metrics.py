@@ -268,6 +268,12 @@ class TestWeightCcdf:
         with pytest.raises(EmptyCollection):
             ccdf([])
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_count_below_one(self, count):
+        # checked per histogram: merged, the first song's 10 would hide it
+        with pytest.raises(ValueError, match=f"count {count} is below 1"):
+            weight_ccdf([{"1": 10}, {"1": count, "2": 1}])
+
     def test_matches_sort_and_count(self):
         rng = random.Random(2)
         graphs = [oracles.random_graph(rng) for _ in range(10)]

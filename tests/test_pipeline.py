@@ -228,9 +228,16 @@ class TestRunPipeline:
         lambda raw, record: json.dumps(
             {k: v for k, v in record.items() if k != "null_shuffled_reciprocity_mean"}),
         lambda raw, record: json.dumps({**record, "genres": ["jazz"]}),
+        lambda raw, record: json.dumps(
+            {**record, "weight_histogram": {**record["weight_histogram"], "\u00b2": 1}}),
+        lambda raw, record: json.dumps(
+            {**record, "interval_vector": [math.inf, *record["interval_vector"][1:]]}),
+        lambda raw, record: json.dumps(
+            {**record, "weight_histogram": {**record["weight_histogram"], "1": -5}}),
     ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list",
             "text-efficiency", "short-interval-vector", "list-weight-histogram",
-            "record-without-duration", "record-without-null-mean", "record-with-an-extra-field"])
+            "record-without-duration", "record-without-null-mean", "record-with-an-extra-field",
+            "superscript-weight", "infinite-interval-vector", "negative-weight-count"])
     def test_corrupt_cache_entry_is_a_miss(self, corrupt, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
@@ -888,6 +895,19 @@ class TestCli:
         assert err["message"].startswith(f"{songs}, {message}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("song_ids, message", [
+        (["a", "b", "a"], "line 3: song_id 'a' is already on line 1"),
+        (["a", 5], "line 2: song_id is not a string"),
+    ], ids=["repeated-song-id", "number-song-id"])
+    def test_song_id_must_be_a_new_string(self, song_ids, message, tmp_path, capsys):
+        songs = tmp_path / "songs.jsonl"
+        songs.write_text("".join(json.dumps({**minimal_record("x"), "song_id": song_id}) + "\n"
+                                 for song_id in song_ids))
+        assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadSongsFile", "message": f"{songs}, {message}"}
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("drop", [
         ["weight_histogram"], ["efficiency"], ["song_id"],
         ["density", "efficiency", "interval_counts", "interval_vector", "mean_node_entropy",
@@ -909,8 +929,12 @@ class TestCli:
         ("weight_histogram", [1, 2]),
         ("efficiency", "0.25"),
         ("efficiency", True),
+        ("weight_histogram", {"\u00b2": 1}),  # "²".isdigit(), but int("²") fails
+        ("interval_vector", [math.inf] + [0.0] * 11),
+        ("weight_histogram", {"1": -5}),
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
-            "numeric-text-efficiency", "bool-efficiency"])
+            "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
+            "infinite-interval-vector", "negative-weight-count"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
