@@ -897,8 +897,8 @@ class TestCli:
 
     @pytest.mark.parametrize("song_ids, message", [
         (["a", "b", "a"], "line 3: song_id 'a' is already on line 1"),
-        (["a", 5], "line 2: song_id is not a string"),
-    ], ids=["repeated-song-id", "number-song-id"])
+        (["a", ["b"]], "line 2: song_id is not a string"),  # a list cannot key the check
+    ], ids=["repeated-song-id", "list-song-id"])
     def test_song_id_must_be_a_new_string(self, song_ids, message, tmp_path, capsys):
         songs = tmp_path / "songs.jsonl"
         songs.write_text("".join(json.dumps({**minimal_record("x"), "song_id": song_id}) + "\n"
