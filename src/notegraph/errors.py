@@ -72,12 +72,11 @@ class TooFewEdges(NotegraphError):
 # --- Markov entropy ---
 
 class NonConvergence(NotegraphError):
-    def __init__(self, residual, max_iter):
-        super().__init__(
-            f"power iteration residual {residual:.3e} after {max_iter} iterations"
-        )
+    """The stationary solve's L1 residual is too large or not finite."""
+
+    def __init__(self, residual):
+        super().__init__(f"stationary vector residual {residual:.3e}")
         self.residual = residual
-        self.max_iter = max_iter
 
 
 # --- embeddings ---

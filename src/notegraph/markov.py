@@ -1,5 +1,5 @@
 """Markov-chain view of a transition graph: damped stochastic matrix,
-stationary distribution by power iteration, and entropy rate.
+stationary distribution by GTH elimination, and entropy rate.
 
 Damping mixes the row-normalized transition matrix with the uniform
 matrix, which makes the chain irreducible and aperiodic so the
@@ -17,14 +17,13 @@ from .errors import BadSetting, EmptyGraph, NonConvergence
 from .graph import TransitionGraph
 
 DEFAULT_DAMPING = 0.05
-_TOL = 1e-12  # power iteration stops at an L1 step below this
-_MAX_ITER = 100_000
+_MAX_RESIDUAL = 1e-11  # L1 residual above which the solve is refused
 
 
 @dataclass
 class StationaryDistribution:
     probabilities: np.ndarray
-    residual: float  # L1 norm of pi @ P_damped - pi
+    residual: float  # L1 norm of pi P_damped - pi
 
 
 @dataclass
@@ -54,20 +53,30 @@ def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> n
 
 
 def stationary_distribution(m: np.ndarray) -> StationaryDistribution:
-    """Power iteration on the damped matrix ``m`` from the uniform start
-    until the L1 step < _TOL."""
+    """The stationary vector of the damped matrix ``m`` by GTH elimination
+    (Grassmann, Taksar & Heyman 1985): states are censored out from the
+    last to the second, then the vector is back-substituted from the
+    first. No step subtracts, so the solve is stable on any irreducible
+    chain; damping makes every entry of ``m`` positive, so no pivot is 0.
+
+    Every product is an elementwise multiply and a numpy sum, never a
+    BLAS call, so the bytes do not depend on the BLAS kernel the CPU
+    selects. ``NonConvergence`` is raised when the L1 residual
+    ``|pi m - pi|`` is not below ``_MAX_RESIDUAL`` (or is not finite).
+    """
     n = len(m)
-    pi = np.full(n, 1.0 / n)
-    for _ in range(_MAX_ITER):
-        nxt = pi @ m
-        nxt /= nxt.sum()
-        if np.abs(nxt - pi).sum() < _TOL:
-            pi = nxt
-            break
-        pi = nxt
-    residual = float(np.abs(pi @ m - pi).sum())
-    if residual > _TOL * 10:
-        raise NonConvergence(residual, _MAX_ITER)
+    p = m.copy()
+    for k in range(n - 1, 0, -1):
+        p[:k, k] /= p[k, :k].sum()
+        p[:k, :k] += p[:k, k, None] * p[None, k, :k]
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = (pi[:k] * p[:k, k]).sum()
+    pi /= pi.sum()
+    residual = float(np.abs((pi[:, None] * m).sum(axis=0) - pi).sum())
+    if not residual <= _MAX_RESIDUAL:
+        raise NonConvergence(residual)
     return StationaryDistribution(probabilities=pi, residual=residual)
 
 
@@ -82,5 +91,5 @@ def network_entropy(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> Net
     """Stationary-weighted mean of the damped matrix's node entropies."""
     m = stochastic_matrix(g, damping=damping)
     pi = stationary_distribution(m)
-    total = 0.0 if len(m) == 1 else float(pi.probabilities @ node_entropies(m))
+    total = 0.0 if len(m) == 1 else float((pi.probabilities * node_entropies(m)).sum())
     return NetworkEntropy(total=total, stationary=pi)

@@ -54,8 +54,7 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     rng = random.Random(cfg.seed)
     w = g.weights
     n = g.node_count
-    src, tgt = np.nonzero(w)
-    weight = w[src, tgt]
+    src, tgt, weight, _ = g.edge_rows
     n_edges = len(src)
     row = (src * n).tolist()
     tgt = tgt.tolist()
@@ -83,17 +82,21 @@ def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> Transition
 
     Topology and per-node out-strength are unchanged by construction.
     Row by row in node order, one ``rng.shuffle`` call permutes the
-    row's nonzero entries of ``weights``.
+    row's nonzero entries of ``weights``; a row with fewer than 2 edges
+    is skipped, as its shuffle would draw nothing. The rows are split
+    once per graph (``TransitionGraph.edge_rows``).
     """
     if g.edge_count == 0:
         raise EmptyGraph("cannot shuffle weights of an empty graph")
     rng = random.Random(cfg.seed)
-    w = g.weights.copy()
-    for row in w:
-        (cols,) = np.nonzero(row)
-        weights = row[cols].tolist()
-        rng.shuffle(weights)
-        row[cols] = weights
+    src, tgt, values, runs = g.edge_rows
+    values = values.copy()
+    for start, stop in runs:
+        row = values[start:stop]
+        rng.shuffle(row)
+        values[start:stop] = row
+    w = np.zeros_like(g.weights)
+    w[src, tgt] = values
     return g.with_weights(w)
 
 

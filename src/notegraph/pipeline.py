@@ -54,7 +54,7 @@ CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 # Part of every cache key. Bump it whenever per-song results change for
 # the same inputs and config (an algorithm, its float summation order or
 # the record's fields), so entries written by older code are misses.
-RESULTS_VERSION = 5
+RESULTS_VERSION = 6
 
 # the columns of metrics.csv after song_id, in order
 METRIC_COLUMNS = (
@@ -92,7 +92,7 @@ REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_c
 # every field of a song's record as analyze_song returns it: a cache
 # entry that holds any other set is a miss
 CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS) | {
-    "content_hash", "duration", "null_shuffled_reciprocity_mean"}
+    "content_hash", "duration", "null_shuffled_reciprocity_mean", "stationary_residual"}
 
 
 def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
@@ -218,6 +218,7 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         "content_hash": content_hash,
         "duration": m.duration,
         "network_entropy": ent.total,
+        "stationary_residual": ent.stationary.residual,
         "interval_vector": (counts / np.linalg.norm(counts)).tolist(),
         "interval_counts": counts.tolist(),
         "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},

@@ -77,6 +77,8 @@ def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
     # the hop and the weighted efficiency of each song, the song alone
     assert counts["metrics.efficiency_calls"] == 4 * 2
     assert "nullmodels.rewire_calls" not in counts  # analyze draws shuffles only
+    # one call per replica: the row split is cached on the graph, not a call
+    assert counts["nullmodels.shuffle_calls"] == 4 * 2
     n_measures = len(notegraph.pipeline.TESTED_MEASURES)
     assert counts["stats.mwu_calls"] == n_measures
     assert counts["stats.mwu_pairs"] == n_measures * 2 * 2

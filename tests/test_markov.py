@@ -1,10 +1,16 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import notegraph
 import oracles
+from notegraph.errors import NonConvergence
 from notegraph.graph import TransitionGraph
 from notegraph.markov import (
     network_entropy,
@@ -124,3 +130,56 @@ class TestNetworkEntropy:
         g = graph({(0, 1): 1, (1, 0): 2, (1, 2): 5, (2, 1): 1})
         m = stochastic_matrix(g)
         assert (node_entropies(m) >= 0).all()
+
+
+class TestGTH:
+    def test_record_keeps_the_residual(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            g = oracles.random_graph(rng, max_nodes=30)
+            ent = network_entropy(g)
+            m = stochastic_matrix(g)
+            pi = ent.stationary.probabilities
+            assert ent.stationary.residual == float(np.abs(
+                (pi[:, None] * m).sum(axis=0) - pi).sum())
+            assert ent.stationary.residual < 1e-14
+
+    def test_non_finite_solve_is_refused(self):
+        m = np.full((3, 3), 1 / 3)
+        m[1, 2] = np.nan
+        with pytest.raises(NonConvergence, match="residual nan"):
+            stationary_distribution(m)
+
+
+# Prints the bytes of the entropies, residuals and stationary vectors of fixed
+# graphs: fixture songs and random graphs of 2-60 nodes.
+_KERNEL_PROBE = """
+import random
+import fixture_midi, oracles
+from notegraph.graph import graph_from_onsets
+from notegraph.markov import network_entropy
+from notegraph.midi import onset_stream, parse_midi
+graphs = [graph_from_onsets(onset_stream(parse_midi(fixture_midi.melodic_midi(seed))))
+          for seed in range(6)]
+rng = random.Random(3)
+graphs += [oracles.random_graph(rng, max_nodes=n, edge_prob=0.2) for n in (2, 8, 24, 40, 60) * 4]
+for g in graphs:
+    ent = network_entropy(g)
+    print(ent.total.hex(), ent.stationary.residual.hex(), ent.stationary.probabilities.tobytes().hex())
+"""
+
+
+def test_entropy_bytes_do_not_depend_on_the_blas_kernel():
+    # OPENBLAS_CORETYPE picks the kernel of numpy's OpenBLAS in the child
+    # only; Prescott runs on every x86-64 CPU
+    src = Path(notegraph.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join((str(src), str(tests)))
+    outputs = [
+        subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=kernel_env,
+                       capture_output=True, text=True, check=True).stdout
+        for kernel_env in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})
+    ]
+    assert len(outputs[0].splitlines()) == 26
+    assert outputs[0] == outputs[1]

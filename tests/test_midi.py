@@ -10,6 +10,7 @@ from notegraph.errors import (
     TruncatedChunk,
     UnsupportedFormat,
 )
+from notegraph import midi
 from notegraph.midi import onset_stream, parse_midi
 
 import fixture_midi
@@ -118,6 +119,33 @@ def test_two_channels_stay_grouped():
     channels = onsets[:, 0].tolist()
     assert channels == sorted(channels)
     assert onsets[:, [0, 2]].tolist() == [[0, 60], [0, 62], [1, 72], [1, 74]]
+
+
+def test_onset_stream_sorts_like_three_keys():
+    # the packed key holds while ticks stay below 2**49: at 2**49 a tick
+    # shifted by 7 reaches the channel bits, so channel 0 at tick 2**49
+    # would pack like channel 1 at tick 0, and the sort falls back to
+    # three keys
+    rng = random.Random(12)
+    ticks = (2**49 - 1, 2**49, 2**62)
+    for case in range(400):
+        k = rng.randint(0, 40)
+        rows = [[rng.randrange(16), rng.choice((rng.randrange(50), rng.randrange(2**40))),
+                 rng.randrange(128)] for _ in range(k)]
+        if case % 4 and rows:
+            rows[rng.randrange(k)][1] = ticks[case % 4 - 1]
+            rows.append([1, 0, rows[0][2]])
+        if case % 5 == 0 and rows:
+            rows.append(list(rows[0]))  # a repeated onset
+        onsets = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        m = midi.ParsedMidi(onsets=onsets, tempo_changes=[], duration=0.0)
+        kept = onsets[onsets[:, 0] != midi.PERCUSSION_CHANNEL]
+        want = kept[np.lexsort(kept.T[::-1])]
+        got = onset_stream(m)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    boundary = np.array([[1, 0, 60], [0, 2**49, 61], [0, 2**49 - 1, 62]], dtype=np.int64)
+    got = onset_stream(midi.ParsedMidi(onsets=boundary, tempo_changes=[], duration=0.0))
+    assert got.tolist() == [[0, 2**49 - 1, 62], [0, 2**49, 61], [1, 0, 60]]
 
 
 @pytest.mark.parametrize("message", [b"\xf1\x05", b"\xf2\x10\x20", b"\xf3\x07"],

@@ -145,6 +145,33 @@ class TestShuffleOutWeights:
                 assert shuffled.edges == reference.edges
                 assert shuffled.node_list == reference.node_list
 
+    def test_row_split_is_read_once_and_matches_reference(self):
+        # one-edge rows (no draw), isolated nodes (no row), a dense row
+        # and rows of two: the same replicas whether the graph's row
+        # split is computed by this call or cached by an earlier one
+        dense = {(0, t): t for t in range(1, 9)}
+        edges = {**dense, (1, 2): 3, (2, 0): 1, (3, 4): 2, (3, 5): 7, (5, 3): 4, (8, 1): 6}
+        for seed in REFERENCE_SEEDS + (17,):
+            cfg = RandomizerConfig(seed=seed)
+            reference = oracles.shuffle_reference(
+                TransitionGraph(edges=edges, isolated={40, 41}), cfg)
+            fresh = TransitionGraph(edges=edges, isolated={40, 41})
+            assert "edge_rows" not in vars(fresh)
+            assert shuffle_out_weights(fresh, cfg).edges == reference.edges
+            assert "edge_rows" in vars(fresh)
+            assert shuffle_out_weights(fresh, cfg).edges == reference.edges
+            assert [r.edges for r in shuffled_replicas(fresh, CFG)] == [
+                oracles.shuffle_reference(fresh, RandomizerConfig(replica_seed(CFG.seed, i))).edges
+                for i in range(CFG.null_samples)]
+
+    def test_row_split_runs(self):
+        g = TransitionGraph(edges={(0, 1): 2, (0, 2): 5, (1, 0): 1, (2, 0): 3, (2, 1): 4},
+                            isolated={7})
+        src, tgt, values, runs = g.edge_rows
+        assert (src.tolist(), tgt.tolist()) == ([0, 0, 1, 2, 2], [1, 2, 0, 0, 1])
+        assert values == [2.0, 5.0, 1.0, 3.0, 4.0]
+        assert runs == [(0, 2), (3, 5)]  # row 1 has one edge, row 3 (pitch 7) none
+
 
 def test_replica_seed_is_xor():
     assert replica_seed(0b1100, 0b1010) == 0b0110

@@ -264,7 +264,7 @@ class TestRunPipeline:
         real = pipeline.network_entropy
         def entropy(g, **kwargs):
             if g.song_id == "song03":
-                raise NonConvergence(1.0, 5)
+                raise NonConvergence(1.0)
             return real(g, **kwargs)
         monkeypatch.setattr(pipeline, "network_entropy", entropy)
         summary = run_pipeline(PipelineConfig(
@@ -415,7 +415,8 @@ class TestAnalyzeSong:
 
     def test_record_has_exactly_the_expected_fields(self):
         # a field no output reads must not come back unnoticed; duration
-        # and network_entropy are read by the benchmark's record check
+        # and network_entropy are read by the benchmark's record check, and
+        # stationary_residual is the entropy's one numerical diagnostic
         record = pipeline.analyze_song(
             "s", fixture_midi.melodic_midi(seed=4), PipelineConfig(null_samples=2, min_duration=0))
         assert set(record) == pipeline.CACHED_FIELDS == {
@@ -425,6 +426,7 @@ class TestAnalyzeSong:
             "weighted_reciprocity_raw", "weighted_reciprocity_norm", "mean_node_entropy",
             "efficiency", "weighted_efficiency", "network_entropy",
             "full_density", "degenerate_baseline", "null_shuffled_reciprocity_mean",
+            "stationary_residual",
         }
 
     def test_scores_the_song_alone_and_rewires_nothing(self, monkeypatch):
