@@ -133,7 +133,7 @@ class TestNetworkEntropy:
 
 
 class TestGTH:
-    def test_record_keeps_the_residual(self):
+    def test_residual_is_the_fixed_order_l1_norm(self):
         rng = random.Random(11)
         for _ in range(20):
             g = oracles.random_graph(rng, max_nodes=30)
