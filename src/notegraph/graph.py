@@ -59,26 +59,23 @@ class TransitionGraph:
         """(source, target) -> count, one entry per nonzero of ``weights``,
         in row-major order, which is sorted order."""
         nodes = self.node_list
-        src, tgt, values, _ = self.edge_rows
+        src, tgt, values = self.edge_rows
         return MappingProxyType({
             (nodes[s], nodes[t]): int(x) for s, t, x in zip(src.tolist(), tgt.tolist(), values)
         })
 
     @cached_property
-    def edge_rows(self) -> tuple[np.ndarray, np.ndarray, list[float], list[tuple[int, int]]]:
-        """The nonzeros of ``weights`` split at row boundaries:
-        (``src``, ``tgt``, ``values``, ``runs``). ``src`` and ``tgt`` index
-        the nonzeros in row-major order and ``values`` holds their weights;
-        ``runs`` is the (start, stop) of each row's stretch of ``values``,
-        for the rows with 2 or more edges only. ``edges`` and the null
-        models read it; ``weights`` is read-only, so the cache holds, and
-        the out-weight shuffle splits a graph once, not once per replica."""
+    def edge_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+        """The nonzeros of ``weights`` as (``src``, ``tgt``, ``values``):
+        their row and column indices in row-major order, so each row's
+        edges are one stretch, and their weights. ``edges`` and the null
+        models read it. ``weights`` is read-only and so is each part, so
+        the cache holds, and the out-weight shuffle reads a graph once,
+        not once per replica."""
         src, tgt = np.nonzero(self.weights)
-        size = np.bincount(src, minlength=self.node_count)
-        stop = np.cumsum(size)
-        split = size > 1
-        runs = list(zip((stop - size)[split].tolist(), stop[split].tolist()))
-        return src, tgt, self.weights[src, tgt].tolist(), runs
+        src.setflags(write=False)
+        tgt.setflags(write=False)
+        return src, tgt, tuple(self.weights[src, tgt].tolist())
 
     @property
     def nodes(self) -> frozenset[int]:

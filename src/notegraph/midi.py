@@ -21,9 +21,6 @@ from .errors import (
 
 DEFAULT_TEMPO_US = 500_000  # microseconds per quarter note (120 BPM)
 PERCUSSION_CHANNEL = 9
-# the exclusive bounds of (channel, tick, pitch) under which the one int64
-# key channel << 56 | tick << 7 | pitch orders rows as the three keys do
-_KEY_BOUNDS = (16, 2**49, 128)
 
 
 @dataclass
@@ -194,12 +191,6 @@ def _tick_to_seconds(tick: int, tempo_changes: list[tuple[int, int]], tpq: int) 
 def onset_stream(m: ParsedMidi) -> np.ndarray:
     """All sounding note starts but the drums', as (k, 3) rows sorted by
     (channel, tick, pitch). Note-offs and velocity-0 note-ons (the SMF
-    note-off shorthand) were already dropped by the parser. The rows are
-    sorted by one packed key while every field is within ``_KEY_BOUNDS``,
-    by three keys otherwise."""
+    note-off shorthand) were already dropped by the parser."""
     rows = m.onsets[m.onsets[:, 0] != PERCUSSION_CHANNEL]
-    if len(rows) and rows.min() >= 0 and all(
-            column.max() < bound for column, bound in zip(rows.T, _KEY_BOUNDS)):
-        channel, tick, pitch = rows.T
-        return rows[np.argsort(channel << 56 | tick << 7 | pitch, kind="stable")]
     return rows[np.lexsort(rows.T[::-1])]

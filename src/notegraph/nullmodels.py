@@ -54,7 +54,7 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     rng = random.Random(cfg.seed)
     w = g.weights
     n = g.node_count
-    src, tgt, weight, _ = g.edge_rows
+    src, tgt, weight = g.edge_rows
     n_edges = len(src)
     row = (src * n).tolist()
     tgt = tgt.tolist()
@@ -77,21 +77,32 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     return g.with_weights(out)
 
 
-def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
+def _shuffle_runs(g: TransitionGraph) -> list[tuple[int, int]]:
+    """The (start, stop) of each row's stretch of ``g.edge_rows``, for the
+    rows with 2 or more edges only: ``rng.shuffle`` of fewer draws nothing."""
+    size = np.bincount(g.edge_rows[0], minlength=g.node_count)
+    stop = np.cumsum(size)
+    split = size > 1
+    return list(zip((stop - size)[split].tolist(), stop[split].tolist()))
+
+
+def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig, *,
+                        runs: list[tuple[int, int]] | None = None) -> TransitionGraph:
     """Permute each node's out-edge weights among its own out-edges.
 
     Topology and per-node out-strength are unchanged by construction.
     Row by row in node order, one ``rng.shuffle`` call permutes the
     row's nonzero entries of ``weights``; a row with fewer than 2 edges
-    is skipped, as its shuffle would draw nothing. The rows are split
-    once per graph (``TransitionGraph.edge_rows``).
+    is skipped, as its shuffle would draw nothing. ``runs`` is
+    ``_shuffle_runs(g)``, which ``shuffled_replicas`` computes once for
+    all of a graph's replicas.
     """
     if g.edge_count == 0:
         raise EmptyGraph("cannot shuffle weights of an empty graph")
     rng = random.Random(cfg.seed)
-    src, tgt, values, runs = g.edge_rows
-    values = values.copy()
-    for start, stop in runs:
+    src, tgt, values = g.edge_rows
+    values = list(values)
+    for start, stop in _shuffle_runs(g) if runs is None else runs:
         row = values[start:stop]
         rng.shuffle(row)
         values[start:stop] = row
@@ -106,5 +117,7 @@ def rewired_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[Tran
 
 
 def shuffled_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[TransitionGraph]:
+    runs = _shuffle_runs(g)
     for i in range(cfg.null_samples):
-        yield shuffle_out_weights(g, RandomizerConfig(replica_seed(cfg.seed, i), cfg.swap_multiplier, 1))
+        yield shuffle_out_weights(
+            g, RandomizerConfig(replica_seed(cfg.seed, i), cfg.swap_multiplier, 1), runs=runs)

@@ -122,10 +122,10 @@ def test_two_channels_stay_grouped():
 
 
 def test_onset_stream_sorts_like_three_keys():
-    # the packed key holds while ticks stay below 2**49: at 2**49 a tick
-    # shifted by 7 reaches the channel bits, so channel 0 at tick 2**49
-    # would pack like channel 1 at tick 0, and the sort falls back to
-    # three keys
+    # the rows come out in the order Python sorts (channel, tick, pitch)
+    # tuples, drums dropped, ticks of any size: a sort by one packed key
+    # channel << 56 | tick << 7 | pitch would put channel 0 at tick 2**49
+    # with channel 1 at tick 0
     rng = random.Random(12)
     ticks = (2**49 - 1, 2**49, 2**62)
     for case in range(400):
@@ -138,11 +138,9 @@ def test_onset_stream_sorts_like_three_keys():
         if case % 5 == 0 and rows:
             rows.append(list(rows[0]))  # a repeated onset
         onsets = np.array(rows, dtype=np.int64).reshape(-1, 3)
-        m = midi.ParsedMidi(onsets=onsets, tempo_changes=[], duration=0.0)
-        kept = onsets[onsets[:, 0] != midi.PERCUSSION_CHANNEL]
-        want = kept[np.lexsort(kept.T[::-1])]
-        got = onset_stream(m)
-        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        got = onset_stream(midi.ParsedMidi(onsets=onsets, tempo_changes=[], duration=0.0))
+        want = sorted(r for r in map(tuple, rows) if r[0] != midi.PERCUSSION_CHANNEL)
+        assert got.dtype == np.int64 and list(map(tuple, got.tolist())) == want
     boundary = np.array([[1, 0, 60], [0, 2**49, 61], [0, 2**49 - 1, 62]], dtype=np.int64)
     got = onset_stream(midi.ParsedMidi(onsets=boundary, tempo_changes=[], duration=0.0))
     assert got.tolist() == [[0, 2**49 - 1, 62], [0, 2**49, 61], [1, 0, 60]]

@@ -12,6 +12,7 @@ from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import (
     RandomizerConfig,
+    _shuffle_runs,
     replica_seed,
     rewire_edges,
     rewired_replicas,
@@ -167,10 +168,12 @@ class TestShuffleOutWeights:
     def test_row_split_runs(self):
         g = TransitionGraph(edges={(0, 1): 2, (0, 2): 5, (1, 0): 1, (2, 0): 3, (2, 1): 4},
                             isolated={7})
-        src, tgt, values, runs = g.edge_rows
+        src, tgt, values = g.edge_rows
         assert (src.tolist(), tgt.tolist()) == ([0, 0, 1, 2, 2], [1, 2, 0, 0, 1])
-        assert values == [2.0, 5.0, 1.0, 3.0, 4.0]
-        assert runs == [(0, 2), (3, 5)]  # row 1 has one edge, row 3 (pitch 7) none
+        assert values == (2.0, 5.0, 1.0, 3.0, 4.0)
+        # the cached split is shared by every reader, so none may edit it
+        assert not src.flags.writeable and not tgt.flags.writeable
+        assert _shuffle_runs(g) == [(0, 2), (3, 5)]  # row 1 has one edge, row 3 (pitch 7) none
 
 
 def test_replica_seed_is_xor():
