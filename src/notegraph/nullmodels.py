@@ -4,6 +4,12 @@ out-weight shuffling.
 Both models are deterministic given (graph, seed). Replica seeds are
 derived as master_seed XOR replica_index so replicas can be generated
 independently and in parallel.
+
+The shuffle replays the draws that ``random.Random.shuffle`` makes on
+each row from a plan derived once per graph (``_shuffle_plan``), so
+its replicas are those of ``rng.shuffle`` without the cost of calling
+it; the oracle tests compare the two on every row length a graph of
+128 nodes can hold.
 """
 
 from __future__ import annotations
@@ -77,35 +83,48 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     return g.with_weights(out)
 
 
-def _shuffle_runs(g: TransitionGraph) -> list[tuple[int, int]]:
-    """The (start, stop) of each row's stretch of ``g.edge_rows``, for the
-    rows with 2 or more edges only: ``rng.shuffle`` of fewer draws nothing."""
+def _shuffle_plan(g: TransitionGraph) -> list[tuple[int, int, int, int]]:
+    """The draws of ``rng.shuffle`` on each row's stretch of
+    ``g.edge_rows``, one ``(i, start, n, k)`` per draw: row by row in
+    node order, ``i`` runs from the row's last edge down to
+    ``start + 1``, ``n = i - start + 1`` and ``k = n.bit_length()``. A
+    row with fewer than 2 edges draws nothing and adds none."""
     size = np.bincount(g.edge_rows[0], minlength=g.node_count)
-    stop = np.cumsum(size)
-    split = size > 1
-    return list(zip((stop - size)[split].tolist(), stop[split].tolist()))
+    ends = np.cumsum(size)
+    plan = []
+    for start, end in zip((ends - size).tolist(), ends.tolist()):
+        for i in range(end - 1, start, -1):
+            n = i - start + 1
+            plan.append((i, start, n, n.bit_length()))
+    return plan
 
 
 def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig, *,
-                        runs: list[tuple[int, int]] | None = None) -> TransitionGraph:
+                        plan: list[tuple[int, int, int, int]] | None = None) -> TransitionGraph:
     """Permute each node's out-edge weights among its own out-edges.
 
     Topology and per-node out-strength are unchanged by construction.
-    Row by row in node order, one ``rng.shuffle`` call permutes the
-    row's nonzero entries of ``weights``; a row with fewer than 2 edges
-    is skipped, as its shuffle would draw nothing. ``runs`` is
-    ``_shuffle_runs(g)``, which ``shuffled_replicas`` computes once for
+    The result equals, row by row in node order, one ``rng.shuffle``
+    call on the row's nonzero entries of ``weights``, but the draws are
+    replayed from ``plan`` without calling it: for each ``(i, start,
+    n, k)``, ``r = getrandbits(k)`` is drawn again while ``r >= n``,
+    and ``values[i]`` is swapped with ``values[start + r]``. Those are
+    the calls, rejection rule and swaps of ``Random.shuffle`` and
+    ``Random._randbelow_with_getrandbits``. ``plan`` is
+    ``_shuffle_plan(g)``, which ``shuffled_replicas`` derives once for
     all of a graph's replicas.
     """
     if g.edge_count == 0:
         raise EmptyGraph("cannot shuffle weights of an empty graph")
-    rng = random.Random(cfg.seed)
+    getrandbits = random.Random(cfg.seed).getrandbits
     src, tgt, values = g.edge_rows
     values = list(values)
-    for start, stop in _shuffle_runs(g) if runs is None else runs:
-        row = values[start:stop]
-        rng.shuffle(row)
-        values[start:stop] = row
+    for i, start, n, k in _shuffle_plan(g) if plan is None else plan:
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        j = start + r
+        values[i], values[j] = values[j], values[i]
     w = np.zeros_like(g.weights)
     w[src, tgt] = values
     return g.with_weights(w)
@@ -117,7 +136,7 @@ def rewired_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[Tran
 
 
 def shuffled_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[TransitionGraph]:
-    runs = _shuffle_runs(g)
+    plan = _shuffle_plan(g)
     for i in range(cfg.null_samples):
         yield shuffle_out_weights(
-            g, RandomizerConfig(replica_seed(cfg.seed, i), cfg.swap_multiplier, 1), runs=runs)
+            g, RandomizerConfig(replica_seed(cfg.seed, i), cfg.swap_multiplier, 1), plan=plan)

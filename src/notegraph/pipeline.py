@@ -426,8 +426,9 @@ class CorpusColumns:
     A measure is a float column, NaN where a record holds None, and any
     other value but an int or float (numeric text, a bool) raises
     ``ValueError``; the interval vectors and counts are (n, 12)
-    matrices; a grouping maps each label to the row indices of its
-    records.
+    matrices, and one that holds a NaN or an infinity raises
+    ``ValueError`` before any table computes with it; a grouping maps
+    each label to the row indices of its records.
     """
 
     def __init__(self, records: list[dict]):
@@ -444,7 +445,10 @@ class CorpusColumns:
 
     def _matrix(self, key: str) -> np.ndarray:
         rows = [r[key] for r in self.records]
-        return np.array(rows, dtype=float).reshape(len(rows), N_INTERVALS)
+        matrix = np.array(rows, dtype=float).reshape(len(rows), N_INTERVALS)
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{key} holds a value that is not finite")
+        return matrix
 
     @cached_property
     def vectors(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import (
     RandomizerConfig,
-    _shuffle_runs,
+    _shuffle_plan,
     replica_seed,
     rewire_edges,
     rewired_replicas,
@@ -173,7 +173,30 @@ class TestShuffleOutWeights:
         assert values == (2.0, 5.0, 1.0, 3.0, 4.0)
         # the cached split is shared by every reader, so none may edit it
         assert not src.flags.writeable and not tgt.flags.writeable
-        assert _shuffle_runs(g) == [(0, 2), (3, 5)]  # row 1 has one edge, row 3 (pitch 7) none
+        # (i, start, n, n.bit_length()) per draw: row 1 has one edge and
+        # row 3 (pitch 7) none, so neither draws
+        assert _shuffle_plan(g) == [(1, 0, 2, 2), (4, 3, 2, 2)]
+        # i runs from the row's last edge down to start + 1
+        fan = TransitionGraph(edges={(0, t): t for t in range(1, 6)})
+        assert _shuffle_plan(fan) == [(4, 0, 5, 3), (3, 0, 4, 3), (2, 0, 3, 2), (1, 0, 2, 2)]
+
+    @pytest.mark.parametrize("complete", [False, True], ids=["rows-of-2-to-127", "complete-128"])
+    def test_replay_equals_stdlib_shuffle_at_every_row_length(self, complete):
+        # every row length a 128-node graph holds, so every bit_length
+        # step and every 2**j + 1, where getrandbits(k) is most often
+        # rejected; the replay must equal Random.shuffle of each row,
+        # with the plan derived by the call and passed in
+        if complete:
+            edges = {(s, t): 1 + s * 128 + t for s in range(128) for t in range(128) if s != t}
+        else:
+            edges = {(s, (s + d) % 128): 1 + s * 128 + d for s in range(2, 128) for d in range(1, s + 1)}
+        g = TransitionGraph(edges=edges)
+        plan = _shuffle_plan(g)
+        for seed in REFERENCE_SEEDS + (2**40 + 5,):
+            cfg = RandomizerConfig(seed=seed)
+            reference = oracles.shuffle_reference(g, cfg).edges
+            assert shuffle_out_weights(g, cfg).edges == reference
+            assert shuffle_out_weights(g, cfg, plan=plan).edges == reference
 
 
 def test_replica_seed_is_xor():

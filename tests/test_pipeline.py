@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -933,16 +934,25 @@ class TestCli:
         ("efficiency", True),
         ("weight_histogram", {"\u00b2": 1}),  # "²".isdigit(), but int("²") fails
         ("interval_vector", [math.inf] + [0.0] * 11),
+        ("interval_vector", [math.nan] + [0.0] * 11),
+        ("interval_counts", [math.inf] + [0.0] * 11),
+        ("interval_counts", [1.0, -math.inf] + [0.0] * 10),
         ("weight_histogram", {"1": -5}),
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
-            "infinite-interval-vector", "negative-weight-count"])
+            "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
+            "negative-infinite-interval-counts", "negative-weight-count"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
         songs = tmp_path / "songs.jsonl"
         songs.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
+        # the bad value is refused before any table computes with it:
+        # no numpy warning reaches stderr ahead of the JSON line
+        assert [str(w.message) for w in caught] == []
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "BadSongsFile",
                        "message": f"song 'b': {field} has the wrong type or shape"}
