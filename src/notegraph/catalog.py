@@ -173,7 +173,7 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     return records
 
 
-def join_catalog(songs: list[dict], catalog: dict[str, dict[str, Any]]) -> None:
+def join_catalog(songs: Iterable[dict], catalog: dict[str, dict[str, Any]]) -> None:
     """Set each song record's catalog fields in place; unmatched songs get
     no genres and None for the rest."""
     for song in songs:

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import catalog as catalog_mod
 from .errors import NotegraphError
@@ -84,11 +85,27 @@ def cmd_nullmodel(args: argparse.Namespace) -> int:
     return 0
 
 
+class _JoinedSongs:
+    """Song records with the catalog fields joined to each as it is read;
+    re-iterable as the records are."""
+
+    def __init__(self, records: Iterable[dict], catalog: dict[str, dict]):
+        self.records = records
+        self.catalog = catalog
+
+    def __iter__(self) -> Iterator[dict]:
+        for record in self.records:
+            catalog_mod.join_catalog((record,), self.catalog)
+            yield record
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    # the catalog is read whole first; the songs file streams through the tables
+    catalog = catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else None
     records = load_songs(args.songs)
-    if cfg.catalog_path:
-        catalog_mod.join_catalog(records, catalog_mod.load_catalog(cfg.catalog_path))
+    if catalog is not None:
+        records = _JoinedSongs(records, catalog)
     notes = write_aggregates(records, cfg.output_dir, cfg, tables=ALIAS_TABLES.get(args.command))
     print(json.dumps(notes, sort_keys=True))
     return 0

@@ -17,8 +17,9 @@ import os
 import tempfile
 from dataclasses import dataclass, field, asdict
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Optional, get_args, get_type_hints
+from typing import Any, Iterable, Iterator, Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -98,9 +99,9 @@ CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS) | {
 def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
     """The first of ``names``, sorted, whose value is not of its kind, or
     None: a flag is a bool, an interval vector or count list holds 12
-    finite numbers, the weight histogram is an object of integer counts
-    of at least 1 keyed by ASCII-digit weights, and a measure is one of
-    ``number``. ``song_id`` and ``content_hash`` are not checked."""
+    finite numbers, the weight histogram is an object of 64-bit integer
+    counts of at least 1 keyed by ASCII-digit weights, and a measure is
+    one of ``number``. ``song_id`` and ``content_hash`` are not checked."""
     for name in sorted(names):
         value = record[name]
         if name in ("full_density", "degenerate_baseline"):
@@ -110,7 +111,7 @@ def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float))
                   and all(type(v) in (int, float) and math.isfinite(v) for v in value))
         elif name == "weight_histogram":
             ok = type(value) is dict and all(
-                w.isascii() and w.isdigit() and type(c) is int and c >= 1
+                w.isascii() and w.isdigit() and type(c) is int and 1 <= c < 2**63
                 for w, c in value.items())
         else:
             ok = name in ("song_id", "content_hash") or type(value) in number
@@ -419,63 +420,172 @@ def _rows_by_label(labels: Iterable[Iterable[str]]) -> dict[str, np.ndarray]:
     return {label: np.array(rows[label], dtype=np.intp) for label in sorted(rows)}
 
 
+# the catalog fields the tables group by; a record may lack any of them
+LABEL_FIELDS = ("genres", "release_year", "era", "artist")
+
+# records whose column values are checked and packed together: a pass
+# holds at most this many records' values, never a record itself
+_BLOCK = 256
+
+
+def _array(values: list, dtype: type) -> Optional[np.ndarray]:
+    """The values as an array of ``dtype``; None when an int is past its
+    range, so that the column fails when a table reads it, not before."""
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError:
+        return None
+
+
+def _measure_block(values: list) -> Optional[np.ndarray]:
+    """The values as floats, NaN for None; None if any is not an int, a
+    float or None."""
+    if not set(map(type, values)) <= {int, float, type(None)}:
+        return None
+    return _array(values, float)
+
+
+def _matrix_block(rows: list) -> Optional[np.ndarray]:
+    """The rows as an (n, 12) float matrix; None unless each is a list of
+    12 finite ints or floats."""
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {N_INTERVALS}
+            and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        return None
+    block = _array(rows, float)
+    if block is None:
+        return None
+    block = block.reshape(len(rows), N_INTERVALS)
+    return block if np.isfinite(block).all() else None
+
+
 class CorpusColumns:
     """The per-record quantities of a corpus that the aggregate tables
-    read, each built from the records once, on first use.
+    read, built in one pass over any iterable of records. No record is
+    kept: the pass packs the values of each block of records into
+    arrays and drops them.
 
-    A measure is a float column, NaN where a record holds None, and any
-    other value but an int or float (numeric text, a bool) raises
-    ``ValueError``; the interval vectors and counts are (n, 12)
-    matrices, and one that holds a NaN or an infinity raises
-    ``ValueError`` before any table computes with it; a grouping maps
-    each label to the row indices of its records.
+    Kept are the song ids, the catalog labels, a float column per tested
+    measure (NaN where a record holds None), the interval vectors and
+    counts as (n, 12) float matrices, and the weight histograms as flat
+    arrays of entries: an index into ``weight_keys`` and a count per
+    entry, with each record's end offset. A column is checked as it is
+    packed, a whole block at a time: a measure holds ints, floats or
+    None; an interval row is a list of 12 finite ints or floats; a
+    histogram is an object of 64-bit int counts of at least 1, each
+    distinct key an int or ASCII-digit text. A column that fails raises
+    ``ValueError`` when a table first reads it, and only then, so a bad
+    value in a column that no table reads is no fault.
     """
 
-    def __init__(self, records: list[dict]):
-        self.records = records
-        self._measures: dict[str, np.ndarray] = {}
+    def __init__(self, records: Iterable[dict]):
+        self.song_ids: list[str] = []
+        self._labels: dict[str, list] = {key: [] for key in LABEL_FIELDS}
+        self._weight_keys: dict[Any, int] = {}  # histogram key -> its index
+        packers = {
+            **{name: _measure_block for name in TESTED_MEASURES},
+            "interval_vector": _matrix_block, "interval_counts": _matrix_block,
+            "weight_histogram": self._histogram_block,
+        }
+        # column name -> its packed blocks, or None once one failed its check
+        blocks: dict[str, Optional[list]] = {name: [] for name in packers}
+        pending: dict[str, list] = {name: [] for name in packers}
+
+        def pack() -> None:
+            for name, values in pending.items():
+                if blocks[name] is not None:
+                    block = packers[name](values)
+                    if block is None:
+                        blocks[name] = None
+                    else:
+                        blocks[name].append(block)
+                values.clear()
+
+        for record in records:
+            self.song_ids.append(record["song_id"])
+            for key, values in self._labels.items():
+                values.append(record.get(key))
+            for name, values in pending.items():
+                values.append(record.get(name))
+            if len(self.song_ids) % _BLOCK == 0:
+                pack()
+        pack()  # the last block, empty if need be
+        # joined one column at a time, dropping its blocks, so that only one
+        # column is ever held twice
+        self._columns = {}
+        for name in packers:
+            parts = blocks.pop(name)
+            self._columns[name] = None if parts is None else self._join(name, parts)
+        self.weight_keys = list(self._weight_keys)
+
+    @staticmethod
+    def _join(name: str, blocks: list):
+        if name != "weight_histogram":
+            return np.concatenate(blocks)
+        index, counts, sizes = map(np.concatenate, zip(*blocks))
+        return index, counts, np.cumsum(sizes)
+
+    def _histogram_block(self, hists: list) -> Optional[tuple[np.ndarray, ...]]:
+        """(key index, count) of each entry and each histogram's entry
+        count; None on a histogram that is not one."""
+        if not set(map(type, hists)) <= {dict}:
+            return None
+        counts = list(chain.from_iterable(map(dict.values, hists)))
+        if not set(map(type, counts)) <= {int}:
+            return None
+        keys = list(chain.from_iterable(hists))
+        for w in dict.fromkeys(keys):
+            if w not in self._weight_keys:
+                if not (type(w) is int or type(w) is str and w.isascii() and w.isdigit()):
+                    return None
+                self._weight_keys[w] = len(self._weight_keys)
+        counts = _array(counts, np.int64)
+        if counts is None or not (counts >= 1).all():
+            return None
+        index = np.fromiter(map(self._weight_keys.__getitem__, keys), dtype=np.intp,
+                            count=len(keys))
+        return index, counts, np.fromiter(map(len, hists), dtype=np.intp, count=len(hists))
+
+    def _column(self, name: str):
+        column = self._columns[name]
+        if column is None:
+            raise ValueError(f"{name} holds a value of the wrong kind")
+        return column
 
     def measure(self, name: str) -> np.ndarray:
-        if name not in self._measures:
-            values = [r[name] for r in self.records]
-            if not set(map(type, values)) <= {int, float, type(None)}:
-                raise ValueError(f"{name} holds a value that is not a number")
-            self._measures[name] = np.array(values, dtype=float)
-        return self._measures[name]
+        return self._column(name)
 
-    def _matrix(self, key: str) -> np.ndarray:
-        rows = [r[key] for r in self.records]
-        matrix = np.array(rows, dtype=float).reshape(len(rows), N_INTERVALS)
-        if not np.isfinite(matrix).all():
-            raise ValueError(f"{key} holds a value that is not finite")
-        return matrix
-
-    @cached_property
+    @property
     def vectors(self) -> np.ndarray:
-        return self._matrix("interval_vector")
+        return self._column("interval_vector")
 
-    @cached_property
+    @property
     def counts(self) -> np.ndarray:
-        return self._matrix("interval_counts")
+        return self._column("interval_counts")
+
+    @property
+    def weight_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(key index, count) of every histogram entry, in record order,
+        and each record's end offset into them."""
+        return self._column("weight_histogram")
 
     @cached_property
     def genre_rows(self) -> dict[str, np.ndarray]:
         """Genre -> rows; a record without a genre counts under "all"."""
-        return _rows_by_label(r.get("genres") or ["all"] for r in self.records)
+        return _rows_by_label(genres or ["all"] for genres in self._labels["genres"])
 
     def label_rows(self, key: str) -> dict[str, np.ndarray]:
         """Label -> rows for a catalog field: each genre in "genres", or the
         value of "era" or "artist"; a record without one is in no group."""
         if key == "genres":
-            return _rows_by_label(r.get(key) or () for r in self.records)
-        return _rows_by_label((r[key],) if r.get(key) else () for r in self.records)
+            return _rows_by_label(genres or () for genres in self._labels[key])
+        return _rows_by_label((label,) if label else () for label in self._labels[key])
 
     @cached_property
     def decades(self) -> np.ndarray:
         """Release decade per record; ``_UNDATED`` without a release year."""
         return np.array([
-            _UNDATED if (year := r.get("release_year")) is None else year // 10 * 10
-            for r in self.records
+            _UNDATED if year is None else year // 10 * 10
+            for year in self._labels["release_year"]
         ], dtype=np.int64)
 
 
@@ -573,11 +683,18 @@ Table = tuple[list[str], list[list[Any]]]  # (header, rows) of one CSV
 
 
 def _ccdf_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
-    rows = [
-        [genre, w, p]
-        for genre, members in cols.genre_rows.items()
-        for w, p in weight_ccdf(cols.records[i]["weight_histogram"] for i in members.tolist())
-    ]
+    index, counts, ends = cols.weight_entries
+    sizes = np.diff(ends, prepend=0)
+    rows = []
+    for genre, members in cols.genre_rows.items():
+        chosen = np.zeros(len(sizes), dtype=bool)
+        chosen[members] = True
+        entries = np.repeat(chosen, sizes)
+        # float sums of int counts are exact while a genre's total is below 2**53
+        merged = np.bincount(index[entries], weights=counts[entries],
+                             minlength=len(cols.weight_keys)).astype(np.int64).tolist()
+        histogram = {w: c for w, c in zip(cols.weight_keys, merged) if c}
+        rows += [[genre, w, p] for w, p in weight_ccdf([histogram])]
     return {"ccdf.csv": (["genre", "weight", "ccdf"], rows)}
 
 
@@ -622,16 +739,16 @@ def _gs_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str
 
 
 def _projection_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
-    records = cols.records
-    if len(records) < 2:
+    song_ids = cols.song_ids
+    if len(song_ids) < 2:
         return {}
     proj = pca_project(cols.vectors)
     notes["explained_variance"] = proj.explained_variance.tolist()
     tables = {"coordinates.csv": (
         ["song_id", "pc1", "pc2"],
-        [[rec["song_id"], *row] for rec, row in zip(records, proj.coordinates.tolist())],
+        [[song_id, *row] for song_id, row in zip(song_ids, proj.coordinates.tolist())],
     )}
-    if len(records) >= 3:
+    if len(song_ids) >= 3:
         features = {m: cols.measure(m) for m in TESTED_MEASURES}
         tables["component_correlations.csv"] = (
             ["component", "feature", "r", "p_value", "p_adjusted", "undefined"],
@@ -653,7 +770,7 @@ AGGREGATE_TABLES = (
 
 
 def write_aggregates(
-    records: list[dict],
+    records: Iterable[dict],
     out_dir: str | Path,
     cfg: PipelineConfig,
     tables: Optional[Iterable[str]] = None,
@@ -661,12 +778,16 @@ def write_aggregates(
     """Write the corpus-level CSV tables; returns the notes of the run
     (skipped tests, PCA explained variance).
 
-    ``tables`` limits the output to those file names; builders that
-    write none of them are not run. The builders share one
-    ``CorpusColumns`` of the records. Every table is built before the
+    ``records`` must be re-iterable, such as a list or the view that
+    ``load_songs`` returns, never a one-shot generator: the builders
+    share one ``CorpusColumns`` made in one pass over it, and a second
+    pass (for a file, a second read) runs only when a column fails its
+    check. ``tables`` limits the output to those file names; builders
+    that write none of them are not run. Every table is built before the
     output directory is made, so a record holding a value of the wrong
-    kind raises ``BadSongsFile``, naming the song and the field, and
-    writes nothing; valid records are not checked.
+    kind in a column that a table reads raises ``BadSongsFile``, naming
+    the song and the field, and writes nothing; valid records are not
+    checked one by one.
     """
     wanted = None if tables is None else set(tables)
     cols = CorpusColumns(records)
@@ -704,32 +825,47 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_songs(path: str | Path) -> list[dict]:
-    """The records of a songs.jsonl file, one UTF-8 JSON object a line
-    with every one of ``REQUIRED_FIELDS`` and a ``song_id`` string that
-    no earlier line gives; blank lines are skipped. Any other line
-    raises ``BadSongsFile``, which names the file and the 1-based line."""
-    records = []
-    lines: dict[str, int] = {}  # song_id -> the line that gives it
-    with open(path, "rb") as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except ValueError as exc:
-                raise BadSongsFile(f"{path}, line {number}: {exc}") from None
-            if not isinstance(record, dict):
-                raise BadSongsFile(f"{path}, line {number}: not a JSON object")
-            if not record.keys() >= REQUIRED_FIELDS:
-                missing = ", ".join(sorted(REQUIRED_FIELDS - record.keys()))
-                raise BadSongsFile(f"{path}, line {number}: missing {missing}")
-            song_id = record["song_id"]
-            if type(song_id) is not str:
-                raise BadSongsFile(f"{path}, line {number}: song_id is not a string")
-            if song_id in lines:
-                raise BadSongsFile(
-                    f"{path}, line {number}: song_id {song_id!r} is already on line {lines[song_id]}")
-            lines[song_id] = number
-            records.append(record)
-    return records
+class SongsFile:
+    """The records of a songs.jsonl file, read one line at a time on
+    each iteration, so a pass holds one record at a time.
+
+    Each line is one UTF-8 JSON object with every one of
+    ``REQUIRED_FIELDS`` and a ``song_id`` string that no earlier line
+    gives; blank lines are skipped. Any other line raises
+    ``BadSongsFile``, which names the file and the 1-based line, when an
+    iteration reaches it."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+
+    def __iter__(self) -> Iterator[dict]:
+        path = self.path
+        lines: dict[str, int] = {}  # song_id -> the line that gives it
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:
+                    raise BadSongsFile(f"{path}, line {number}: {exc}") from None
+                if not isinstance(record, dict):
+                    raise BadSongsFile(f"{path}, line {number}: not a JSON object")
+                if not record.keys() >= REQUIRED_FIELDS:
+                    missing = ", ".join(sorted(REQUIRED_FIELDS - record.keys()))
+                    raise BadSongsFile(f"{path}, line {number}: missing {missing}")
+                song_id = record["song_id"]
+                if type(song_id) is not str:
+                    raise BadSongsFile(f"{path}, line {number}: song_id is not a string")
+                if song_id in lines:
+                    raise BadSongsFile(
+                        f"{path}, line {number}: song_id {song_id!r} is already on line {lines[song_id]}")
+                lines[song_id] = number
+                yield record
+
+
+def load_songs(path: str | Path) -> SongsFile:
+    """A re-iterable view of a songs.jsonl file (see ``SongsFile``). The
+    file is not opened until the view is iterated, and each iteration
+    reads it again."""
+    return SongsFile(path)

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -19,7 +20,9 @@ import notegraph
 import oracles
 from notegraph import metrics, nullmodels, pipeline
 from notegraph.cli import _build_config, build_parser, main
-from notegraph.errors import BadSetting, InsufficientGroups, NoInputs, NonConvergence
+from notegraph.errors import (
+    BadSetting, BadSongsFile, InsufficientGroups, NoInputs, NonConvergence,
+)
 from notegraph.graph import graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import RandomizerConfig, replica_seed
@@ -683,6 +686,13 @@ def fuzz_records(rng: random.Random, n: int) -> list[dict]:
     return records
 
 
+def write_songs(path: Path, records: list[dict]) -> Path:
+    """A songs.jsonl file of the records; a histogram keyed by int is
+    written with text keys."""
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
 def assert_tables_match(got: dict, want: dict) -> None:
     """Labels and counts equal; floats within rel 1e-12, or 1e-9 in the
     Pearson correlations (a different summation order); NaN matches NaN."""
@@ -746,6 +756,37 @@ class TestAggregateTables:
             if len(records) >= 3:
                 want.append("component_correlations.csv")
             assert sorted(files) == sorted(want), (seed, notes)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_streamed_file_writes_the_bytes_of_its_list(self, seed, tmp_path):
+        # more records than one packed block, so blocks are joined
+        records = fuzz_records(random.Random(seed), 2 * pipeline._BLOCK + 5)
+        songs = write_songs(tmp_path / "songs.jsonl", records)
+        cfg = PipelineConfig(gs_min_group_size=3)
+        outputs = []
+        for label, view in (("streamed", pipeline.load_songs(songs)),
+                            ("listed", list(pipeline.load_songs(songs)))):
+            notes = pipeline.write_aggregates(view, tmp_path / label, cfg)
+            outputs.append((notes, read_output(tmp_path / label)))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 8
+
+    def test_a_bad_value_in_the_file_is_named_on_a_second_read(self, tmp_path, monkeypatch):
+        records = fuzz_records(random.Random(1), 300)
+        records[270]["interval_counts"] = ["2"] + [0.0] * 11
+        songs = write_songs(tmp_path / "songs.jsonl", records)
+        passes = []
+        read = pipeline.SongsFile.__iter__
+        monkeypatch.setattr(pipeline.SongsFile, "__iter__",
+                            lambda view: passes.append(1) or read(view))
+        messages = []
+        for view in (pipeline.load_songs(songs), list(pipeline.load_songs(songs))):
+            with pytest.raises(BadSongsFile) as exc:
+                pipeline.write_aggregates(view, tmp_path / "out", PipelineConfig())
+            messages.append(str(exc.value))
+        assert messages == ["song 's270': interval_counts has the wrong type or shape"] * 2
+        assert len(passes) == 3  # the view is read twice, the list's source once
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:
@@ -938,10 +979,21 @@ class TestCli:
         ("interval_counts", [math.inf] + [0.0] * 11),
         ("interval_counts", [1.0, -math.inf] + [0.0] * 10),
         ("weight_histogram", {"1": -5}),
+        # -1 beside the other songs' counts of 1 merges to 1: each count is checked alone
+        ("weight_histogram", {"1": -1}),
+        ("interval_vector", ["1.0"] + [0.0] * 11),
+        ("interval_vector", [True] + [0.0] * 11),
+        ("interval_counts", ["2"] + [0.0] * 11),
+        ("weight_histogram", {"1": 2.0}),
+        ("weight_histogram", {"1": True}),
+        ("weight_histogram", {" 1": 1}),  # int(" 1") reads it, but it is not ASCII digits
+        ("weight_histogram", {"1": 2**63}),
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
-            "negative-infinite-interval-counts", "negative-weight-count"])
+            "negative-infinite-interval-counts", "negative-weight-count", "minus-one-count",
+            "numeric-text-interval-vector", "bool-interval-vector", "numeric-text-interval-counts",
+            "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
@@ -958,15 +1010,65 @@ class TestCli:
                        "message": f"song 'b': {field} has the wrong type or shape"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("interval_vector", ["1.0"] + [0.0] * 11),
+        ("interval_counts", [10**400] + [0.0] * 11),
+        ("weight_histogram", {"1": 2.0}),
+        ("vertex_count", 10**400),  # past float range
+    ], ids=["text-interval-vector", "huge-interval-count", "float-weight-count",
+            "huge-vertex-count"])
+    def test_a_bad_value_that_no_written_table_reads_is_no_fault(
+            self, field, value, tmp_path, capsys):
+        records = [minimal_record("a"), {**minimal_record("b"), field: value}]
+        songs = write_songs(tmp_path / "songs.jsonl", records)
+        assert main(["trend", str(songs), "--output", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "trend_decades.csv", "trend_tests.csv"]
+
     def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
         records = [{**minimal_record("a"), "efficiency": math.nan},
                    {**minimal_record("b"), "genres": []}]
         path = tmp_path / "songs.jsonl"
         pipeline._write_jsonl(path, records)
         path.write_text("\n" + path.read_text() + "  \n")
-        got = pipeline.load_songs(path)
-        assert [r["song_id"] for r in got] == ["a", "b"]
-        assert math.isnan(got[0]["efficiency"]) and got[1]["genres"] == []
+        view = pipeline.load_songs(path)
+        for _ in range(2):  # each iteration reads the file again
+            first, second = view
+            assert [first["song_id"], second["song_id"]] == ["a", "b"]
+            assert math.isnan(first["efficiency"]) and second["genres"] == []
+
+    def test_report_keeps_no_record(self, tmp_path, capsys):
+        records = fuzz_records(random.Random(4), 400)
+        plain = write_songs(tmp_path / "plain.jsonl", records)
+        # a field that no table reads, 20 KB in each record
+        padded = write_songs(tmp_path / "padded.jsonl",
+                             [{**r, "unused": "x" * 20_000} for r in records])
+        def peak(songs, out):
+            tracemalloc.reset_peak()
+            assert main(["report", str(songs), "--output", str(tmp_path / out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        tracemalloc.start()
+        try:
+            peak(plain, "warm-up")
+            peaks = {"plain": peak(plain, "plain"), "padded": peak(padded, "padded")}
+        finally:
+            tracemalloc.stop()
+        assert peaks["padded"] - peaks["plain"] < 2**20, peaks
+        assert read_output(tmp_path / "padded") == read_output(tmp_path / "plain")
+
+    def test_a_bad_catalog_is_reported_before_a_bad_songs_file(self, tmp_path, capsys):
+        songs = tmp_path / "songs.jsonl"
+        songs.write_text(json.dumps(minimal_record("a")) + "\n{bad\n")
+        catalog = build_catalog(tmp_path)
+        catalog.write_text(catalog.read_text() + "s9\tShort\n")
+        out = tmp_path / "out"
+        assert main(["report", str(songs), "--catalog", str(catalog), "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadCatalog"
+        assert err["message"].startswith(f"{catalog}, line 14: ")
+        assert main(["report", str(songs), "--output", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "BadSongsFile"
+        assert not out.exists()
 
     def test_error_exit_code_and_json(self, tmp_path, capsys):
         (tmp_path / "none").mkdir()
