@@ -61,11 +61,12 @@ class TransitionGraph:
         nodes = self.node_list
         src, tgt, values = self.edge_rows
         return MappingProxyType({
-            (nodes[s], nodes[t]): int(x) for s, t, x in zip(src.tolist(), tgt.tolist(), values)
+            (nodes[s], nodes[t]): int(x)
+            for s, t, x in zip(src.tolist(), tgt.tolist(), values.tolist())
         })
 
     @cached_property
-    def edge_rows(self) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    def edge_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzeros of ``weights`` as (``src``, ``tgt``, ``values``):
         their row and column indices in row-major order, so each row's
         edges are one stretch, and their weights. ``edges`` and the null
@@ -73,9 +74,10 @@ class TransitionGraph:
         the cache holds, and the out-weight shuffle reads a graph once,
         not once per replica."""
         src, tgt = np.nonzero(self.weights)
-        src.setflags(write=False)
-        tgt.setflags(write=False)
-        return src, tgt, tuple(self.weights[src, tgt].tolist())
+        values = self.weights[src, tgt]
+        for part in (src, tgt, values):
+            part.setflags(write=False)
+        return src, tgt, values
 
     @property
     def nodes(self) -> frozenset[int]:

@@ -55,7 +55,7 @@ CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 # Part of every cache key. Bump it whenever per-song results change for
 # the same inputs and config (an algorithm, its float summation order or
 # the record's fields), so entries written by older code are misses.
-RESULTS_VERSION = 6
+RESULTS_VERSION = 7
 
 # the columns of metrics.csv after song_id, in order
 METRIC_COLUMNS = (
@@ -96,25 +96,36 @@ CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS) | {
     "content_hash", "duration", "null_shuffled_reciprocity_mean", "stationary_residual"}
 
 
+def _finite(value: int | float) -> bool:
+    """``math.isfinite``, but False for an int past float range, where
+    that raises ``OverflowError``."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
     """The first of ``names``, sorted, whose value is not of its kind, or
     None: a flag is a bool, an interval vector or count list holds 12
     finite numbers, the weight histogram is an object of 64-bit integer
     counts of at least 1 keyed by ASCII-digit weights, and a measure is
-    one of ``number``. ``song_id`` and ``content_hash`` are not checked."""
+    one of ``number``, an int only within float range (as the column
+    packers take them). ``song_id`` and ``content_hash`` are not checked."""
     for name in sorted(names):
         value = record[name]
         if name in ("full_density", "degenerate_baseline"):
             ok = type(value) is bool
         elif name in ("interval_vector", "interval_counts"):
             ok = (type(value) is list and len(value) == N_INTERVALS
-                  and all(type(v) in (int, float) and math.isfinite(v) for v in value))
+                  and all(type(v) in (int, float) and _finite(v) for v in value))
         elif name == "weight_histogram":
             ok = type(value) is dict and all(
                 w.isascii() and w.isdigit() and type(c) is int and 1 <= c < 2**63
                 for w, c in value.items())
         else:
-            ok = name in ("song_id", "content_hash") or type(value) in number
+            ok = name in ("song_id", "content_hash") or (
+                type(value) in number and (type(value) is not int or _finite(value)))
         if not ok:
             return name
     return None

@@ -78,15 +78,19 @@ def rewire_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGra
 
 
 def shuffle_reference(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
-    """Per-node out-weight shuffle over the sorted edge list, one
-    ``rng.shuffle`` per source node."""
-    rng = random.Random(cfg.seed)
+    """Per-node out-weight shuffle over the sorted edge list. Edge i's
+    key is the i-th 64-bit word of one ``getrandbits(64 * E)`` draw,
+    counted from the low end, less its low byte; each source node's
+    edges, in sorted order, take the node's weights in the order of
+    their keys, a tie kept in edge order."""
+    edges = sorted(g.edges.items())
+    raw = random.Random(cfg.seed).getrandbits(64 * len(edges)).to_bytes(8 * len(edges), "little")
+    keys = [int.from_bytes(raw[8 * i:8 * i + 8], "little") // 2**8 for i in range(len(edges))]
     new_edges: dict[tuple[int, int], int] = {}
-    for _, group in groupby(sorted(g.edges.items()), key=lambda item: item[0][0]):
-        out = list(group)
-        weights = [w for _, w in out]
-        rng.shuffle(weights)
-        new_edges.update((edge, w) for (edge, _), w in zip(out, weights))
+    for _, row in groupby(range(len(edges)), key=lambda i: edges[i][0][0]):
+        row = list(row)
+        for i, j in zip(row, sorted(row, key=lambda j: (keys[j], j))):
+            new_edges[edges[i][0]] = edges[j][1]
     return TransitionGraph(song_id=g.song_id, edges=new_edges, isolated=g.nodes)
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -298,3 +299,143 @@ def test_duration_monotone_in_last_tick():
         for last in (100, 500, 1000, 5000)
     ]
     assert durations == sorted(durations)
+
+
+# --- runs of events decoded with numpy ---
+
+END_OF_TRACK = vlq(0) + b"\xff\x2f\x00"
+
+
+def one_track(body: bytes) -> bytes:
+    return header_chunk(0, 1, 480) + b"MTrk" + len(body).to_bytes(4, "big") + body
+
+
+def channel_events(count: int, deltas=(0, 120), status: int = 0x90, running: bool = False) -> bytes:
+    """``count`` two-data-byte messages, every third with data byte 0
+    (the note-off shorthand for a note-on)."""
+    body = bytearray()
+    for i in range(count):
+        body += vlq(deltas[i % len(deltas)])
+        if not running or i == 0:
+            body.append(status)
+        body += bytes([40 + i % 40, 50 * (i % 3)])
+    return bytes(body)
+
+
+def tempo_events(count: int, deltas=(0,), first: int = 400_000) -> bytes:
+    return b"".join(vlq(deltas[i % len(deltas)]) + b"\xff\x51\x03" + (first + 997 * i).to_bytes(3, "big")
+                    for i in range(count))
+
+
+def parse_counting_runs(data: bytes, monkeypatch) -> Counter:
+    """Parse ``data`` as the per-event reference does (the same onsets,
+    tempo map and duration, or the same error and message); returns how
+    often each numpy run decoder was called."""
+    calls = Counter()
+    for name in ("_channel_run", "_tempo_run"):
+        def counted(*args, _real=getattr(midi, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(midi, name, counted)
+    try:
+        expected = parse_reference(data)
+    except MidiParseError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_midi(data)
+        assert str(got.value) == str(exc)
+        return calls
+    m = parse_midi(data)
+    assert m.onsets.dtype == np.int64 and m.onsets.shape == (len(expected[0]), 3)
+    assert list(map(tuple, m.onsets.tolist())) == expected[0]
+    assert (m.tempo_changes, m.duration) == expected[1:]
+    return calls
+
+
+RUN_CASES = {
+    # 400 events span several regex windows; deltas of 1 to 4 bytes, the
+    # 4-byte one (2**21 + 5) in the middle of the run
+    "run-through-a-4-byte-delta": (
+        channel_events(200, (0, 120, 20_000)) + vlq(2**21 + 5) + bytes([0x80, 60, 0])
+        + channel_events(200, (480, 0), status=0x91, running=True) + END_OF_TRACK,
+        {"_channel_run": 1}),
+    "5-byte-delta": (
+        channel_events(30) + b"\x81\x80\x80\x80\x00" + bytes([0x90, 60, 64]) + END_OF_TRACK,
+        {"_channel_run": 1}),
+    # the running-status program changes read as two-data-byte messages
+    # if taken three bytes at a time; no run starts after one
+    "running-status-after-program-change": (
+        channel_events(30) + vlq(0) + b"\xc0\x05" + b"".join(vlq(10) + bytes([i]) for i in range(40))
+        + channel_events(30, status=0xE2) + channel_events(30, status=0xB3, running=True) + END_OF_TRACK,
+        {"_channel_run": 2}),
+    "run-cut-in-its-data-bytes": (channel_events(30) + vlq(0) + b"\x90\x3c", {"_channel_run": 1}),
+    "run-cut-in-a-delta": (channel_events(30) + b"\x81", {"_channel_run": 1}),
+    "run-cut-before-a-status": (channel_events(30, running=True) + vlq(7), {"_channel_run": 1}),
+    "tempo-runs-around-a-text-event": (
+        tempo_events(12, (200, 20_000, 0)) + vlq(5) + b"\xff\x01\x02hi"
+        + tempo_events(200, (20_000, 200), first=500_000) + END_OF_TRACK,
+        {"_tempo_run": 2}),
+    # a set-tempo event of 4 data bytes is skipped, and ends the run
+    "tempo-event-of-length-4": (
+        tempo_events(12, (3,)) + vlq(9) + b"\xff\x51\x04\x07\xa1\x20\x00" + tempo_events(12, (300,))
+        + END_OF_TRACK,
+        {"_tempo_run": 2}),
+    # tempo bytes FF 51 03 after a low byte could start an event, so the
+    # run is declined and read one event at a time
+    "tempo-bytes-that-read-as-an-event": (
+        tempo_events(6, (3,)) + vlq(3) + b"\xff\x51\x03\xff\x51\x03" + tempo_events(6, (3,))
+        + END_OF_TRACK,
+        {"_tempo_run": 1}),
+    "tempo-run-cut-at-chunk-end": (tempo_events(12, (200,)) + vlq(1) + b"\xff\x51\x03\x07", {"_tempo_run": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_runs_decode_as_the_per_event_reference(case, monkeypatch):
+    body, runs = RUN_CASES[case]
+    assert parse_counting_runs(one_track(body), monkeypatch) == runs
+
+
+def random_run_track(rng: random.Random) -> bytes:
+    """An MTrk chunk of long stretches of two-data-byte channel messages
+    or of tempo events (any delta, explicit or running status, a data
+    byte of 0x80 or more now and then) and the events that end them."""
+    body = bytearray()
+    running = None
+    for _ in range(rng.randint(1, 8)):
+        stretch = rng.randrange(3)
+        for _ in range(rng.randint(1, 60)):
+            body += vlq(rng.choice((0, 0, 1, 120, 128, 480, 20_000, 2**21, 2**28 - 1)))
+            if stretch == 0:
+                status = rng.choice((0x80, 0x90, 0x90, 0xA0, 0xB0, 0xE0)) | rng.choice((0, 3, 9))
+                if status != running or rng.random() < 0.2:
+                    body.append(status)
+                running = status
+                last = rng.choice((0, 1, 64, 127)) if rng.random() < 0.97 else rng.choice((0x80, 0xFF))
+                body += bytes([rng.randrange(128), last])
+            elif stretch == 1:
+                running = None
+                body += b"\xff\x51\x03" + rng.choice((rng.randrange(2**24), 0xFF5103)).to_bytes(3, "big")
+            else:
+                status, payload = rng.choice(((0xC5, b"\x07"), (0xD1, b"\x40"), (0xFF, b"\x01\x02hi"),
+                                              (0xFF, b"\x51\x04\x07\xa1\x20\x00"), (0xF0, b"\x01\xf7")))
+                if status != running:
+                    body.append(status)
+                running = status if status < 0xF0 else None
+                body += payload
+    body += END_OF_TRACK
+    return b"MTrk" + len(body).to_bytes(4, "big") + bytes(body)
+
+
+def test_random_runs_match_the_per_event_reference(monkeypatch):
+    rng = random.Random(47)
+    total = Counter()
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        data = header_chunk(1, n, 480) + b"".join(random_run_track(rng) for _ in range(n))
+        total += parse_counting_runs(data, monkeypatch)
+        for _ in range(3):  # cut after the header, a bit flipped in the tracks, or both
+            mutated = bytearray(data[:rng.randrange(15, len(data))] if rng.random() < 0.6 else data)
+            if rng.random() < 0.6:
+                mutated[rng.randrange(14, len(mutated))] ^= 1 << rng.randrange(8)
+            total += parse_counting_runs(bytes(mutated), monkeypatch)
+    assert total["_channel_run"] > 600 and total["_tempo_run"] > 400

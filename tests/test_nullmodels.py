@@ -12,7 +12,6 @@ from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import (
     RandomizerConfig,
-    _shuffle_plan,
     replica_seed,
     rewire_edges,
     rewired_replicas,
@@ -160,43 +159,43 @@ class TestShuffleOutWeights:
             assert "edge_rows" not in vars(fresh)
             assert shuffle_out_weights(fresh, cfg).edges == reference.edges
             assert "edge_rows" in vars(fresh)
+            # the cached split is shared by every reader, so none may edit it
+            assert not any(part.flags.writeable for part in fresh.edge_rows)
             assert shuffle_out_weights(fresh, cfg).edges == reference.edges
             assert [r.edges for r in shuffled_replicas(fresh, CFG)] == [
                 oracles.shuffle_reference(fresh, RandomizerConfig(replica_seed(CFG.seed, i))).edges
                 for i in range(CFG.null_samples)]
-
-    def test_row_split_runs(self):
+        # the split holds each row's edges as one stretch, in row-major order;
+        # row 1 has one edge and row 3 (pitch 7) none
         g = TransitionGraph(edges={(0, 1): 2, (0, 2): 5, (1, 0): 1, (2, 0): 3, (2, 1): 4},
                             isolated={7})
-        src, tgt, values = g.edge_rows
-        assert (src.tolist(), tgt.tolist()) == ([0, 0, 1, 2, 2], [1, 2, 0, 0, 1])
-        assert values == (2.0, 5.0, 1.0, 3.0, 4.0)
-        # the cached split is shared by every reader, so none may edit it
-        assert not src.flags.writeable and not tgt.flags.writeable
-        # (i, start, n, n.bit_length()) per draw: row 1 has one edge and
-        # row 3 (pitch 7) none, so neither draws
-        assert _shuffle_plan(g) == [(1, 0, 2, 2), (4, 3, 2, 2)]
-        # i runs from the row's last edge down to start + 1
-        fan = TransitionGraph(edges={(0, t): t for t in range(1, 6)})
-        assert _shuffle_plan(fan) == [(4, 0, 5, 3), (3, 0, 4, 3), (2, 0, 3, 2), (1, 0, 2, 2)]
+        assert [part.tolist() for part in g.edge_rows] == [
+            [0, 0, 1, 2, 2], [1, 2, 0, 0, 1], [2.0, 5.0, 1.0, 3.0, 4.0]]
 
     @pytest.mark.parametrize("complete", [False, True], ids=["rows-of-2-to-127", "complete-128"])
-    def test_replay_equals_stdlib_shuffle_at_every_row_length(self, complete):
-        # every row length a 128-node graph holds, so every bit_length
-        # step and every 2**j + 1, where getrandbits(k) is most often
-        # rejected; the replay must equal Random.shuffle of each row,
-        # with the plan derived by the call and passed in
+    def test_matches_reference_at_every_row_length(self, complete):
+        # every row length a 128-node graph holds; row 127 puts the
+        # largest source index in the key's top byte
         if complete:
             edges = {(s, t): 1 + s * 128 + t for s in range(128) for t in range(128) if s != t}
         else:
             edges = {(s, (s + d) % 128): 1 + s * 128 + d for s in range(2, 128) for d in range(1, s + 1)}
         g = TransitionGraph(edges=edges)
-        plan = _shuffle_plan(g)
         for seed in REFERENCE_SEEDS + (2**40 + 5,):
             cfg = RandomizerConfig(seed=seed)
-            reference = oracles.shuffle_reference(g, cfg).edges
-            assert shuffle_out_weights(g, cfg).edges == reference
-            assert shuffle_out_weights(g, cfg, plan=plan).edges == reference
+            assert shuffle_out_weights(g, cfg).edges == oracles.shuffle_reference(g, cfg).edges
+
+    def test_each_order_of_a_row_of_three_is_equally_likely(self):
+        # 6,000 seeds over the 6 orders of one row's weights; 20.52 is
+        # the chi-square quantile at 99.9% with 5 degrees of freedom
+        g = TransitionGraph(edges={(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 0): 4})
+        seeds = 6000
+        seen = Counter(
+            tuple(shuffle_out_weights(g, RandomizerConfig(seed=seed)).weights[0, 1:].tolist())
+            for seed in range(seeds))
+        assert len(seen) == 6
+        expected = seeds / 6
+        assert sum((c - expected) ** 2 / expected for c in seen.values()) < 20.52
 
 
 def test_replica_seed_is_xor():
@@ -226,39 +225,39 @@ GOLDEN_REPLICAS = {
         "548b49f1ae0778fc95bc4700742ab5b62e111649a79b50855ed2c78d799ee711",  # rewired_000.edges
         "42169cb449d16bc6a2d9d0c1610b5c6555d57348cd699cd422137e947151e726",  # rewired_001.edges
         "a53c0e0fc9d883893a886a6fdbfa5c517dccf3f330d27df3c83b1e7df54fbbfb",  # rewired_002.edges
-        "c8a17f002664bd63c4ea5e4bd33638e7246be8377445ad68ae1ce3681e1680c9",  # shuffled_000.edges
-        "f75b2ee557a4f579acef998f9667582f6a9a04f13a007b68594b24e0ff373b1d",  # shuffled_001.edges
-        "56a77e697e2c58bc287d62f90406aebc4b22b9ac07d9182971826533566f733e",  # shuffled_002.edges
+        "d8955624011d70672e3579e66b2648de87e5f063d7171450d47a58198a2eb796",  # shuffled_000.edges
+        "9843e766064a3e06ba74320316cda4a1bb5845ab8df6c7afeab98afc450a3d47",  # shuffled_001.edges
+        "ab908faad444e84ef6820b9f3b6bbf30389bbb6366bab0701afd4f012f96e644",  # shuffled_002.edges
     ),
     ("melodic_1", 10): (
         "1a8a9db683262255be6e79506a423c7b56158b7d45e8c5dcfe4a2db9570224ca",  # rewired_000.edges
         "247656ea483a54a88e19f7f84f7fc421898f6ea73c66db400df1d79161210020",  # rewired_001.edges
         "234c9c1c87fe663ca6b76270adcb8b68c40f0f3a157f783a377e7507e0d362c9",  # rewired_002.edges
-        "c8a17f002664bd63c4ea5e4bd33638e7246be8377445ad68ae1ce3681e1680c9",  # shuffled_000.edges
-        "f75b2ee557a4f579acef998f9667582f6a9a04f13a007b68594b24e0ff373b1d",  # shuffled_001.edges
-        "56a77e697e2c58bc287d62f90406aebc4b22b9ac07d9182971826533566f733e",  # shuffled_002.edges
+        "d8955624011d70672e3579e66b2648de87e5f063d7171450d47a58198a2eb796",  # shuffled_000.edges
+        "9843e766064a3e06ba74320316cda4a1bb5845ab8df6c7afeab98afc450a3d47",  # shuffled_001.edges
+        "ab908faad444e84ef6820b9f3b6bbf30389bbb6366bab0701afd4f012f96e644",  # shuffled_002.edges
     ),
     ("melodic_2", 1): (
         "cbf4ddd5f4ceadb6023be72f1bf4a955587e6c4c262118506be3c673c91cccfc",  # rewired_000.edges
         "32409f447475211241482ab1bb3c4e29b893cb2a768cc471b4a6a873a5963fdf",  # rewired_001.edges
         "8a7bffcc76bd966cc184427af6fcd45d484759b52d3a01e2560974d2cdba88b6",  # rewired_002.edges
-        "0c0e5adac7ba55cfeef9585fa2abdd86fca1d2d1a8c66e0aefe459c5ca532f38",  # shuffled_000.edges
-        "612a7d544e66ef91694c20788db9ef008651975fd8ba57e21f9edc841d8c4542",  # shuffled_001.edges
-        "878d2a6705d77e0dc09c98b96c8ae2717c8628ad1f1e5d55216ed53b94f82ddf",  # shuffled_002.edges
+        "96be34f2495c0b2fbf317f515f88b240d517f07de8157d5238b54c50260150b5",  # shuffled_000.edges
+        "d689ea3cf7d9d8b82e761849cdda36be8eff4c63bbc3d7dbc57fe93356346fbf",  # shuffled_001.edges
+        "d834da757e5d138884a35804a349bc4c664d28f8400cfaa8e097671eed7b10e6",  # shuffled_002.edges
     ),
     ("melodic_2", 10): (
         "7853cdd52aa6d9209e2becaed45164d0ec287358db18bbd50911352d2fd6ad39",  # rewired_000.edges
         "165a59f7af89f28fefb76db21562d6f0562d7283dfa65b35a65e42a5c2c3319b",  # rewired_001.edges
         "d32af596763f6996c600a5519fddc6d066f52193222657794fb31e6d2566f3d4",  # rewired_002.edges
-        "0c0e5adac7ba55cfeef9585fa2abdd86fca1d2d1a8c66e0aefe459c5ca532f38",  # shuffled_000.edges
-        "612a7d544e66ef91694c20788db9ef008651975fd8ba57e21f9edc841d8c4542",  # shuffled_001.edges
-        "878d2a6705d77e0dc09c98b96c8ae2717c8628ad1f1e5d55216ed53b94f82ddf",  # shuffled_002.edges
+        "96be34f2495c0b2fbf317f515f88b240d517f07de8157d5238b54c50260150b5",  # shuffled_000.edges
+        "d689ea3cf7d9d8b82e761849cdda36be8eff4c63bbc3d7dbc57fe93356346fbf",  # shuffled_001.edges
+        "d834da757e5d138884a35804a349bc4c664d28f8400cfaa8e097671eed7b10e6",  # shuffled_002.edges
     ),
     ("loop", 1): (
         "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_000.edges
         "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_001.edges
         "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_002.edges
-        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # shuffled_000.edges
+        "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_000.edges
         "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_001.edges
         "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_002.edges
     ),
@@ -266,7 +265,7 @@ GOLDEN_REPLICAS = {
         "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_000.edges
         "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_001.edges
         "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # rewired_002.edges
-        "a49aacc78fabddb292d8254272e3b8b88c107fc69bb0f2513c2d75d4435d09ba",  # shuffled_000.edges
+        "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_000.edges
         "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_001.edges
         "4182833817159dc528b0abbb20734146a33deae7d8e02d2065e07d15e7e21e98",  # shuffled_002.edges
     ),

@@ -900,6 +900,25 @@ class TestCli:
         ).stdout
         assert out == "[]\n"
 
+    def test_analysis_leaves_out_numpy_random(self, tmp_path):
+        # importing numpy.random adds about 1.8 MB to a worker's peak RSS;
+        # the shuffled null draws its keys from the stdlib's random instead
+        song = tmp_path / "midi" / "song.mid"
+        song.parent.mkdir()
+        song.write_bytes(fixture_midi.melodic_midi(seed=3))
+        src = str(Path(notegraph.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "from notegraph.pipeline import PipelineConfig, run_pipeline\n"
+            f"summary = run_pipeline(PipelineConfig(inputs=[{str(song.parent)!r}],"
+            f" output_dir={str(tmp_path / 'out')!r}, workers=1))\n"
+            "print(summary['computed'], 'numpy.random' in sys.modules)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "NOTEGRAPH_CACHE"}
+        out = subprocess.run([sys.executable, "-c", script], env={**env, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "1 False\n"
+
     def test_report_rebuilds_analyze_tables_byte_for_byte(self, corpus, tmp_path):
         midi_dir, catalog = corpus
         settings = ["--catalog", str(catalog), "--null-samples", "2", "--seed", "5"]
@@ -988,12 +1007,15 @@ class TestCli:
         ("weight_histogram", {"1": True}),
         ("weight_histogram", {" 1": 1}),  # int(" 1") reads it, but it is not ASCII digits
         ("weight_histogram", {"1": 2**63}),
+        ("efficiency", 10**400),  # past float range
+        ("interval_vector", [10**400] + [0.0] * 11),
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
             "negative-infinite-interval-counts", "negative-weight-count", "minus-one-count",
             "numeric-text-interval-vector", "bool-interval-vector", "numeric-text-interval-counts",
-            "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits"])
+            "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits",
+            "huge-efficiency", "huge-interval-vector"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
@@ -1015,8 +1037,9 @@ class TestCli:
         ("interval_counts", [10**400] + [0.0] * 11),
         ("weight_histogram", {"1": 2.0}),
         ("vertex_count", 10**400),  # past float range
+        ("interval_vector", [10**400] + [0.0] * 11),
     ], ids=["text-interval-vector", "huge-interval-count", "float-weight-count",
-            "huge-vertex-count"])
+            "huge-vertex-count", "huge-interval-vector"])
     def test_a_bad_value_that_no_written_table_reads_is_no_fault(
             self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}]
