@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from . import catalog as catalog_mod
 from .errors import NotegraphError
@@ -24,8 +23,8 @@ from .graph import parse_edge_list, graph_from_onsets
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 from .pipeline import (
-    SETTING_TYPES, PipelineConfig, load_songs, make_output_dir, read_settings, run_pipeline,
-    write_aggregates,
+    SETTING_TYPES, PipelineConfig, joined_songs, load_songs, make_output_dir, read_settings,
+    run_pipeline, write_aggregates,
 )
 
 # report aliases -> the aggregate tables each one writes
@@ -85,27 +84,13 @@ def cmd_nullmodel(args: argparse.Namespace) -> int:
     return 0
 
 
-class _JoinedSongs:
-    """Song records with the catalog fields joined to each as it is read;
-    re-iterable as the records are."""
-
-    def __init__(self, records: Iterable[dict], catalog: dict[str, dict]):
-        self.records = records
-        self.catalog = catalog
-
-    def __iter__(self) -> Iterator[dict]:
-        for record in self.records:
-            catalog_mod.join_catalog((record,), self.catalog)
-            yield record
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     # the catalog is read whole first; the songs file streams through the tables
     catalog = catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else None
     records = load_songs(args.songs)
     if catalog is not None:
-        records = _JoinedSongs(records, catalog)
+        records = joined_songs(records, catalog)
     notes = write_aggregates(records, cfg.output_dir, cfg, tables=ALIAS_TABLES.get(args.command))
     print(json.dumps(notes, sort_keys=True))
     return 0

@@ -14,12 +14,12 @@ import hashlib
 import json
 import math
 import os
-import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, get_args, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, get_args, get_type_hints
 
 import numpy as np
 
@@ -94,41 +94,6 @@ REQUIRED_FIELDS = {"song_id", "weight_histogram", "interval_vector", "interval_c
 # entry that holds any other set is a miss
 CACHED_FIELDS = REQUIRED_FIELDS | set(METRIC_COLUMNS) | {
     "content_hash", "duration", "null_shuffled_reciprocity_mean", "stationary_residual"}
-
-
-def _finite(value: int | float) -> bool:
-    """``math.isfinite``, but False for an int past float range, where
-    that raises ``OverflowError``."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _bad_field(record: dict, names: Iterable[str], number: tuple = (int, float)) -> Optional[str]:
-    """The first of ``names``, sorted, whose value is not of its kind, or
-    None: a flag is a bool, an interval vector or count list holds 12
-    finite numbers, the weight histogram is an object of 64-bit integer
-    counts of at least 1 keyed by ASCII-digit weights, and a measure is
-    one of ``number``, an int only within float range (as the column
-    packers take them). ``song_id`` and ``content_hash`` are not checked."""
-    for name in sorted(names):
-        value = record[name]
-        if name in ("full_density", "degenerate_baseline"):
-            ok = type(value) is bool
-        elif name in ("interval_vector", "interval_counts"):
-            ok = (type(value) is list and len(value) == N_INTERVALS
-                  and all(type(v) in (int, float) and _finite(v) for v in value))
-        elif name == "weight_histogram":
-            ok = type(value) is dict and all(
-                w.isascii() and w.isdigit() and type(c) is int and 1 <= c < 2**63
-                for w, c in value.items())
-        else:
-            ok = name in ("song_id", "content_hash") or (
-                type(value) in number and (type(value) is not int or _finite(value)))
-        if not ok:
-            return name
-    return None
 
 
 @dataclass
@@ -277,8 +242,9 @@ def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, An
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
     """The cached entry of this content: an exclusion with a string
     reason, or a record with exactly the ``CACHED_FIELDS``, each of its
-    kind (see ``_bad_field``). Anything else, missing or unreadable, is
-    None (a miss: the song is recomputed and its entry overwritten)."""
+    kind (by the checks of ``FIELD_KINDS``). Anything else, missing or
+    unreadable, is None (a miss: the song is recomputed and its entry
+    overwritten)."""
     try:
         cached = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError):
@@ -287,23 +253,32 @@ def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
         return None
     if "reason" in cached:
         return cached if isinstance(cached["reason"], str) else None
-    if cached.keys() != CACHED_FIELDS or _bad_field(cached, CACHED_FIELDS):
+    if cached.keys() != CACHED_FIELDS or any(
+            FIELD_KINDS.get(name, _measure_block)([cached[name]]) is None
+            for name in CACHED_FIELDS - {"song_id", "content_hash"}):
         return None
     return cached
 
 
-def _write_cache(path: Path, entry: dict) -> None:
-    """Write through a temp file in the same directory, then rename, so a
-    reader never sees a partial entry."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+@contextmanager
+def _written_whole(path: Path) -> Iterator[TextIO]:
+    """A text file to write ``path`` through. It has a temporary name in
+    the same directory and is renamed to ``path`` when the block ends, or
+    removed if the block raises, so a reader never sees a partial file."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True))
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_cache(path: Path, entry: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _written_whole(path) as fh:
+        fh.write(json.dumps(entry, sort_keys=True))
 
 
 def scan_inputs(inputs: list[str]) -> list[Path]:
@@ -365,53 +340,74 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
             jobs.append((p.stem, str(p), digest, cfg))
             continue
         exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
+    # stems are unique among the jobs, so this is song_id order
+    jobs.sort(key=lambda job: job[0])
     if cfg.workers > 1:
         # imported here: the pool's modules (multiprocessing, socket) cost
         # every one-worker run and every CLI start a few ms
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_worker, jobs))
+            counts = _write_song_files(out_dir, pool.map(_worker, jobs), catalog, exclusions)
     else:
-        outcomes = [_worker(job) for job in jobs]
-
-    records = [o["record"] for o in outcomes if o["ok"]]
-    exclusions += [o for o in outcomes if not o["ok"]]
-    cached = sum(1 for o in outcomes if o["ok"] and o["cached"])
-    computed = len(records) - cached
-    records.sort(key=lambda r: r["song_id"])
+        counts = _write_song_files(out_dir, map(_worker, jobs), catalog, exclusions)
     exclusions.sort(key=lambda e: e["song_id"])
-
-    catalog_mod.join_catalog(records, catalog)
-
-    _write_jsonl(out_dir / "songs.jsonl", records)
-    _write_csv(
-        out_dir / "metrics.csv",
-        ["song_id", *METRIC_COLUMNS],
-        [[r["song_id"], *[r[c] for c in METRIC_COLUMNS]] for r in records],
-    )
-    _write_csv(
-        out_dir / "embeddings.csv",
-        ["song_id", *[f"iv_{i}" for i in range(N_INTERVALS)]],
-        [[r["song_id"], *r["interval_vector"]] for r in records],
-    )
     _write_csv(
         out_dir / "exclusions.csv",
         ["song_id", "path", "reason"],
         [[e["song_id"], e["path"], e["reason"]] for e in exclusions],
     )
-    aggregates = write_aggregates(records, out_dir, cfg)
+    # the tables are built as report builds them, from the file just written
+    aggregates = write_aggregates(load_songs(out_dir / "songs.jsonl"), out_dir, cfg)
 
     summary = {
         "files_scanned": len(files),
-        "songs_analyzed": len(records),
+        "songs_analyzed": counts["computed"] + counts["cached"],
         "songs_excluded": len(exclusions),
         "config": cfg.result_config(),
         **aggregates,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
     # cache counters differ between cold and warm runs, so they stay out of out/
-    return {**summary, "computed": computed, "cached": cached}
+    return {**summary, **counts}
+
+
+def _write_song_files(out_dir: Path, outcomes: Iterable[dict], catalog: dict[str, dict],
+                      exclusions: list[dict]) -> dict[str, int]:
+    """Write each song's songs.jsonl, metrics.csv and embeddings.csv lines,
+    catalog fields joined, as its outcome arrives; the files replace the
+    old ones once all are in. Excluded songs go to ``exclusions``.
+    Returns the counts of records computed and read from the cache."""
+    counts = {"computed": 0, "cached": 0}
+
+    def records() -> Iterator[dict]:
+        for outcome in outcomes:
+            if outcome["ok"]:
+                counts["cached" if outcome["cached"] else "computed"] += 1
+                yield outcome["record"]
+            else:
+                exclusions.append(outcome)
+
+    with _written_whole(out_dir / "songs.jsonl") as songs, \
+            _written_whole(out_dir / "metrics.csv") as metrics_file, \
+            _written_whole(out_dir / "embeddings.csv") as embeddings_file:
+        metrics = csv.writer(metrics_file, lineterminator="\n")
+        embeddings = csv.writer(embeddings_file, lineterminator="\n")
+        metrics.writerow(["song_id", *METRIC_COLUMNS])
+        embeddings.writerow(["song_id", *[f"iv_{i}" for i in range(N_INTERVALS)]])
+        for record in joined_songs(records(), catalog):
+            songs.write(json.dumps(record, sort_keys=True) + "\n")
+            metrics.writerow([record["song_id"], *[record[c] for c in METRIC_COLUMNS]])
+            embeddings.writerow([record["song_id"], *record["interval_vector"]])
+    return counts
+
+
+def joined_songs(records: Iterable[dict], catalog: dict[str, dict]) -> Iterator[dict]:
+    """The records, each with its catalog fields joined as it passes
+    (see ``catalog.join_catalog``)."""
+    for record in records:
+        catalog_mod.join_catalog((record,), catalog)
+        yield record
 
 
 # --- aggregation ---
@@ -449,8 +445,8 @@ def _array(values: list, dtype: type) -> Optional[np.ndarray]:
 
 
 def _measure_block(values: list) -> Optional[np.ndarray]:
-    """The values as floats, NaN for None; None if any is not an int, a
-    float or None."""
+    """The values as floats, NaN for None; None if any is not an int
+    within float range, a float or None."""
     if not set(map(type, values)) <= {int, float, type(None)}:
         return None
     return _array(values, float)
@@ -469,52 +465,103 @@ def _matrix_block(rows: list) -> Optional[np.ndarray]:
     return block if np.isfinite(block).all() else None
 
 
+def _histogram_block(hists: list, weight_keys: dict) -> Optional[tuple[np.ndarray, ...]]:
+    """(key index, count) of each entry and each histogram's entry count;
+    None unless each is an object of 64-bit int counts of at least 1, each
+    key an int or ASCII-digit text. New keys join ``weight_keys``."""
+    if not set(map(type, hists)) <= {dict}:
+        return None
+    counts = list(chain.from_iterable(map(dict.values, hists)))
+    if not set(map(type, counts)) <= {int}:
+        return None
+    keys = list(chain.from_iterable(hists))
+    for w in dict.fromkeys(keys):
+        if w not in weight_keys:
+            if not (type(w) is int or type(w) is str and w.isascii() and w.isdigit()):
+                return None
+            weight_keys[w] = len(weight_keys)
+    counts = _array(counts, np.int64)
+    if counts is None or not (counts >= 1).all():
+        return None
+    index = np.fromiter(map(weight_keys.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return index, counts, np.fromiter(map(len, hists), dtype=np.intp, count=len(hists))
+
+
+def _typed(*kinds: type) -> Callable[[list], Optional[list]]:
+    """The check that returns a block of values as it is, or None unless
+    each value is of one of ``kinds``."""
+    return lambda values: values if set(map(type, values)) <= set(kinds) else None
+
+
+def _genres_block(values: list) -> Optional[list]:
+    """The values; None unless each is a list of text or None."""
+    ok = (set(map(type, values)) <= {list, type(None)}
+          and set(map(type, chain.from_iterable(filter(None, values)))) <= {str})
+    return values if ok else None
+
+
+def _decades_block(years: list) -> Optional[np.ndarray]:
+    """The release decade of each year, ``_UNDATED`` for None; None
+    unless each is None or an int, not a bool, within 64-bit range."""
+    if not set(map(type, years)) <= {int, type(None)}:
+        return None
+    return _array([_UNDATED if y is None else y // 10 * 10 for y in years], np.int64)
+
+
+# The one check of each field's kind, where it is not a measure's
+# (``_measure_block``). A check takes a block of the field's values and
+# returns them packed for the tables, or None if any value is not of
+# the kind; every check is value by value, so one value fails alone.
+FIELD_KINDS = {
+    "interval_vector": _matrix_block, "interval_counts": _matrix_block,
+    "weight_histogram": lambda hists: _histogram_block(hists, {}),
+    "full_density": _typed(bool), "degenerate_baseline": _typed(bool),
+    "genres": _genres_block, "release_year": _decades_block,
+    "era": _typed(str, type(None)), "artist": _typed(str, type(None)),
+}
+
+
 class CorpusColumns:
     """The per-record quantities of a corpus that the aggregate tables
     read, built in one pass over any iterable of records. No record is
     kept: the pass packs the values of each block of records into
     arrays and drops them.
 
-    Kept are the song ids, the catalog labels, a float column per tested
-    measure (NaN where a record holds None), the interval vectors and
-    counts as (n, 12) float matrices, and the weight histograms as flat
-    arrays of entries: an index into ``weight_keys`` and a count per
-    entry, with each record's end offset. A column is checked as it is
-    packed, a whole block at a time: a measure holds ints, floats or
-    None; an interval row is a list of 12 finite ints or floats; a
-    histogram is an object of 64-bit int counts of at least 1, each
-    distinct key an int or ASCII-digit text. A column that fails raises
-    ``ValueError`` when a table first reads it, and only then, so a bad
-    value in a column that no table reads is no fault.
+    Kept are the song ids, a float column per tested measure (NaN where
+    a record holds None), the interval vectors and counts as (n, 12)
+    float matrices, the weight histograms as flat arrays of entries (an
+    index into ``weight_keys`` and a count per entry, with each record's
+    end offset), and the catalog labels. Each column is checked by its
+    kind's check (``FIELD_KINDS``) as it is packed, a block at a time. A
+    column that fails names its first bad record in ``BadSongsFile``
+    when a table first reads it, and only then, so a bad value in a
+    column that no table reads is no fault.
     """
 
     def __init__(self, records: Iterable[dict]):
         self.song_ids: list[str] = []
-        self._labels: dict[str, list] = {key: [] for key in LABEL_FIELDS}
         self._weight_keys: dict[Any, int] = {}  # histogram key -> its index
-        packers = {
-            **{name: _measure_block for name in TESTED_MEASURES},
-            "interval_vector": _matrix_block, "interval_counts": _matrix_block,
-            "weight_histogram": self._histogram_block,
-        }
-        # column name -> its packed blocks, or None once one failed its check
-        blocks: dict[str, Optional[list]] = {name: [] for name in packers}
+        packers = {name: FIELD_KINDS.get(name, _measure_block) for name in (
+            *TESTED_MEASURES, "interval_vector", "interval_counts", *LABEL_FIELDS)}
+        packers["weight_histogram"] = partial(_histogram_block, weight_keys=self._weight_keys)
+        blocks: dict[str, list] = {name: [] for name in packers}  # column -> its packed blocks
         pending: dict[str, list] = {name: [] for name in packers}
+        self._bad: dict[str, str] = {}  # column -> the song_id of its first bad record
 
         def pack() -> None:
             for name, values in pending.items():
-                if blocks[name] is not None:
+                if name not in self._bad:
                     block = packers[name](values)
-                    if block is None:
-                        blocks[name] = None
-                    else:
+                    if block is not None:
                         blocks[name].append(block)
-                values.clear()
+                    else:
+                        first = next(i for i, v in enumerate(values) if packers[name]([v]) is None)
+                        self._bad[name] = self.song_ids[len(self.song_ids) - len(values) + first]
+                        del blocks[name]
+                pending[name] = []  # a new list: a label block is the list itself
 
         for record in records:
             self.song_ids.append(record["song_id"])
-            for key, values in self._labels.items():
-                values.append(record.get(key))
             for name, values in pending.items():
                 values.append(record.get(name))
             if len(self.song_ids) % _BLOCK == 0:
@@ -523,44 +570,23 @@ class CorpusColumns:
         # joined one column at a time, dropping its blocks, so that only one
         # column is ever held twice
         self._columns = {}
-        for name in packers:
-            parts = blocks.pop(name)
-            self._columns[name] = None if parts is None else self._join(name, parts)
+        for name in list(blocks):
+            self._columns[name] = self._join(name, blocks.pop(name))
         self.weight_keys = list(self._weight_keys)
 
     @staticmethod
     def _join(name: str, blocks: list):
+        if isinstance(blocks[0], list):
+            return list(chain.from_iterable(blocks))
         if name != "weight_histogram":
             return np.concatenate(blocks)
         index, counts, sizes = map(np.concatenate, zip(*blocks))
         return index, counts, np.cumsum(sizes)
 
-    def _histogram_block(self, hists: list) -> Optional[tuple[np.ndarray, ...]]:
-        """(key index, count) of each entry and each histogram's entry
-        count; None on a histogram that is not one."""
-        if not set(map(type, hists)) <= {dict}:
-            return None
-        counts = list(chain.from_iterable(map(dict.values, hists)))
-        if not set(map(type, counts)) <= {int}:
-            return None
-        keys = list(chain.from_iterable(hists))
-        for w in dict.fromkeys(keys):
-            if w not in self._weight_keys:
-                if not (type(w) is int or type(w) is str and w.isascii() and w.isdigit()):
-                    return None
-                self._weight_keys[w] = len(self._weight_keys)
-        counts = _array(counts, np.int64)
-        if counts is None or not (counts >= 1).all():
-            return None
-        index = np.fromiter(map(self._weight_keys.__getitem__, keys), dtype=np.intp,
-                            count=len(keys))
-        return index, counts, np.fromiter(map(len, hists), dtype=np.intp, count=len(hists))
-
     def _column(self, name: str):
-        column = self._columns[name]
-        if column is None:
-            raise ValueError(f"{name} holds a value of the wrong kind")
-        return column
+        if name in self._bad:
+            raise BadSongsFile(f"song {self._bad[name]!r}: {name} has the wrong type or shape")
+        return self._columns[name]
 
     def measure(self, name: str) -> np.ndarray:
         return self._column(name)
@@ -582,22 +608,19 @@ class CorpusColumns:
     @cached_property
     def genre_rows(self) -> dict[str, np.ndarray]:
         """Genre -> rows; a record without a genre counts under "all"."""
-        return _rows_by_label(genres or ["all"] for genres in self._labels["genres"])
+        return _rows_by_label(genres or ["all"] for genres in self._column("genres"))
 
     def label_rows(self, key: str) -> dict[str, np.ndarray]:
         """Label -> rows for a catalog field: each genre in "genres", or the
         value of "era" or "artist"; a record without one is in no group."""
         if key == "genres":
-            return _rows_by_label(genres or () for genres in self._labels[key])
-        return _rows_by_label((label,) if label else () for label in self._labels[key])
+            return _rows_by_label(genres or () for genres in self._column(key))
+        return _rows_by_label((label,) if label else () for label in self._column(key))
 
-    @cached_property
+    @property
     def decades(self) -> np.ndarray:
         """Release decade per record; ``_UNDATED`` without a release year."""
-        return np.array([
-            _UNDATED if year is None else year // 10 * 10
-            for year in self._labels["release_year"]
-        ], dtype=np.int64)
+        return self._column("release_year")
 
 
 def pairwise_genre_tests(cols: CorpusColumns) -> list[dict]:
@@ -789,31 +812,21 @@ def write_aggregates(
     """Write the corpus-level CSV tables; returns the notes of the run
     (skipped tests, PCA explained variance).
 
-    ``records`` must be re-iterable, such as a list or the view that
-    ``load_songs`` returns, never a one-shot generator: the builders
-    share one ``CorpusColumns`` made in one pass over it, and a second
-    pass (for a file, a second read) runs only when a column fails its
-    check. ``tables`` limits the output to those file names; builders
-    that write none of them are not run. Every table is built before the
-    output directory is made, so a record holding a value of the wrong
-    kind in a column that a table reads raises ``BadSongsFile``, naming
-    the song and the field, and writes nothing; valid records are not
-    checked one by one.
+    ``records`` is any iterable, read once: the builders share one
+    ``CorpusColumns`` made in one pass over it. ``tables`` limits the
+    output to those file names; builders that write none of them are not
+    run. Every table is built before the output directory is made, so a
+    value of the wrong kind in a column that a table reads raises
+    ``BadSongsFile``, naming the column's first bad song and the field,
+    and writes nothing.
     """
     wanted = None if tables is None else set(tables)
     cols = CorpusColumns(records)
     notes: dict[str, Any] = {}
     built: dict[str, Table] = {}
-    try:
-        for names, build in AGGREGATE_TABLES:
-            if wanted is None or not wanted.isdisjoint(names):
-                built.update(build(cols, cfg, notes))
-    except (AttributeError, TypeError, ValueError):
-        for record in records:
-            if name := _bad_field(record, REQUIRED_FIELDS, (int, float, type(None))):
-                message = f"song {record['song_id']!r}: {name} has the wrong type or shape"
-                raise BadSongsFile(message) from None
-        raise
+    for names, build in AGGREGATE_TABLES:
+        if wanted is None or not wanted.isdisjoint(names):
+            built.update(build(cols, cfg, notes))
     out = make_output_dir(out_dir)
     for name, (header, rows) in built.items():
         if wanted is None or name in wanted:
@@ -830,7 +843,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
         writer.writerows(rows)
 
 
-def _write_jsonl(path: Path, records: list[dict]) -> None:
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -19,7 +19,7 @@ import fixture_midi
 import notegraph
 import oracles
 from notegraph import metrics, nullmodels, pipeline
-from notegraph.cli import _build_config, build_parser, main
+from notegraph.cli import ALIAS_TABLES, _build_config, build_parser, main
 from notegraph.errors import (
     BadSetting, BadSongsFile, InsufficientGroups, NoInputs, NonConvergence,
 )
@@ -158,6 +158,49 @@ class TestRunPipeline:
             run_pipeline(cfg)
             outputs.append(read_output(tmp_path / label))
         assert outputs[0] == outputs[1]
+
+    def test_analyze_peak_memory_does_not_grow_with_the_song_count(self, tmp_path):
+        # each record is written as it arrives and the tables are built from
+        # the file, so no record is held until the end
+        midi = tmp_path / "midi"
+        for i in range(300):
+            notes = fixture_midi.melodic_notes(random.Random(i), length=40)
+            path = midi / ("few" if i < 30 else "more") / f"s{i:03d}.mid"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(fixture_midi.write_midi(notes))
+        def peak(inputs, out):
+            tracemalloc.reset_peak()
+            run_pipeline(PipelineConfig(inputs=inputs, output_dir=str(tmp_path / out),
+                                        min_duration=0, null_samples=1, cache_dir=None))
+            return tracemalloc.get_traced_memory()[1]
+        tracemalloc.start()
+        try:
+            peak([str(midi / "few")], "warm-up")
+            few = peak([str(midi / "few")], "few")
+            many = peak([str(midi)], "many")
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "many" / "songs.jsonl").read_text().count("\n") == 300
+        assert many - few < 2**19, (few, many)
+
+    def test_a_run_that_raises_leaves_the_last_songs_files_whole(
+            self, corpus, tmp_path, monkeypatch):
+        midi_dir, catalog = corpus
+        cfg = PipelineConfig(inputs=[str(midi_dir)], catalog_path=str(catalog),
+                             output_dir=str(tmp_path / "out"), null_samples=2, cache_dir=None)
+        run_pipeline(cfg)
+        before = read_output(tmp_path / "out")
+        real, calls = pipeline.analyze_song, []
+        def analyze_song(song_id, data, cfg):
+            calls.append(song_id)
+            if len(calls) == 3:
+                raise RuntimeError("stopped on the third song")
+            return real(song_id, data, cfg)
+        monkeypatch.setattr(pipeline, "analyze_song", analyze_song)
+        with pytest.raises(RuntimeError):
+            run_pipeline(replace(cfg, null_samples=3))
+        assert read_output(tmp_path / "out") == before
+        assert {"songs.jsonl", "metrics.csv", "embeddings.csv"} <= before.keys()
 
     def test_cache_skips_recomputation(self, corpus, tmp_path, monkeypatch):
         midi_dir, catalog = corpus
@@ -771,7 +814,7 @@ class TestAggregateTables:
         assert outputs[0] == outputs[1]
         assert len(outputs[0][1]) == 8
 
-    def test_a_bad_value_in_the_file_is_named_on_a_second_read(self, tmp_path, monkeypatch):
+    def test_a_bad_value_in_the_file_is_named_in_one_read(self, tmp_path, monkeypatch):
         records = fuzz_records(random.Random(1), 300)
         records[270]["interval_counts"] = ["2"] + [0.0] * 11
         songs = write_songs(tmp_path / "songs.jsonl", records)
@@ -780,12 +823,13 @@ class TestAggregateTables:
         monkeypatch.setattr(pipeline.SongsFile, "__iter__",
                             lambda view: passes.append(1) or read(view))
         messages = []
-        for view in (pipeline.load_songs(songs), list(pipeline.load_songs(songs))):
+        for view in (pipeline.load_songs(songs), list(pipeline.load_songs(songs)),
+                     (r for r in records)):  # a one-shot generator
             with pytest.raises(BadSongsFile) as exc:
                 pipeline.write_aggregates(view, tmp_path / "out", PipelineConfig())
             messages.append(str(exc.value))
-        assert messages == ["song 's270': interval_counts has the wrong type or shape"] * 2
-        assert len(passes) == 3  # the view is read twice, the list's source once
+        assert messages == ["song 's270': interval_counts has the wrong type or shape"] * 3
+        assert len(passes) == 2  # the view is read once, the list's source once
         assert not (tmp_path / "out").exists()
 
 
@@ -1009,13 +1053,23 @@ class TestCli:
         ("weight_histogram", {"1": 2**63}),
         ("efficiency", 10**400),  # past float range
         ("interval_vector", [10**400] + [0.0] * 11),
+        ("genres", "jazz"),  # a string is not a list of genres
+        ("genres", 5),
+        ("genres", [5]),
+        ("release_year", "1990"),
+        ("release_year", 1990.5),
+        ("release_year", True),
+        ("era", ["a"]),
+        ("artist", 3),
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
             "negative-infinite-interval-counts", "negative-weight-count", "minus-one-count",
             "numeric-text-interval-vector", "bool-interval-vector", "numeric-text-interval-counts",
             "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits",
-            "huge-efficiency", "huge-interval-vector"])
+            "huge-efficiency", "huge-interval-vector", "text-genres", "int-genres",
+            "int-genre", "text-release-year", "float-release-year", "bool-release-year",
+            "list-era", "int-artist"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
@@ -1032,21 +1086,35 @@ class TestCli:
                        "message": f"song 'b': {field} has the wrong type or shape"}
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field, value", [
-        ("interval_vector", ["1.0"] + [0.0] * 11),
-        ("interval_counts", [10**400] + [0.0] * 11),
-        ("weight_histogram", {"1": 2.0}),
-        ("vertex_count", 10**400),  # past float range
-        ("interval_vector", [10**400] + [0.0] * 11),
+    @pytest.mark.parametrize("command, field, value", [
+        ("trend", "interval_vector", ["1.0"] + [0.0] * 11),
+        ("trend", "interval_counts", [10**400] + [0.0] * 11),
+        ("trend", "weight_histogram", {"1": 2.0}),
+        ("trend", "vertex_count", 10**400),  # past float range
+        ("trend", "interval_vector", [10**400] + [0.0] * 11),
+        ("embed", "genres", "jazz"),  # embed reads no label
     ], ids=["text-interval-vector", "huge-interval-count", "float-weight-count",
-            "huge-vertex-count", "huge-interval-vector"])
+            "huge-vertex-count", "huge-interval-vector", "text-genres-under-embed"])
     def test_a_bad_value_that_no_written_table_reads_is_no_fault(
-            self, field, value, tmp_path, capsys):
+            self, command, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}]
         songs = write_songs(tmp_path / "songs.jsonl", records)
-        assert main(["trend", str(songs), "--output", str(tmp_path / "out")]) == 0
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
-            "trend_decades.csv", "trend_tests.csv"]
+        assert main([command, str(songs), "--output", str(tmp_path / "out")]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+            ALIAS_TABLES[command])
+
+    def test_the_message_names_a_field_that_a_written_table_reads(self, tmp_path, capsys):
+        # stats never reads the interval vectors, so song b's is no fault
+        records = [{**minimal_record(song_id), "genres": [genre]}
+                   for song_id, genre in zip("abcd", ["jazz", "jazz", "rock", "rock"])]
+        records[1]["interval_vector"] = ["x"] + [0.0] * 11
+        records[2]["efficiency"] = "y"
+        songs = write_songs(tmp_path / "songs.jsonl", records)
+        assert main(["stats", str(songs), "--output", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadSongsFile",
+                       "message": "song 'c': efficiency has the wrong type or shape"}
+        assert not (tmp_path / "out").exists()
 
     def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
         records = [{**minimal_record("a"), "efficiency": math.nan},
