@@ -6,10 +6,10 @@ Channel 10 (index 9) is the General MIDI percussion channel and is
 excluded from onset streams.
 
 Events are read one at a time, but a long run of channel messages with
-two data bytes, or of tempo events, is matched by a regex and decoded
-with a few numpy calls; the run stops before any event it does not fully
-hold, so the event loop still reads everything else and raises every
-parse error.
+two data bytes, or of tempo events, is matched by one call of a
+possessive regex and decoded with a few numpy calls; the run stops
+before any event it does not fully hold, so the event loop still reads
+everything else and raises every parse error.
 """
 
 from __future__ import annotations
@@ -34,16 +34,14 @@ PERCUSSION_CHANNEL = 9
 # pressure, controller, pitch bend): a delta of at most 4 bytes, an
 # optional status byte, two data bytes. Each byte's class is forced, so
 # a match is exactly what the event loop would read; an event the loop
-# would refuse, or decode another way, ends the run before it.
-_CHANNEL_RUN = re.compile(rb"(?:[\x80-\xff]{0,3}[\x00-\x7f][\x80-\xbf\xe0-\xef]?[\x00-\x7f]{2})+")
+# would refuse, or decode another way, ends the run before it. As no
+# match can give bytes back, the quantifiers are possessive, and the
+# engine keeps no backtracking state however long the run.
+_CHANNEL_RUN = re.compile(rb"(?:[\x80-\xff]{0,3}+[\x00-\x7f][\x80-\xbf\xe0-\xef]?+[\x00-\x7f]{2})++")
 # a run of set-tempo meta events, each with a delta of at most 4 bytes
-_TEMPO_RUN = re.compile(rb"(?:[\x80-\xff]{0,3}[\x00-\x7f]\xff\x51\x03[\x00-\xff]{3})+")
-LONGEST_RUN_EVENT = 10  # bytes: a 4-byte delta and a tempo event
+_TEMPO_RUN = re.compile(rb"(?:[\x80-\xff]{0,3}+[\x00-\x7f]\xff\x51\x03[\x00-\xff]{3})++")
 # shorter runs stay on the event loop, which costs less than the numpy calls
 MIN_RUN_BYTES = 48
-# The regex engine keeps about 240 bytes of backtracking state per event
-# it matches in one call, so a run is matched this many bytes at a time.
-RUN_WINDOW = 1024
 
 
 @dataclass
@@ -127,17 +125,9 @@ def _channel_run(data: bytes, start: int, stop: int, tick: int, status: int,
 
 def _run_end(pattern: re.Pattern, data: bytes, pos: int, end: int) -> int:
     """Where the run of ``pattern``'s events at ``pos`` ends (``pos`` if
-    there is none), matched ``RUN_WINDOW`` bytes at a time."""
-    stop = pos
-    while True:
-        limit = min(end, stop + RUN_WINDOW)
-        run = pattern.match(data, stop, limit)
-        if run is None:
-            return stop
-        stop = run.end()
-        # the next event was not cut by the window, so it is not in the run
-        if limit == end or limit - stop >= LONGEST_RUN_EVENT:
-            return stop
+    there is none)."""
+    run = pattern.match(data, pos, end)
+    return pos if run is None else run.end()
 
 
 def _tempo_run(data: bytes, start: int, stop: int, tick: int,

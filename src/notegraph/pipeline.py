@@ -843,12 +843,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
         writer.writerows(rows)
 
 
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 class SongsFile:
     """The records of a songs.jsonl file, read one line at a time on
     each iteration, so a pass holds one record at a time.

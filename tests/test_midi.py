@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -352,12 +353,14 @@ def parse_counting_runs(data: bytes, monkeypatch) -> Counter:
 
 
 RUN_CASES = {
-    # 400 events span several regex windows; deltas of 1 to 4 bytes, the
-    # 4-byte one (2**21 + 5) in the middle of the run
+    # 400 events with deltas of 1 to 4 bytes, the 4-byte one (2**21 + 5)
+    # in the middle of the run
     "run-through-a-4-byte-delta": (
         channel_events(200, (0, 120, 20_000)) + vlq(2**21 + 5) + bytes([0x80, 60, 0])
         + channel_events(200, (480, 0), status=0x91, running=True) + END_OF_TRACK,
         {"_channel_run": 1}),
+    # 20,000 events, about 93 KB, matched and decoded whole
+    "run-of-over-64-kb": (channel_events(20_000, (0, 120, 20_000)) + END_OF_TRACK, {"_channel_run": 1}),
     "5-byte-delta": (
         channel_events(30) + b"\x81\x80\x80\x80\x00" + bytes([0x90, 60, 64]) + END_OF_TRACK,
         {"_channel_run": 1}),
@@ -393,6 +396,21 @@ RUN_CASES = {
 def test_runs_decode_as_the_per_event_reference(case, monkeypatch):
     body, runs = RUN_CASES[case]
     assert parse_counting_runs(one_track(body), monkeypatch) == runs
+
+
+def test_run_match_keeps_no_backtracking_state():
+    # a greedy repeat would keep about 240 bytes of state per event
+    for pattern, run in ((midi._CHANNEL_RUN, channel_events(30_000, (0, 120, 20_000))),
+                         (midi._TEMPO_RUN, tempo_events(5_000, (200, 20_000, 0)))):
+        data = run + END_OF_TRACK
+        tracemalloc.start()
+        try:
+            end = midi._run_end(pattern, data, 0, len(data))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert end == len(run)
+        assert peak < 16 * 1024
 
 
 def random_run_track(rng: random.Random) -> bytes:

@@ -1119,8 +1119,7 @@ class TestCli:
     def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
         records = [{**minimal_record("a"), "efficiency": math.nan},
                    {**minimal_record("b"), "genres": []}]
-        path = tmp_path / "songs.jsonl"
-        pipeline._write_jsonl(path, records)
+        path = write_songs(tmp_path / "songs.jsonl", records)
         path.write_text("\n" + path.read_text() + "  \n")
         view = pipeline.load_songs(path)
         for _ in range(2):  # each iteration reads the file again
