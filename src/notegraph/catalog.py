@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import re
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
@@ -36,6 +37,7 @@ SECONDARY_SOURCE_CUTOFF = 1980
 MAX_RELEASE_YEAR = 2021
 MIN_YEAR_MODERN = 1950  # rock / pop / electronic / hip hop
 MIN_YEAR_JAZZ = 1900
+_MODERN = frozenset({"rock", "pop", "electronic", "hip hop"})
 
 _FEAT_TOKEN = re.compile(r"\b(?:feat\.|ft\.)", re.IGNORECASE)
 _PARENS = re.compile(r"\([^)]*\)")
@@ -87,8 +89,7 @@ def reconcile_release_year(
         year = year_b
     if year is None or year > MAX_RELEASE_YEAR:
         return None
-    modern = {"rock", "pop", "electronic", "hip hop"}
-    if genres & modern and year < MIN_YEAR_MODERN:
+    if genres & _MODERN and year < MIN_YEAR_MODERN:
         return None
     if "jazz" in genres and year < MIN_YEAR_JAZZ:
         return None
@@ -107,14 +108,34 @@ def era_bucket(year: int) -> str:
     return "2000-plus"
 
 
-def _parse_int(row: dict, name: str) -> Optional[int]:
-    value = (row.get(name) or "").strip()
+# the columns read, in the order load_catalog takes them from a row
+READ_COLUMNS = ("song_id", "artists", "genres", "year_a", "year_b")
+
+
+def _parse_year(value: str, name: str) -> Optional[int]:
+    value = value.strip()
     if not value:
         return None
-    try:
-        return int(value)
-    except ValueError:
-        raise BadCatalog(f"{name} {value!r} is not an integer") from None
+    # ASCII digits with an optional sign; int() alone also reads "1_990"
+    # and other scripts' digits
+    digits = value[1:] if value[0] in "+-" else value
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise BadCatalog(f"{name} {value!r} is not an integer")
+
+
+def _record(artist: str, macro: frozenset[str], genres: list[str],
+            year_a: Optional[int], year_b: Optional[int]) -> dict[str, Any]:
+    year = reconcile_release_year(year_a, year_b, macro)
+    return {
+        "genres": genres,
+        "release_year": year,
+        "era": era_bucket(year) if year is not None else None,
+        "artist": artist,
+    }
 
 
 def build_record(
@@ -126,50 +147,62 @@ def build_record(
     """The cleaned and reconciled fields of one raw row, as a song record
     is joined with them."""
     macro = macro_genres(genres)
-    year = reconcile_release_year(year_a, year_b, macro)
-    return {
-        "genres": sorted(macro),
-        "release_year": year,
-        "era": era_bucket(year) if year is not None else None,
-        "artist": clean_name(first_artist(artists)),
-    }
+    return _record(clean_name(first_artist(artists)), macro, sorted(macro), year_a, year_b)
 
 
 def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     """Read the catalog file into song_id -> the fields of ``build_record``.
 
-    A file without a song_id column, a row with more or fewer fields than
-    the header, a song_id given twice, and a year that is not an integer
-    raise ``BadCatalog``, which names the file and the 1-based line.
+    A file without a song_id column, a header that names a read column
+    twice, a row with more or fewer fields than the header, a song_id
+    given twice, and a year that is not plain digits with an optional
+    sign raise ``BadCatalog``, which names the file and the 1-based line.
+    A UTF-8 byte order mark before the header is skipped. Each distinct
+    artists text and genres field is cleaned once.
     """
     records: dict[str, dict[str, Any]] = {}
     lines: dict[str, int] = {}  # song_id -> the line that gives it
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter="\t")
-        if "song_id" not in (reader.fieldnames or ()):
+    artists_of: dict[str, str] = {}  # raw artists -> the cleaned first artist
+    genres_of: dict[str, tuple[frozenset[str], list[str]]] = {}  # raw genres -> macro, sorted
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = csv.reader(fh, delimiter="\t")
+        header = next(rows, [])
+        if "song_id" not in header:
             raise BadCatalog(f"{path}, line 1: no song_id column")
-        last = reader.fieldnames[-1]
-        for row in reader:
+        column: dict[str, int] = {}
+        for i, name in enumerate(header):
+            if name in READ_COLUMNS:
+                if name in column:
+                    raise BadCatalog(f"{path}, line 1: column {name!r} is named twice")
+                column[name] = i
+        width = len(header)
+        # an absent column reads as the empty text appended past each row's end
+        fields = itemgetter(*(column.get(name, width) for name in READ_COLUMNS))
+        for row in rows:
+            if not row:  # a blank line
+                continue
             try:
-                # DictReader files a long row's extra fields under None, and
-                # fills a short row's tail with None
-                extra = row.pop(None, ())
-                if extra or row[last] is None:
-                    fields = sum(v is not None for v in row.values()) + len(extra)
-                    raise BadCatalog(f"{fields} fields, the header has {len(reader.fieldnames)}")
-                song_id = row["song_id"].strip()
-                rec = build_record(
-                    artists=row.get("artists", ""),
-                    genres=[g for g in row.get("genres", "").split("|") if g],
-                    year_a=_parse_int(row, "year_a"),
-                    year_b=_parse_int(row, "year_b"),
-                )
+                if len(row) != width:
+                    raise BadCatalog(f"{len(row)} fields, the header has {width}")
+                row.append("")
+                song_id, artists, tags, year_a, year_b = fields(row)
+                song_id = song_id.strip()
+                year_a = _parse_year(year_a, "year_a")
+                year_b = _parse_year(year_b, "year_b")
                 if song_id in lines:
                     raise BadCatalog(f"song_id {song_id!r} is already on line {lines[song_id]}")
             except BadCatalog as exc:
-                raise BadCatalog(f"{path}, line {reader.line_num}: {exc}") from None
-            records[song_id] = rec
-            lines[song_id] = reader.line_num
+                raise BadCatalog(f"{path}, line {rows.line_num}: {exc}") from None
+            artist = artists_of.get(artists)
+            if artist is None:
+                artist = artists_of[artists] = clean_name(first_artist(artists))
+            if tags not in genres_of:
+                macro = macro_genres(t for t in tags.split("|") if t)
+                genres_of[tags] = macro, sorted(macro)
+            macro, genres = genres_of[tags]
+            # each row gets a genres list of its own
+            records[song_id] = _record(artist, macro, genres.copy(), year_a, year_b)
+            lines[song_id] = rows.line_num
     return records
 
 

@@ -67,15 +67,17 @@ def gs_score(vectors: Sequence[np.ndarray]) -> float:
     """
     if len(vectors) == 0:
         raise EmptySet("GS-score of an empty set")
+    # the reductions of np.mean and np.linalg.norm, called directly
     matrix = np.asarray(vectors, dtype=float)
-    norms = np.linalg.norm(matrix, axis=1)
-    if np.any(norms == 0):
+    k = len(matrix)
+    norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
+    if (norms == 0).any():
         raise ZeroVector("GS-score undefined with a zero vector")
-    centroid = matrix.mean(axis=0)
-    c_norm = np.linalg.norm(centroid)
+    centroid = np.add.reduce(matrix, axis=0) / k
+    c_norm = np.sqrt(centroid.dot(centroid))
     if c_norm == 0:
         raise ZeroVector("centroid is the zero vector")
-    return float(np.mean((matrix @ centroid) / (norms * c_norm)))
+    return float(np.add.reduce((matrix @ centroid) / (norms * c_norm)) / k)
 
 
 def check_min_group_size(size: int) -> None:

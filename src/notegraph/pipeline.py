@@ -465,6 +465,13 @@ def _matrix_block(rows: list) -> Optional[np.ndarray]:
     return block if np.isfinite(block).all() else None
 
 
+def _vector_block(rows: list) -> Optional[np.ndarray]:
+    """``_matrix_block``, and None if a row is all zeros: an interval
+    vector is a unit vector."""
+    block = _matrix_block(rows)
+    return block if block is None or block.any(axis=1).all() else None
+
+
 def _histogram_block(hists: list, weight_keys: dict) -> Optional[tuple[np.ndarray, ...]]:
     """(key index, count) of each entry and each histogram's entry count;
     None unless each is an object of 64-bit int counts of at least 1, each
@@ -513,7 +520,7 @@ def _decades_block(years: list) -> Optional[np.ndarray]:
 # returns them packed for the tables, or None if any value is not of
 # the kind; every check is value by value, so one value fails alone.
 FIELD_KINDS = {
-    "interval_vector": _matrix_block, "interval_counts": _matrix_block,
+    "interval_vector": _vector_block, "interval_counts": _matrix_block,
     "weight_histogram": lambda hists: _histogram_block(hists, {}),
     "full_density": _typed(bool), "degenerate_baseline": _typed(bool),
     "genres": _genres_block, "release_year": _decades_block,

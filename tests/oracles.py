@@ -6,15 +6,20 @@ of the implementations in src/.
 
 from __future__ import annotations
 
+import csv
 import math
 import random
 from collections import defaultdict
 from itertools import combinations, groupby, permutations
+from pathlib import Path
+from typing import Any, Optional
 
 import numpy as np
 
+from notegraph.catalog import build_record
 from notegraph.embeddings import INTERVAL_NAMES
 from notegraph.errors import (
+    BadCatalog,
     BadVariableLengthQuantity,
     EmptySong,
     MalformedHeader,
@@ -610,3 +615,54 @@ def aggregate_tables_reference(records: list[dict], min_group_size: int) -> tupl
             ["component", "feature", "r", "p_value", "p_adjusted", "undefined"], rows,
         )
     return tables, notes
+
+
+# The catalog loader as it was before it read rows with csv.reader and
+# cleaned each distinct value once, kept verbatim: csv.DictReader, a
+# record built per row.
+def _parse_int(row: dict, name: str) -> Optional[int]:
+    value = (row.get(name) or "").strip()
+    if not value:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise BadCatalog(f"{name} {value!r} is not an integer") from None
+
+
+def catalog_reference(path: str | Path) -> dict[str, dict[str, Any]]:
+    """Read the catalog file into song_id -> the fields of ``build_record``.
+
+    A file without a song_id column, a row with more or fewer fields than
+    the header, a song_id given twice, and a year that is not an integer
+    raise ``BadCatalog``, which names the file and the 1-based line.
+    """
+    records: dict[str, dict[str, Any]] = {}
+    lines: dict[str, int] = {}  # song_id -> the line that gives it
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter="\t")
+        if "song_id" not in (reader.fieldnames or ()):
+            raise BadCatalog(f"{path}, line 1: no song_id column")
+        last = reader.fieldnames[-1]
+        for row in reader:
+            try:
+                # DictReader files a long row's extra fields under None, and
+                # fills a short row's tail with None
+                extra = row.pop(None, ())
+                if extra or row[last] is None:
+                    fields = sum(v is not None for v in row.values()) + len(extra)
+                    raise BadCatalog(f"{fields} fields, the header has {len(reader.fieldnames)}")
+                song_id = row["song_id"].strip()
+                rec = build_record(
+                    artists=row.get("artists", ""),
+                    genres=[g for g in row.get("genres", "").split("|") if g],
+                    year_a=_parse_int(row, "year_a"),
+                    year_b=_parse_int(row, "year_b"),
+                )
+                if song_id in lines:
+                    raise BadCatalog(f"song_id {song_id!r} is already on line {lines[song_id]}")
+            except BadCatalog as exc:
+                raise BadCatalog(f"{path}, line {reader.line_num}: {exc}") from None
+            records[song_id] = rec
+            lines[song_id] = reader.line_num
+    return records

@@ -138,6 +138,48 @@ class TestGsScore:
         with pytest.raises(ZeroVector):
             gs_score([np.zeros(12), np.ones(12)])
 
+    def test_matches_the_mean_and_norm_formula_bit_for_bit(self):
+        def formula(vectors):
+            matrix = np.asarray(vectors, dtype=float)
+            norms = np.linalg.norm(matrix, axis=1)
+            if np.any(norms == 0):
+                raise ZeroVector("GS-score undefined with a zero vector")
+            centroid = matrix.mean(axis=0)
+            c_norm = np.linalg.norm(centroid)
+            if c_norm == 0:
+                raise ZeroVector("centroid is the zero vector")
+            return float(np.mean((matrix @ centroid) / (norms * c_norm)))
+
+        def outcome(score, vectors):
+            try:
+                return score(vectors).hex()
+            except ZeroVector as exc:
+                return str(exc)
+
+        rng = random.Random(30)
+        errors = []
+        for _ in range(500):
+            k = rng.randrange(1, 40)
+            if rng.random() < 0.5:  # interval counts scaled to unit length, as songs hold them
+                counts = [[float(rng.randrange(0, 60)) for _ in range(12)] for _ in range(k)]
+                group = [[c / math.sqrt(sum(x * x for x in row)) if any(row) else 0.0
+                          for c in row] for row in counts]
+            else:
+                group = [[rng.uniform(-1, 1) for _ in range(12)] for _ in range(k)]
+            if rng.random() < 0.1:
+                group[rng.randrange(k)] = [0.0] * 12
+            elif rng.random() < 0.1:
+                # each row beside its negation: the centroid sums to zero exactly
+                group = [r for row in group for r in (row, [-x for x in row])]
+            vectors = np.array(group) if rng.random() < 0.5 else [np.array(v) for v in group]
+            got, want = outcome(gs_score, vectors), outcome(formula, vectors)
+            assert got == want
+            if not want.startswith("0x"):
+                errors.append(want)
+        # both zero-vector errors are compared too
+        assert errors.count("GS-score undefined with a zero vector") >= 20
+        assert errors.count("centroid is the zero vector") >= 20
+
 
 class TestGroupEmbedding:
     def test_below_threshold_has_no_score(self):

@@ -281,10 +281,12 @@ class TestRunPipeline:
             {**record, "interval_vector": [math.inf, *record["interval_vector"][1:]]}),
         lambda raw, record: json.dumps(
             {**record, "weight_histogram": {**record["weight_histogram"], "1": -5}}),
+        lambda raw, record: json.dumps({**record, "interval_vector": [0.0] * 12}),
     ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list",
             "text-efficiency", "short-interval-vector", "list-weight-histogram",
             "record-without-duration", "record-without-null-mean", "record-with-an-extra-field",
-            "superscript-weight", "infinite-interval-vector", "negative-weight-count"])
+            "superscript-weight", "infinite-interval-vector", "negative-weight-count",
+            "zero-interval-vector"])
     def test_corrupt_cache_entry_is_a_miss(self, corrupt, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
@@ -1061,6 +1063,7 @@ class TestCli:
         ("release_year", True),
         ("era", ["a"]),
         ("artist", 3),
+        ("interval_vector", [0.0] * 12),  # no unit vector: its GS-score is undefined
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
@@ -1069,7 +1072,7 @@ class TestCli:
             "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits",
             "huge-efficiency", "huge-interval-vector", "text-genres", "int-genres",
             "int-genre", "text-release-year", "float-release-year", "bool-release-year",
-            "list-era", "int-artist"])
+            "list-era", "int-artist", "zero-interval-vector"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
@@ -1093,8 +1096,10 @@ class TestCli:
         ("trend", "vertex_count", 10**400),  # past float range
         ("trend", "interval_vector", [10**400] + [0.0] * 11),
         ("embed", "genres", "jazz"),  # embed reads no label
+        ("trend", "interval_vector", [0.0] * 12),
     ], ids=["text-interval-vector", "huge-interval-count", "float-weight-count",
-            "huge-vertex-count", "huge-interval-vector", "text-genres-under-embed"])
+            "huge-vertex-count", "huge-interval-vector", "text-genres-under-embed",
+            "zero-interval-vector"])
     def test_a_bad_value_that_no_written_table_reads_is_no_fault(
             self, command, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}]
