@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import re
+from bisect import bisect_right
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Optional
@@ -29,6 +30,7 @@ MACRO_GENRE_KEYWORDS = {
 }
 
 ERA_BUCKETS = ("pre-1900", "1900-1949", "1950-1979", "1980-1999", "2000-plus")
+_ERA_STARTS = (1900, 1950, 1980, 2000)  # the first year of each bucket after the first
 
 ARTIST_DELIMITERS = re.compile(r"[;,&]")
 
@@ -97,15 +99,7 @@ def reconcile_release_year(
 
 
 def era_bucket(year: int) -> str:
-    if year < 1900:
-        return "pre-1900"
-    if year < 1950:
-        return "1900-1949"
-    if year < 1980:
-        return "1950-1979"
-    if year < 2000:
-        return "1980-1999"
-    return "2000-plus"
+    return ERA_BUCKETS[bisect_right(_ERA_STARTS, year)]
 
 
 # the columns read, in the order load_catalog takes them from a row
@@ -206,9 +200,9 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     return records
 
 
-def join_catalog(songs: Iterable[dict], catalog: dict[str, dict[str, Any]]) -> None:
-    """Set each song record's catalog fields in place; unmatched songs get
-    no genres and None for the rest."""
-    for song in songs:
-        song.update(catalog.get(song["song_id"])
-                    or {"genres": [], "release_year": None, "era": None, "artist": None})
+def join_catalog(song: dict, catalog: dict[str, dict[str, Any]]) -> dict:
+    """The song record, its catalog fields set in place; an unmatched song
+    gets no genres and None for the rest."""
+    song.update(catalog.get(song["song_id"])
+                or {"genres": [], "release_year": None, "era": None, "artist": None})
+    return song

@@ -23,8 +23,8 @@ from .graph import parse_edge_list, graph_from_onsets
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 from .pipeline import (
-    SETTING_TYPES, PipelineConfig, joined_songs, load_songs, make_output_dir, read_settings,
-    run_pipeline, write_aggregates,
+    SETTING_TYPES, PipelineConfig, SongsFile, make_output_dir, read_settings, run_pipeline,
+    write_aggregates,
 )
 
 # report aliases -> the aggregate tables each one writes
@@ -88,9 +88,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     # the catalog is read whole first; the songs file streams through the tables
     catalog = catalog_mod.load_catalog(cfg.catalog_path) if cfg.catalog_path else None
-    records = load_songs(args.songs)
+    records = SongsFile(args.songs)
     if catalog is not None:
-        records = joined_songs(records, catalog)
+        records = (catalog_mod.join_catalog(record, catalog) for record in records)
     notes = write_aggregates(records, cfg.output_dir, cfg, tables=ALIAS_TABLES.get(args.command))
     print(json.dumps(notes, sort_keys=True))
     return 0

@@ -10,7 +10,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,32 +103,23 @@ def weight_histogram(g: TransitionGraph) -> dict[int, int]:
     return {int(w): c for w, c in zip(weights.tolist(), counts.tolist())}
 
 
-def weight_ccdf(histograms: Iterable[Mapping[int | str, int]]) -> list[tuple[int, float]]:
-    """P(W >= w) over every edge weight in a collection of weight histograms.
-
-    Histogram keys may be JSON strings; they are read as integers. The
-    counts are merged under the keys as given first, so each distinct
-    key is read once. A count below 1 raises ValueError.
+def weight_ccdf(weights: Sequence[int] | np.ndarray,
+                counts: Sequence[int] | np.ndarray) -> list[tuple[int, float]]:
+    """P(W >= w) over every edge weight of a collection, given as the
+    (weight, count) entries of its songs' weight histograms; a weight may
+    repeat across songs. A count below 1 raises ValueError.
     """
-    raw: dict[int | str, int] = {}
-    for h in histograms:
-        for w, c in h.items():
-            if c < 1:
-                raise ValueError(f"weight {w}: count {c} is below 1")
-            raw[w] = raw.get(w, 0) + c
-    hist: dict[int, int] = {}
-    for w, c in raw.items():
-        w = int(w)
-        hist[w] = hist.get(w, 0) + c
-    total = sum(hist.values())
-    if total == 0:
+    weights = np.asarray(weights, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    low = np.flatnonzero(counts < 1)
+    if len(low):
+        raise ValueError(f"weight {weights[low[0]]}: count {counts[low[0]]} is below 1")
+    if not len(counts):
         raise EmptyCollection("no edges in collection")
-    out = []
-    remaining = total
-    for w in sorted(hist):
-        out.append((w, remaining / total))
-        remaining -= hist[w]
-    return out
+    distinct, at = np.unique(weights, return_inverse=True)
+    # float sums of int counts are exact while the total is below 2**53
+    at_least = np.cumsum(np.bincount(at, weights=counts)[::-1])[::-1]
+    return list(zip(distinct.tolist(), (at_least / at_least[0]).tolist()))
 
 
 def compute_report(g: TransitionGraph, shuffled: Sequence[TransitionGraph]) -> dict[str, float]:

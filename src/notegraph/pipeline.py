@@ -16,7 +16,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Optional, TextIO, get_args, get_type_hints
@@ -203,40 +203,33 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
     }
 
 
-def _worker(args: tuple[str, str, str, PipelineConfig]) -> dict[str, Any]:
+def _worker(args: tuple[str, str, str, PipelineConfig]) -> tuple[str, str, dict, bool]:
     """Analyse one file; ``content_hash`` is the SHA-256 of its bytes,
-    taken by ``run_pipeline``, and keys the cache entry. The entry is
-    the song's record or, for an excluded song, its content hash and
-    reason; ``song_id`` and ``path`` always come from the job."""
+    taken by ``run_pipeline``, and keys the cache entry. Returns
+    (song_id, path, entry, cached): the entry is the song's record or,
+    for an excluded song, its reason; ``song_id`` and ``path`` always
+    come from the job."""
     song_id, path, content_hash, cfg = args
     cache_file = None
     if cfg.cache_dir:
         cache_file = Path(cfg.cache_dir) / f"{content_hash}-{cfg.analysis_signature()}.json"
         entry = _read_cache(cache_file, content_hash)
         if entry is not None:
-            return _outcome(song_id, path, entry, cached=True)
+            return song_id, path, entry, True
 
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         # gone since run_pipeline hashed it: a fact about the path, not
         # the content, so it is not cached
-        reason = f"{type(exc).__name__}: {exc.strerror}"
-        return _outcome(song_id, path, {"reason": reason}, cached=False)
+        return song_id, path, {"reason": f"{type(exc).__name__}: {exc.strerror}"}, False
     try:
         entry = analyze_song(song_id, data, cfg)
     except NotegraphError as exc:
         entry = {"content_hash": content_hash, "reason": f"{type(exc).__name__}: {exc}"}
     if cache_file is not None:
         _write_cache(cache_file, entry)
-    return _outcome(song_id, path, entry, cached=False)
-
-
-def _outcome(song_id: str, path: str, entry: dict, cached: bool) -> dict[str, Any]:
-    if "reason" in entry:
-        return {"ok": False, "song_id": song_id, "path": path, "reason": entry["reason"]}
-    entry["song_id"] = song_id
-    return {"ok": True, "record": entry, "cached": cached}
+    return song_id, path, entry, False
 
 
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
@@ -358,7 +351,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         [[e["song_id"], e["path"], e["reason"]] for e in exclusions],
     )
     # the tables are built as report builds them, from the file just written
-    aggregates = write_aggregates(load_songs(out_dir / "songs.jsonl"), out_dir, cfg)
+    aggregates = write_aggregates(SongsFile(out_dir / "songs.jsonl"), out_dir, cfg)
 
     summary = {
         "files_scanned": len(files),
@@ -372,22 +365,14 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     return {**summary, **counts}
 
 
-def _write_song_files(out_dir: Path, outcomes: Iterable[dict], catalog: dict[str, dict],
-                      exclusions: list[dict]) -> dict[str, int]:
+def _write_song_files(out_dir: Path, outcomes: Iterable[tuple[str, str, dict, bool]],
+                      catalog: dict[str, dict], exclusions: list[dict]) -> dict[str, int]:
     """Write each song's songs.jsonl, metrics.csv and embeddings.csv lines,
-    catalog fields joined, as its outcome arrives; the files replace the
-    old ones once all are in. Excluded songs go to ``exclusions``.
-    Returns the counts of records computed and read from the cache."""
+    catalog fields joined, as its worker outcome arrives; the files
+    replace the old ones once all are in. Excluded songs go to
+    ``exclusions``. Returns the counts of records computed and read from
+    the cache."""
     counts = {"computed": 0, "cached": 0}
-
-    def records() -> Iterator[dict]:
-        for outcome in outcomes:
-            if outcome["ok"]:
-                counts["cached" if outcome["cached"] else "computed"] += 1
-                yield outcome["record"]
-            else:
-                exclusions.append(outcome)
-
     with _written_whole(out_dir / "songs.jsonl") as songs, \
             _written_whole(out_dir / "metrics.csv") as metrics_file, \
             _written_whole(out_dir / "embeddings.csv") as embeddings_file:
@@ -395,19 +380,17 @@ def _write_song_files(out_dir: Path, outcomes: Iterable[dict], catalog: dict[str
         embeddings = csv.writer(embeddings_file, lineterminator="\n")
         metrics.writerow(["song_id", *METRIC_COLUMNS])
         embeddings.writerow(["song_id", *[f"iv_{i}" for i in range(N_INTERVALS)]])
-        for record in joined_songs(records(), catalog):
+        for song_id, path, entry, cached in outcomes:
+            if "reason" in entry:
+                exclusions.append({"song_id": song_id, "path": path, "reason": entry["reason"]})
+                continue
+            counts["cached" if cached else "computed"] += 1
+            entry["song_id"] = song_id
+            record = catalog_mod.join_catalog(entry, catalog)
             songs.write(json.dumps(record, sort_keys=True) + "\n")
-            metrics.writerow([record["song_id"], *[record[c] for c in METRIC_COLUMNS]])
-            embeddings.writerow([record["song_id"], *record["interval_vector"]])
+            metrics.writerow([song_id, *[record[c] for c in METRIC_COLUMNS]])
+            embeddings.writerow([song_id, *record["interval_vector"]])
     return counts
-
-
-def joined_songs(records: Iterable[dict], catalog: dict[str, dict]) -> Iterator[dict]:
-    """The records, each with its catalog fields joined as it passes
-    (see ``catalog.join_catalog``)."""
-    for record in records:
-        catalog_mod.join_catalog((record,), catalog)
-        yield record
 
 
 # --- aggregation ---
@@ -454,7 +437,7 @@ def _measure_block(values: list) -> Optional[np.ndarray]:
 
 def _matrix_block(rows: list) -> Optional[np.ndarray]:
     """The rows as an (n, 12) float matrix; None unless each is a list of
-    12 finite ints or floats."""
+    12 finite ints or floats of at least 0."""
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {N_INTERVALS}
             and set(map(type, chain.from_iterable(rows))) <= {int, float}):
         return None
@@ -462,7 +445,7 @@ def _matrix_block(rows: list) -> Optional[np.ndarray]:
     if block is None:
         return None
     block = block.reshape(len(rows), N_INTERVALS)
-    return block if np.isfinite(block).all() else None
+    return block if ((block >= 0) & (block < math.inf)).all() else None
 
 
 def _vector_block(rows: list) -> Optional[np.ndarray]:
@@ -472,26 +455,29 @@ def _vector_block(rows: list) -> Optional[np.ndarray]:
     return block if block is None or block.any(axis=1).all() else None
 
 
-def _histogram_block(hists: list, weight_keys: dict) -> Optional[tuple[np.ndarray, ...]]:
-    """(key index, count) of each entry and each histogram's entry count;
-    None unless each is an object of 64-bit int counts of at least 1, each
-    key an int or ASCII-digit text. New keys join ``weight_keys``."""
+def _histogram_block(hists: list) -> Optional[tuple[np.ndarray, ...]]:
+    """(weight, count) of each entry and each histogram's entry count, as
+    int64 arrays; None unless each is an object of 64-bit int counts of
+    at least 1, each key an int or ASCII-digit text within 64 bits."""
     if not set(map(type, hists)) <= {dict}:
         return None
     counts = list(chain.from_iterable(map(dict.values, hists)))
     if not set(map(type, counts)) <= {int}:
         return None
     keys = list(chain.from_iterable(hists))
+    weight_of = {}  # each distinct key, read as an int once
     for w in dict.fromkeys(keys):
-        if w not in weight_keys:
-            if not (type(w) is int or type(w) is str and w.isascii() and w.isdigit()):
-                return None
-            weight_keys[w] = len(weight_keys)
+        if type(w) is not int and not (type(w) is str and w.isascii() and w.isdigit()):
+            return None
+        try:
+            weight_of[w] = int(w)
+        except ValueError:  # past int()'s digit limit
+            return None
+    weights = _array(list(map(weight_of.__getitem__, keys)), np.int64)
     counts = _array(counts, np.int64)
-    if counts is None or not (counts >= 1).all():
+    if weights is None or counts is None or not (counts >= 1).all():
         return None
-    index = np.fromiter(map(weight_keys.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return index, counts, np.fromiter(map(len, hists), dtype=np.intp, count=len(hists))
+    return weights, counts, np.fromiter(map(len, hists), dtype=np.int64, count=len(hists))
 
 
 def _typed(*kinds: type) -> Callable[[list], Optional[list]]:
@@ -521,7 +507,7 @@ def _decades_block(years: list) -> Optional[np.ndarray]:
 # the kind; every check is value by value, so one value fails alone.
 FIELD_KINDS = {
     "interval_vector": _vector_block, "interval_counts": _matrix_block,
-    "weight_histogram": lambda hists: _histogram_block(hists, {}),
+    "weight_histogram": _histogram_block,
     "full_density": _typed(bool), "degenerate_baseline": _typed(bool),
     "genres": _genres_block, "release_year": _decades_block,
     "era": _typed(str, type(None)), "artist": _typed(str, type(None)),
@@ -534,23 +520,23 @@ class CorpusColumns:
     kept: the pass packs the values of each block of records into
     arrays and drops them.
 
-    Kept are the song ids, a float column per tested measure (NaN where
-    a record holds None), the interval vectors and counts as (n, 12)
-    float matrices, the weight histograms as flat arrays of entries (an
-    index into ``weight_keys`` and a count per entry, with each record's
-    end offset), and the catalog labels. Each column is checked by its
-    kind's check (``FIELD_KINDS``) as it is packed, a block at a time. A
-    column that fails names its first bad record in ``BadSongsFile``
-    when a table first reads it, and only then, so a bad value in a
-    column that no table reads is no fault.
+    Kept are the song ids and one column per field, read by ``column``:
+    a float array per tested measure (NaN where a record holds None),
+    the interval vectors and counts as (n, 12) float matrices, the
+    weight histograms as (weights, counts, sizes) int64 arrays (every
+    entry in record order, and each record's entry count), the release
+    decades (``_UNDATED`` without a year) and the other catalog labels.
+    Each column is checked by its kind's check (``FIELD_KINDS``) as it
+    is packed, a block at a time. A column that fails names its first
+    bad record in ``BadSongsFile`` when a table first reads it, and only
+    then, so a bad value in a column that no table reads is no fault.
     """
 
     def __init__(self, records: Iterable[dict]):
         self.song_ids: list[str] = []
-        self._weight_keys: dict[Any, int] = {}  # histogram key -> its index
         packers = {name: FIELD_KINDS.get(name, _measure_block) for name in (
-            *TESTED_MEASURES, "interval_vector", "interval_counts", *LABEL_FIELDS)}
-        packers["weight_histogram"] = partial(_histogram_block, weight_keys=self._weight_keys)
+            *TESTED_MEASURES, "interval_vector", "interval_counts", "weight_histogram",
+            *LABEL_FIELDS)}
         blocks: dict[str, list] = {name: [] for name in packers}  # column -> its packed blocks
         pending: dict[str, list] = {name: [] for name in packers}
         self._bad: dict[str, str] = {}  # column -> the song_id of its first bad record
@@ -578,56 +564,34 @@ class CorpusColumns:
         # column is ever held twice
         self._columns = {}
         for name in list(blocks):
-            self._columns[name] = self._join(name, blocks.pop(name))
-        self.weight_keys = list(self._weight_keys)
+            self._columns[name] = self._join(blocks.pop(name))
 
     @staticmethod
-    def _join(name: str, blocks: list):
+    def _join(blocks: list):
         if isinstance(blocks[0], list):
             return list(chain.from_iterable(blocks))
-        if name != "weight_histogram":
-            return np.concatenate(blocks)
-        index, counts, sizes = map(np.concatenate, zip(*blocks))
-        return index, counts, np.cumsum(sizes)
+        if isinstance(blocks[0], tuple):
+            return tuple(map(np.concatenate, zip(*blocks)))
+        return np.concatenate(blocks)
 
-    def _column(self, name: str):
+    def column(self, name: str):
+        """The packed column of a field; ``BadSongsFile`` if a value in it
+        is not of its kind."""
         if name in self._bad:
             raise BadSongsFile(f"song {self._bad[name]!r}: {name} has the wrong type or shape")
         return self._columns[name]
 
-    def measure(self, name: str) -> np.ndarray:
-        return self._column(name)
-
-    @property
-    def vectors(self) -> np.ndarray:
-        return self._column("interval_vector")
-
-    @property
-    def counts(self) -> np.ndarray:
-        return self._column("interval_counts")
-
-    @property
-    def weight_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(key index, count) of every histogram entry, in record order,
-        and each record's end offset into them."""
-        return self._column("weight_histogram")
-
     @cached_property
     def genre_rows(self) -> dict[str, np.ndarray]:
         """Genre -> rows; a record without a genre counts under "all"."""
-        return _rows_by_label(genres or ["all"] for genres in self._column("genres"))
+        return _rows_by_label(genres or ["all"] for genres in self.column("genres"))
 
     def label_rows(self, key: str) -> dict[str, np.ndarray]:
         """Label -> rows for a catalog field: each genre in "genres", or the
         value of "era" or "artist"; a record without one is in no group."""
         if key == "genres":
-            return _rows_by_label(genres or () for genres in self._column(key))
-        return _rows_by_label((label,) if label else () for label in self._column(key))
-
-    @property
-    def decades(self) -> np.ndarray:
-        """Release decade per record; ``_UNDATED`` without a release year."""
-        return self._column("release_year")
+            return _rows_by_label(genres or () for genres in self.column(key))
+        return _rows_by_label((label,) if label else () for label in self.column(key))
 
 
 def pairwise_genre_tests(cols: CorpusColumns) -> list[dict]:
@@ -643,7 +607,7 @@ def pairwise_genre_tests(cols: CorpusColumns) -> list[dict]:
     pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
     rows: list[dict] = []
     for measure in TESTED_MEASURES:
-        column = cols.measure(measure)
+        column = cols.column(measure)
         samples = {}
         for g, members in groups.items():
             values = column[members]
@@ -681,10 +645,10 @@ def trend_report(cols: CorpusColumns) -> tuple[list[dict], list[dict], list[str]
     test_rows: list[dict] = []
     skipped: list[str] = []
     for genre, rows in cols.genre_rows.items():
-        rows = rows[cols.decades[rows] != _UNDATED]
+        rows = rows[cols.column("release_year")[rows] != _UNDATED]
         if not len(rows):
             continue
-        decade_of = cols.decades[rows]
+        decade_of = cols.column("release_year")[rows]
         decades = np.unique(decade_of).tolist()
         if len(decades) < TREND_MIN_DECADES:
             skipped.append(genre)
@@ -694,7 +658,7 @@ def trend_report(cols: CorpusColumns) -> tuple[list[dict], list[dict], list[str]
             members = rows[decade_of == decade]
             row = {"genre": genre, "decade": decade, "count": len(members)}
             for measure in TREND_MEASURES:
-                values = cols.measure(measure)[members]
+                values = cols.column(measure)[members]
                 finite = values[np.isfinite(values)].tolist()
                 # summed in order, as a Python float, so the bytes do not
                 # hang on numpy's pairwise summation
@@ -724,18 +688,13 @@ Table = tuple[list[str], list[list[Any]]]  # (header, rows) of one CSV
 
 
 def _ccdf_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str, Table]:
-    index, counts, ends = cols.weight_entries
-    sizes = np.diff(ends, prepend=0)
+    weights, counts, sizes = cols.column("weight_histogram")
     rows = []
     for genre, members in cols.genre_rows.items():
         chosen = np.zeros(len(sizes), dtype=bool)
         chosen[members] = True
         entries = np.repeat(chosen, sizes)
-        # float sums of int counts are exact while a genre's total is below 2**53
-        merged = np.bincount(index[entries], weights=counts[entries],
-                             minlength=len(cols.weight_keys)).astype(np.int64).tolist()
-        histogram = {w: c for w, c in zip(cols.weight_keys, merged) if c}
-        rows += [[genre, w, p] for w, p in weight_ccdf([histogram])]
+        rows += [[genre, w, p] for w, p in weight_ccdf(weights[entries], counts[entries])]
     return {"ccdf.csv": (["genre", "weight", "ccdf"], rows)}
 
 
@@ -743,7 +702,8 @@ def _fractions_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> d
     rows = [
         [genre, i, INTERVAL_NAMES[i], frac]
         for genre, members in cols.genre_rows.items()
-        for i, frac in enumerate(interval_fractions(cols.counts[members]).tolist())
+        for i, frac in enumerate(
+            interval_fractions(cols.column("interval_counts")[members]).tolist())
     ]
     return {"interval_fractions.csv": (["genre", "interval", "name", "fraction"], rows)}
 
@@ -774,7 +734,8 @@ def _gs_table(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) -> dict[str
     rows = []
     for group_type, key in (("genre", "genres"), ("era", "era"), ("artist", "artist")):
         for label, members in cols.label_rows(key).items():
-            score = group_embedding(label, cols.vectors[members], cfg.gs_min_group_size)
+            score = group_embedding(
+                label, cols.column("interval_vector")[members], cfg.gs_min_group_size)
             rows.append([group_type, label, len(members), "" if score is None else score])
     return {"gs_scores.csv": (["group_type", "label", "member_count", "gs_score"], rows)}
 
@@ -783,14 +744,14 @@ def _projection_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) ->
     song_ids = cols.song_ids
     if len(song_ids) < 2:
         return {}
-    proj = pca_project(cols.vectors)
+    proj = pca_project(cols.column("interval_vector"))
     notes["explained_variance"] = proj.explained_variance.tolist()
     tables = {"coordinates.csv": (
         ["song_id", "pc1", "pc2"],
         [[song_id, *row] for song_id, row in zip(song_ids, proj.coordinates.tolist())],
     )}
     if len(song_ids) >= 3:
-        features = {m: cols.measure(m) for m in TESTED_MEASURES}
+        features = {m: cols.column(m) for m in TESTED_MEASURES}
         tables["component_correlations.csv"] = (
             ["component", "feature", "r", "p_value", "p_adjusted", "undefined"],
             [[e.component, e.feature, e.r, e.p_value, e.p_adjusted, e.undefined]
@@ -887,10 +848,3 @@ class SongsFile:
                         f"{path}, line {number}: song_id {song_id!r} is already on line {lines[song_id]}")
                 lines[song_id] = number
                 yield record
-
-
-def load_songs(path: str | Path) -> SongsFile:
-    """A re-iterable view of a songs.jsonl file (see ``SongsFile``). The
-    file is not opened until the view is iterated, and each iteration
-    reads it again."""
-    return SongsFile(path)

@@ -4,6 +4,7 @@ import pytest
 
 from notegraph.errors import BadCatalog
 from notegraph.catalog import (
+    ERA_BUCKETS,
     build_record,
     clean_name,
     era_bucket,
@@ -110,6 +111,11 @@ class TestEraBucket:
         }
         for y in range(1600, 2022):
             assert isinstance(era_bucket(y), str)  # exactly one bucket per year
+
+    def test_each_bucket_from_its_first_year_to_its_last(self):
+        bounds = [(-10**6, 1899), (1900, 1949), (1950, 1979), (1980, 1999), (2000, 10**6)]
+        for name, (first, last) in zip(ERA_BUCKETS, bounds, strict=True):
+            assert era_bucket(first) == era_bucket(last) == name
 
 
 def test_build_record_and_load_catalog(tmp_path):

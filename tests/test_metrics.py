@@ -36,7 +36,8 @@ def shuffles(g, null_samples, seed):
 
 
 def ccdf(graphs):
-    return weight_ccdf([weight_histogram(g) for g in graphs])
+    entries = [(w, c) for g in graphs for w, c in weight_histogram(g).items()]
+    return weight_ccdf([w for w, _ in entries], [c for _, c in entries])
 
 
 def oracle_graphs(seed):
@@ -270,9 +271,12 @@ class TestWeightCcdf:
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_count_below_one(self, count):
-        # checked per histogram: merged, the first song's 10 would hide it
+        # checked per entry: merged, the first song's 10 would hide it
         with pytest.raises(ValueError, match=f"count {count} is below 1"):
-            weight_ccdf([{"1": 10}, {"1": count, "2": 1}])
+            weight_ccdf([1, 1, 2], [10, count, 1])
+
+    def test_a_weight_given_twice_is_merged(self):
+        assert weight_ccdf([2, 1, 2], [1, 1, 2]) == [(1, 1.0), (2, 0.75)]
 
     def test_matches_sort_and_count(self):
         rng = random.Random(2)

@@ -282,11 +282,13 @@ class TestRunPipeline:
         lambda raw, record: json.dumps(
             {**record, "weight_histogram": {**record["weight_histogram"], "1": -5}}),
         lambda raw, record: json.dumps({**record, "interval_vector": [0.0] * 12}),
+        lambda raw, record: json.dumps(
+            {**record, "interval_counts": [-1.0, *record["interval_counts"][1:]]}),
     ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list",
             "text-efficiency", "short-interval-vector", "list-weight-histogram",
             "record-without-duration", "record-without-null-mean", "record-with-an-extra-field",
             "superscript-weight", "infinite-interval-vector", "negative-weight-count",
-            "zero-interval-vector"])
+            "zero-interval-vector", "negative-interval-count"])
     def test_corrupt_cache_entry_is_a_miss(self, corrupt, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
@@ -802,6 +804,14 @@ class TestAggregateTables:
                 want.append("component_correlations.csv")
             assert sorted(files) == sorted(want), (seed, notes)
 
+    def test_weight_keys_of_one_int_give_one_ccdf_row(self, tmp_path):
+        hists = [{"3": 1, "1": 2}, {"03": 2}, {3: 4}]
+        records = [{**minimal_record(f"s{i}"), "genres": ["jazz"], "weight_histogram": hist}
+                   for i, hist in enumerate(hists)]
+        pipeline.write_aggregates(records, tmp_path, PipelineConfig(), tables=["ccdf.csv"])
+        assert (tmp_path / "ccdf.csv").read_text() == (
+            f"genre,weight,ccdf\njazz,1,1.0\njazz,3,{7 / 9!r}\n")
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_streamed_file_writes_the_bytes_of_its_list(self, seed, tmp_path):
         # more records than one packed block, so blocks are joined
@@ -809,8 +819,8 @@ class TestAggregateTables:
         songs = write_songs(tmp_path / "songs.jsonl", records)
         cfg = PipelineConfig(gs_min_group_size=3)
         outputs = []
-        for label, view in (("streamed", pipeline.load_songs(songs)),
-                            ("listed", list(pipeline.load_songs(songs)))):
+        for label, view in (("streamed", pipeline.SongsFile(songs)),
+                            ("listed", list(pipeline.SongsFile(songs)))):
             notes = pipeline.write_aggregates(view, tmp_path / label, cfg)
             outputs.append((notes, read_output(tmp_path / label)))
         assert outputs[0] == outputs[1]
@@ -825,7 +835,7 @@ class TestAggregateTables:
         monkeypatch.setattr(pipeline.SongsFile, "__iter__",
                             lambda view: passes.append(1) or read(view))
         messages = []
-        for view in (pipeline.load_songs(songs), list(pipeline.load_songs(songs)),
+        for view in (pipeline.SongsFile(songs), list(pipeline.SongsFile(songs)),
                      (r for r in records)):  # a one-shot generator
             with pytest.raises(BadSongsFile) as exc:
                 pipeline.write_aggregates(view, tmp_path / "out", PipelineConfig())
@@ -1064,6 +1074,9 @@ class TestCli:
         ("era", ["a"]),
         ("artist", 3),
         ("interval_vector", [0.0] * 12),  # no unit vector: its GS-score is undefined
+        ("interval_vector", [-0.6, 0.8] + [0.0] * 10),  # a unit vector, but no count is negative
+        ("weight_histogram", {"1" * 20: 1}),  # a weight past 64 bits
+        ("weight_histogram", {"1" * 5000: 1}),  # past int()'s digit limit too
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
@@ -1072,7 +1085,8 @@ class TestCli:
             "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits",
             "huge-efficiency", "huge-interval-vector", "text-genres", "int-genres",
             "int-genre", "text-release-year", "float-release-year", "bool-release-year",
-            "list-era", "int-artist", "zero-interval-vector"])
+            "list-era", "int-artist", "zero-interval-vector", "negative-interval-vector",
+            "weight-past-64-bits", "weight-past-the-digit-limit"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
@@ -1126,7 +1140,7 @@ class TestCli:
                    {**minimal_record("b"), "genres": []}]
         path = write_songs(tmp_path / "songs.jsonl", records)
         path.write_text("\n" + path.read_text() + "  \n")
-        view = pipeline.load_songs(path)
+        view = pipeline.SongsFile(path)
         for _ in range(2):  # each iteration reads the file again
             first, second = view
             assert [first["song_id"], second["song_id"]] == ["a", "b"]
