@@ -151,8 +151,9 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     twice, a row with more or fewer fields than the header, a song_id
     given twice, and a year that is not plain digits with an optional
     sign raise ``BadCatalog``, which names the file and the 1-based line.
-    A UTF-8 byte order mark before the header is skipped. Each distinct
-    artists text and genres field is cleaned once.
+    A UTF-8 byte order mark before the header is skipped, and so is a row
+    whose fields are all blank after stripping, as an empty line is. Each
+    distinct artists text and genres field is cleaned once.
     """
     records: dict[str, dict[str, Any]] = {}
     lines: dict[str, int] = {}  # song_id -> the line that gives it
@@ -173,7 +174,7 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
         # an absent column reads as the empty text appended past each row's end
         fields = itemgetter(*(column.get(name, width) for name in READ_COLUMNS))
         for row in rows:
-            if not row:  # a blank line
+            if not "".join(row).strip():  # a blank or whitespace-only line
                 continue
             try:
                 if len(row) != width:

@@ -95,14 +95,10 @@ def group_embedding(
     return gs_score(vectors) if len(vectors) >= min_group_size else None
 
 
-@dataclass
-class Projection:
-    coordinates: np.ndarray  # (n_rows, 2)
-    explained_variance: np.ndarray  # fraction per component
-
-
-def pca_project(matrix: np.ndarray) -> Projection:
+def pca_project(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic 2-D PCA: mean-center, SVD, fixed sign convention.
+    Returns the (n_rows, 2) coordinates and the explained variance, a
+    fraction per component.
 
     Each component is flipped so its largest-magnitude loading is
     positive. Rank-deficient inputs are zero-padded to 2 components.
@@ -123,7 +119,7 @@ def pca_project(matrix: np.ndarray) -> Projection:
     explained = np.zeros(2)
     if total_var > 0:
         explained[:n_keep] = (s[:n_keep] ** 2) / total_var
-    return Projection(coordinates=coords, explained_variance=explained)
+    return coords, explained
 
 
 @dataclass

@@ -9,8 +9,6 @@ out-edges are set uniform before damping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BadSetting, EmptyGraph, NonConvergence
@@ -18,18 +16,6 @@ from .graph import TransitionGraph
 
 DEFAULT_DAMPING = 0.05
 _MAX_RESIDUAL = 1e-11  # L1 residual above which the solve is refused
-
-
-@dataclass
-class StationaryDistribution:
-    probabilities: np.ndarray
-    residual: float  # L1 norm of pi P_damped - pi
-
-
-@dataclass
-class NetworkEntropy:
-    total: float
-    stationary: StationaryDistribution
 
 
 def check_damping(damping: float) -> None:
@@ -52,12 +38,13 @@ def stochastic_matrix(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> n
     return (1 - damping) * raw + damping / n
 
 
-def stationary_distribution(m: np.ndarray) -> StationaryDistribution:
-    """The stationary vector of the damped matrix ``m`` by GTH elimination
-    (Grassmann, Taksar & Heyman 1985): states are censored out from the
-    last to the second, then the vector is back-substituted from the
-    first. No step subtracts, so the solve is stable on any irreducible
-    chain; damping makes every entry of ``m`` positive, so no pivot is 0.
+def stationary_distribution(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(pi, residual): the stationary vector of the damped matrix ``m`` by
+    GTH elimination (Grassmann, Taksar & Heyman 1985), and its L1
+    residual. States are censored out from the last to the second, then
+    the vector is back-substituted from the first. No step subtracts, so
+    the solve is stable on any irreducible chain; damping makes every
+    entry of ``m`` positive, so no pivot is 0.
 
     Every product is an elementwise multiply and a numpy sum, never a
     BLAS call, so the bytes do not depend on the BLAS kernel the CPU
@@ -77,7 +64,7 @@ def stationary_distribution(m: np.ndarray) -> StationaryDistribution:
     residual = float(np.abs((pi[:, None] * m).sum(axis=0) - pi).sum())
     if not residual <= _MAX_RESIDUAL:
         raise NonConvergence(residual)
-    return StationaryDistribution(probabilities=pi, residual=residual)
+    return pi, residual
 
 
 def node_entropies(m: np.ndarray) -> np.ndarray:
@@ -87,9 +74,9 @@ def node_entropies(m: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def network_entropy(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> NetworkEntropy:
-    """Stationary-weighted mean of the damped matrix's node entropies."""
+def network_entropy(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> tuple[float, float]:
+    """(entropy, residual): the stationary-weighted mean of the damped
+    matrix's node entropies, and the stationary solve's L1 residual."""
     m = stochastic_matrix(g, damping=damping)
-    pi = stationary_distribution(m)
-    total = 0.0 if len(m) == 1 else float((pi.probabilities * node_entropies(m)).sum())
-    return NetworkEntropy(total=total, stationary=pi)
+    pi, residual = stationary_distribution(m)
+    return 0.0 if len(m) == 1 else float((pi * node_entropies(m)).sum()), residual

@@ -10,7 +10,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,14 +122,16 @@ def weight_ccdf(weights: Sequence[int] | np.ndarray,
     return list(zip(distinct.tolist(), (at_least / at_least[0]).tolist()))
 
 
-def compute_report(g: TransitionGraph, shuffled: Sequence[TransitionGraph]) -> dict[str, float]:
+def compute_report(g: TransitionGraph, shuffled: Iterable[TransitionGraph]) -> dict[str, float]:
     """Score one song graph against its out-weight shuffles, which
-    normalize the weighted reciprocity. Returns the song's measures and
+    normalize the weighted reciprocity. ``shuffled`` is any iterable, and
+    each replica is scored as it arrives. Returns the song's measures and
     flags by name, and the shuffled replicas' mean weighted reciprocity,
     which is the baseline that normalized it."""
     rho, full = reciprocity_binary(g)
     r = weighted_reciprocity_raw(g)
-    r_nm = sum(weighted_reciprocity_raw(x) for x in shuffled) / len(shuffled)
+    r_shuffled = [weighted_reciprocity_raw(x) for x in shuffled]
+    r_nm = sum(r_shuffled) / len(r_shuffled)
     degenerate = r_nm >= 1.0
     return {
         "vertex_count": g.node_count,

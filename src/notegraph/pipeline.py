@@ -15,7 +15,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
@@ -187,15 +187,15 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         )
     g = graph_from_onsets(onset_stream(m), song_id=song_id)
     null_cfg = RandomizerConfig(song_seed(cfg.seed, content_hash), null_samples=cfg.null_samples)
-    report = compute_report(g, list(shuffled_replicas(g, null_cfg)))
-    ent = network_entropy(g, damping=cfg.damping)
+    report = compute_report(g, shuffled_replicas(g, null_cfg))
+    entropy, residual = network_entropy(g, damping=cfg.damping)
     counts = interval_vector(g)
     return {
         "song_id": song_id,
         "content_hash": content_hash,
         "duration": m.duration,
-        "network_entropy": ent.total,
-        "stationary_residual": ent.stationary.residual,
+        "network_entropy": entropy,
+        "stationary_residual": residual,
         "interval_vector": (counts / np.linalg.norm(counts)).tolist(),
         "interval_counts": counts.tolist(),
         "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
@@ -314,6 +314,8 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
     # file in path order owns its stem and its content
     stem_owners: dict[str, Path] = {}
     content_owners: dict[str, Path] = {}
+    # no worker reads the input list, and each job is pickled to a worker
+    job_cfg = replace(cfg, inputs=[])
     jobs = []
     exclusions = []
     for p in files:
@@ -330,7 +332,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
             reason = f"Duplicate: same content as {content_owners[digest]}"
         else:
             stem_owners[p.stem] = content_owners[digest] = p
-            jobs.append((p.stem, str(p), digest, cfg))
+            jobs.append((p.stem, str(p), digest, job_cfg))
             continue
         exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
     # stems are unique among the jobs, so this is song_id order
@@ -457,9 +459,10 @@ def _vector_block(rows: list) -> Optional[np.ndarray]:
 
 def _histogram_block(hists: list) -> Optional[tuple[np.ndarray, ...]]:
     """(weight, count) of each entry and each histogram's entry count, as
-    int64 arrays; None unless each is an object of 64-bit int counts of
-    at least 1, each key an int or ASCII-digit text within 64 bits."""
-    if not set(map(type, hists)) <= {dict}:
+    int64 arrays; None unless each is a non-empty object of 64-bit int
+    counts of at least 1, each key an int or ASCII-digit text within 64
+    bits and of at least 1: a song has an edge, and an edge a weight."""
+    if not (set(map(type, hists)) <= {dict} and all(hists)):
         return None
     counts = list(chain.from_iterable(map(dict.values, hists)))
     if not set(map(type, counts)) <= {int}:
@@ -475,7 +478,7 @@ def _histogram_block(hists: list) -> Optional[tuple[np.ndarray, ...]]:
             return None
     weights = _array(list(map(weight_of.__getitem__, keys)), np.int64)
     counts = _array(counts, np.int64)
-    if weights is None or counts is None or not (counts >= 1).all():
+    if weights is None or counts is None or not ((weights >= 1).all() and (counts >= 1).all()):
         return None
     return weights, counts, np.fromiter(map(len, hists), dtype=np.int64, count=len(hists))
 
@@ -744,18 +747,18 @@ def _projection_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) ->
     song_ids = cols.song_ids
     if len(song_ids) < 2:
         return {}
-    proj = pca_project(cols.column("interval_vector"))
-    notes["explained_variance"] = proj.explained_variance.tolist()
+    coordinates, explained_variance = pca_project(cols.column("interval_vector"))
+    notes["explained_variance"] = explained_variance.tolist()
     tables = {"coordinates.csv": (
         ["song_id", "pc1", "pc2"],
-        [[song_id, *row] for song_id, row in zip(song_ids, proj.coordinates.tolist())],
+        [[song_id, *row] for song_id, row in zip(song_ids, coordinates.tolist())],
     )}
     if len(song_ids) >= 3:
         features = {m: cols.column(m) for m in TESTED_MEASURES}
         tables["component_correlations.csv"] = (
             ["component", "feature", "r", "p_value", "p_adjusted", "undefined"],
             [[e.component, e.feature, e.r, e.p_value, e.p_adjusted, e.undefined]
-             for e in component_correlations(proj.coordinates, features)],
+             for e in component_correlations(coordinates, features)],
         )
     return tables
 

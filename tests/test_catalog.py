@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 
 import pytest
@@ -183,6 +185,17 @@ def test_a_line_number_counts_the_blank_lines_before_it(tmp_path, load, text, me
     assert str(exc.value) == f"{path}, {message}"
 
 
+def test_a_row_of_blank_fields_is_skipped_as_an_empty_line_is(tmp_path):
+    path = tmp_path / "catalog.tsv"
+    # one space (a row of one field), and a row of 7 empty fields
+    path.write_text(HEADER + " \n" + "\t" * 6 + "\n" + GOOD_ROW + "\t \t\r\n" + GOOD_ROW)
+    with pytest.raises(BadCatalog) as exc:
+        load_catalog(path)
+    assert str(exc.value) == f"{path}, line 6: song_id 's1' is already on line 4"
+    path.write_text(HEADER + " \n" + "\t" * 6 + "\n" + GOOD_ROW)
+    assert list(load_catalog(path)) == ["s1"]
+
+
 def test_popularity_column_is_not_read(tmp_path):
     path = tmp_path / "catalog.tsv"
     path.write_text(HEADER + GOOD_ROW + "s2\tX\tSomeone\trock\t\t\thigh\n")
@@ -289,6 +302,23 @@ def random_catalog(rng: random.Random) -> str:
     return "".join(lines)
 
 
+def blank_rows_emptied(text: str) -> str:
+    """The text with the lines of each row after the header whose fields
+    are all blank after stripping made empty, line breaks kept: the old
+    loader then skips the rows that the loader skips, and every other
+    row keeps its line number."""
+    lines = io.StringIO(text, newline="").readlines()
+    rows = csv.reader(lines, delimiter="\t")
+    next(rows, None)
+    first = rows.line_num  # the row's first line, 0-based
+    for row in rows:
+        if not "".join(row).strip():
+            for i in range(first, rows.line_num):
+                lines[i] = lines[i][len(lines[i].rstrip("\r\n")):]
+        first = rows.line_num
+    return "".join(lines)
+
+
 def test_loader_matches_the_dictreader_reference_on_random_catalogs(tmp_path):
     def outcome(load, path):
         try:
@@ -301,9 +331,13 @@ def test_loader_matches_the_dictreader_reference_on_random_catalogs(tmp_path):
     for i in range(2000):
         path = tmp_path / f"catalog{i}.tsv"
         text = random_catalog(rng)
+        # the old loader reads a row of blank fields as a row; the loader
+        # skips it as it skips an empty line
+        path.write_text(blank_rows_emptied(text), encoding="utf-8", newline="")
+        expected = outcome(catalog_reference, path)
         path.write_text(text, encoding="utf-8", newline="")
         got = outcome(load_catalog, path)
-        assert got == outcome(catalog_reference, path), text
+        assert got == expected, text
         if isinstance(got, list):
             loaded += 1
             # every row has a genres list of its own

@@ -195,37 +195,37 @@ class TestPcaProject:
     def test_line_carries_all_variance(self):
         base = np.arange(12, dtype=float)
         rows = np.array([t * base for t in np.linspace(0, 1, 10)])
-        proj = pca_project(rows)
-        assert proj.explained_variance[0] == pytest.approx(1.0)
-        assert proj.explained_variance[1] == pytest.approx(0.0, abs=1e-12)
+        _, explained = pca_project(rows)
+        assert explained[0] == pytest.approx(1.0)
+        assert explained[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_point_analytic(self):
         rows = np.array([[0.0] * 12, [2.0] + [0.0] * 11])
-        proj = pca_project(rows)
+        coords, _ = pca_project(rows)
         # centered points sit at distance 1 along component 1
-        assert sorted(np.round(proj.coordinates[:, 0], 9)) == [-1.0, 1.0]
+        assert sorted(np.round(coords[:, 0], 9)) == [-1.0, 1.0]
 
     def test_duplicate_rows_all_zero(self):
         rows = np.ones((5, 12))
-        proj = pca_project(rows)
-        np.testing.assert_allclose(proj.coordinates, 0.0)
-        np.testing.assert_allclose(proj.explained_variance, 0.0)
+        coords, explained = pca_project(rows)
+        np.testing.assert_allclose(coords, 0.0)
+        np.testing.assert_allclose(explained, 0.0)
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         rows = rng.normal(size=(40, 12))
-        a = pca_project(rows)
-        b = pca_project(rows.copy())
-        assert np.array_equal(a.coordinates, b.coordinates)
+        a, _ = pca_project(rows)
+        b, _ = pca_project(rows.copy())
+        assert np.array_equal(a, b)
 
     def test_sign_convention(self):
         # the loadings of axis i are centered.T @ coords[:, i] scaled by a
         # positive factor, so their largest-magnitude entry is positive
         rng = np.random.default_rng(7)
         rows = rng.normal(size=(30, 12))
-        proj = pca_project(rows)
+        coords, _ = pca_project(rows)
         centered = rows - rows.mean(axis=0)
-        for axis in proj.coordinates.T:
+        for axis in coords.T:
             load = centered.T @ axis
             assert load[np.argmax(np.abs(load))] >= 0
 

@@ -60,25 +60,25 @@ class TestStationaryDistribution:
     def test_doubly_stochastic_gives_uniform(self):
         g = graph({(i, (i + 1) % 4): 1 for i in range(4)})
         m = stochastic_matrix(g)
-        pi = stationary_distribution(m)
-        np.testing.assert_allclose(pi.probabilities, 0.25, atol=1e-10)
+        pi, _ = stationary_distribution(m)
+        np.testing.assert_allclose(pi, 0.25, atol=1e-10)
 
     def test_two_state_closed_form(self):
         g = graph({(0, 1): 3, (1, 0): 1})
         m = stochastic_matrix(g, damping=0.05)
-        pi = stationary_distribution(m)
+        pi, _ = stationary_distribution(m)
         expected = oracles.exact_two_state_stationary(m)
-        np.testing.assert_allclose(pi.probabilities, expected, atol=1e-12)
+        np.testing.assert_allclose(pi, expected, atol=1e-12)
 
     def test_fixed_point_and_normalization(self):
         rng = random.Random(5)
         for _ in range(50):
             g = oracles.random_graph(rng)
             m = stochastic_matrix(g)
-            pi = stationary_distribution(m)
-            assert pi.residual < 1e-10
-            assert abs(pi.probabilities.sum() - 1) < 1e-12
-            assert (pi.probabilities >= 0).all()
+            pi, residual = stationary_distribution(m)
+            assert residual < 1e-10
+            assert abs(pi.sum() - 1) < 1e-12
+            assert (pi >= 0).all()
 
 
 class TestNetworkEntropy:
@@ -87,42 +87,42 @@ class TestNetworkEntropy:
         # uniform, so the entropy rate is exactly log n
         for n in (3, 5, 8):
             g = graph({}, isolated=set(range(n)))
-            ent = network_entropy(g, damping=0.05)
-            assert ent.total == pytest.approx(math.log(n), abs=1e-10)
+            ent, _ = network_entropy(g, damping=0.05)
+            assert ent == pytest.approx(math.log(n), abs=1e-10)
 
     def test_uniform_complete_graph_near_log_n(self):
         # loop-free rows are uniform over n-1 targets: damping mixes in
         # the uniform row, so the rate lies near log(n-1), never above log n
         for n in (3, 5, 8):
             g = graph({(i, j): 2 for i in range(n) for j in range(n) if i != j})
-            ent = network_entropy(g, damping=0.05)
-            assert math.log(n - 1) - 0.1 < ent.total <= math.log(n) + 1e-12
+            ent, _ = network_entropy(g, damping=0.05)
+            assert math.log(n - 1) - 0.1 < ent <= math.log(n) + 1e-12
 
     def test_cycle_matches_dense_oracle(self):
         g = graph({(i, (i + 1) % 5): 1 for i in range(5)})
-        ent = network_entropy(g, damping=0.05)
-        assert ent.total == pytest.approx(oracles.network_entropy(g, 0.05), abs=1e-10)
+        ent, _ = network_entropy(g, damping=0.05)
+        assert ent == pytest.approx(oracles.network_entropy(g, 0.05), abs=1e-10)
 
     def test_single_node_is_zero(self):
-        assert network_entropy(graph({}, isolated={60})).total == 0.0
+        assert network_entropy(graph({}, isolated={60}))[0] == 0.0
 
     def test_bounds(self):
         rng = random.Random(9)
         for _ in range(50):
             g = oracles.random_graph(rng)
-            ent = network_entropy(g)
-            assert -1e-12 <= ent.total <= math.log(g.node_count) + 1e-12
+            ent, _ = network_entropy(g)
+            assert -1e-12 <= ent <= math.log(g.node_count) + 1e-12
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(10)
         for _ in range(50):
             g = oracles.random_graph(rng, max_nodes=6)
-            ent = network_entropy(g, damping=0.05)
-            assert ent.total == pytest.approx(oracles.network_entropy(g, 0.05), abs=1e-9)
+            ent, _ = network_entropy(g, damping=0.05)
+            assert ent == pytest.approx(oracles.network_entropy(g, 0.05), abs=1e-9)
 
     def test_entropy_rises_with_damping(self):
         g = graph({(i, (i + 1) % 6): 1 for i in range(6)})
-        values = [network_entropy(g, damping=a).total for a in (0.05, 0.5, 0.95)]
+        values = [network_entropy(g, damping=a)[0] for a in (0.05, 0.5, 0.95)]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(math.log(6), rel=0.05)
 
@@ -137,12 +137,12 @@ class TestGTH:
         rng = random.Random(11)
         for _ in range(20):
             g = oracles.random_graph(rng, max_nodes=30)
-            ent = network_entropy(g)
+            _, residual = network_entropy(g)
             m = stochastic_matrix(g)
-            pi = ent.stationary.probabilities
-            assert ent.stationary.residual == float(np.abs(
+            pi, _ = stationary_distribution(m)
+            assert residual == float(np.abs(
                 (pi[:, None] * m).sum(axis=0) - pi).sum())
-            assert ent.stationary.residual < 1e-14
+            assert residual < 1e-14
 
     def test_non_finite_solve_is_refused(self):
         m = np.full((3, 3), 1 / 3)
@@ -157,15 +157,16 @@ _KERNEL_PROBE = """
 import random
 import fixture_midi, oracles
 from notegraph.graph import graph_from_onsets
-from notegraph.markov import network_entropy
+from notegraph.markov import network_entropy, stationary_distribution, stochastic_matrix
 from notegraph.midi import onset_stream, parse_midi
 graphs = [graph_from_onsets(onset_stream(parse_midi(fixture_midi.melodic_midi(seed))))
           for seed in range(6)]
 rng = random.Random(3)
 graphs += [oracles.random_graph(rng, max_nodes=n, edge_prob=0.2) for n in (2, 8, 24, 40, 60) * 4]
 for g in graphs:
-    ent = network_entropy(g)
-    print(ent.total.hex(), ent.stationary.residual.hex(), ent.stationary.probabilities.tobytes().hex())
+    ent, residual = network_entropy(g)
+    pi, _ = stationary_distribution(stochastic_matrix(g))
+    print(ent.hex(), residual.hex(), pi.tobytes().hex())
 """
 
 

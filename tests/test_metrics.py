@@ -311,6 +311,16 @@ class TestComputeReport:
             else:
                 assert rep["weighted_reciprocity_norm"] == (r_song - r_nm) / (1 - r_nm)
 
+    def test_replicas_scored_as_drawn_give_the_report_of_their_list(self):
+        def hexed(rep):
+            return {k: v.hex() if isinstance(v, float) else v for k, v in rep.items()}
+
+        rng = random.Random(92)
+        for _ in range(30):
+            g = oracles.random_graph(rng)
+            replicas = shuffles(g, 10, rng.getrandbits(64))
+            assert hexed(compute_report(g, iter(replicas))) == hexed(compute_report(g, replicas))
+
 
 class TestRanges:
     def test_all_metrics_in_bounds(self):

@@ -159,6 +159,45 @@ class TestRunPipeline:
             outputs.append(read_output(tmp_path / label))
         assert outputs[0] == outputs[1]
 
+    def test_named_files_write_the_bytes_of_their_directory_at_any_worker_count(
+            self, corpus, tmp_path):
+        midi_dir, catalog = corpus
+        named = sorted(str(p) for p in midi_dir.iterdir())
+        outputs = []
+        for inputs, workers, label in (([str(midi_dir)], 1, "directory"), (named, 1, "serial"),
+                                       (named, 2, "parallel")):
+            run_pipeline(PipelineConfig(
+                inputs=inputs, catalog_path=str(catalog), output_dir=str(tmp_path / label),
+                null_samples=2, seed=11, workers=workers,
+            ))
+            outputs.append(read_output(tmp_path / label))
+        directory, serial, parallel = outputs
+        assert serial == parallel
+        # only summary.json, which echoes the inputs, tells the named files apart
+        assert directory.keys() == serial.keys()
+        assert [name for name in directory if directory[name] != serial[name]] == ["summary.json"]
+
+    def test_a_job_carries_the_settings_and_not_the_input_list(self, corpus, tmp_path, monkeypatch):
+        midi_dir, catalog = corpus
+        named = sorted(str(p) for p in midi_dir.iterdir())
+        cfg = PipelineConfig(inputs=named, catalog_path=str(catalog),
+                             output_dir=str(tmp_path / "out"), null_samples=2, seed=5,
+                             cache_dir=str(tmp_path / "cache"))
+        jobs = []
+        real = pipeline._worker
+
+        def worker(job):
+            jobs.append(job)
+            return real(job)
+
+        monkeypatch.setattr(pipeline, "_worker", worker)
+        run_pipeline(cfg)
+        assert len(jobs) == len(named)
+        for job in jobs:
+            assert job[3].inputs == []
+            assert job[3].analysis_signature() == cfg.analysis_signature()
+            assert replace(job[3], inputs=named) == cfg
+
     def test_analyze_peak_memory_does_not_grow_with_the_song_count(self, tmp_path):
         # each record is written as it arrives and the tables are built from
         # the file, so no record is held until the end
@@ -284,11 +323,12 @@ class TestRunPipeline:
         lambda raw, record: json.dumps({**record, "interval_vector": [0.0] * 12}),
         lambda raw, record: json.dumps(
             {**record, "interval_counts": [-1.0, *record["interval_counts"][1:]]}),
+        lambda raw, record: json.dumps({**record, "weight_histogram": {"0": 2}}),
     ], ids=["truncated", "record-without-efficiency", "null-reason", "json-list",
             "text-efficiency", "short-interval-vector", "list-weight-histogram",
             "record-without-duration", "record-without-null-mean", "record-with-an-extra-field",
             "superscript-weight", "infinite-interval-vector", "negative-weight-count",
-            "zero-interval-vector", "negative-interval-count"])
+            "zero-interval-vector", "negative-interval-count", "zero-weight"])
     def test_corrupt_cache_entry_is_a_miss(self, corrupt, corpus, tmp_path):
         midi_dir, catalog = corpus
         cache = tmp_path / "cache"
@@ -763,6 +803,7 @@ def assert_tables_match(got: dict, want: dict) -> None:
 class TestAggregateTables:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_builders_match_record_by_record_reference(self, seed):
+        pytest.importorskip("scipy.stats")  # the reference's correlations
         records = fuzz_records(random.Random(seed), 60)
         cfg = PipelineConfig(gs_min_group_size=3)
         cols = pipeline.CorpusColumns(records)
@@ -1077,6 +1118,8 @@ class TestCli:
         ("interval_vector", [-0.6, 0.8] + [0.0] * 10),  # a unit vector, but no count is negative
         ("weight_histogram", {"1" * 20: 1}),  # a weight past 64 bits
         ("weight_histogram", {"1" * 5000: 1}),  # past int()'s digit limit too
+        ("weight_histogram", {}),  # a song has an edge
+        ("weight_histogram", {"0": 2}),  # an edge has a weight of at least 1
     ], ids=["text-efficiency", "short-interval-vector", "list-weight-histogram",
             "numeric-text-efficiency", "bool-efficiency", "superscript-weight",
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
@@ -1086,7 +1129,8 @@ class TestCli:
             "huge-efficiency", "huge-interval-vector", "text-genres", "int-genres",
             "int-genre", "text-release-year", "float-release-year", "bool-release-year",
             "list-era", "int-artist", "zero-interval-vector", "negative-interval-vector",
-            "weight-past-64-bits", "weight-past-the-digit-limit"])
+            "weight-past-64-bits", "weight-past-the-digit-limit", "empty-weight-histogram",
+            "zero-weight"])
     def test_record_with_a_value_of_the_wrong_kind(self, field, value, tmp_path, capsys):
         records = [minimal_record("a"), {**minimal_record("b"), field: value}, minimal_record("c")]
         records[0]["efficiency"] = None  # read as NaN, not a fault
