@@ -8,12 +8,16 @@ perfect unison (0 semitones) up to major seventh (11).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .errors import BadSetting, EmptyGraph, EmptyGroup, EmptySet, TooShort, ZeroVariance, ZeroVector
+from .errors import (
+    BadSetting, EmptyGraph, EmptyGroup, EmptySet, NotegraphError, TooShort, ZeroVariance, ZeroVector,
+)
 from .graph import TransitionGraph
 from . import stats
 
@@ -33,6 +37,7 @@ INTERVAL_NAMES = (
 )
 
 N_INTERVALS = 12
+_MAX_QL_ITERATIONS = 30  # per eigenvalue, EISPACK's cap
 
 
 def interval_class(pitch_a: int, pitch_b: int) -> int:
@@ -67,17 +72,18 @@ def gs_score(vectors: Sequence[np.ndarray]) -> float:
     """
     if len(vectors) == 0:
         raise EmptySet("GS-score of an empty set")
-    # the reductions of np.mean and np.linalg.norm, called directly
+    # elementwise products and numpy sums, never a BLAS product
     matrix = np.asarray(vectors, dtype=float)
     k = len(matrix)
     norms = np.sqrt(np.add.reduce(matrix * matrix, axis=1))
     if (norms == 0).any():
         raise ZeroVector("GS-score undefined with a zero vector")
     centroid = np.add.reduce(matrix, axis=0) / k
-    c_norm = np.sqrt(centroid.dot(centroid))
+    c_norm = np.sqrt(np.add.reduce(centroid * centroid))
     if c_norm == 0:
         raise ZeroVector("centroid is the zero vector")
-    return float(np.add.reduce((matrix @ centroid) / (norms * c_norm)) / k)
+    cosines = np.add.reduce(matrix * centroid, axis=1) / (norms * c_norm)
+    return float(np.add.reduce(cosines) / k)
 
 
 def check_min_group_size(size: int) -> None:
@@ -96,30 +102,150 @@ def group_embedding(
 
 
 def pca_project(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic 2-D PCA: mean-center, SVD, fixed sign convention.
-    Returns the (n_rows, 2) coordinates and the explained variance, a
-    fraction per component.
+    """Deterministic 2-D PCA: mean-center, eigen-decompose the columns'
+    Gram matrix, fixed sign convention. Returns the (n_rows, 2)
+    coordinates and the explained variance, a fraction per component.
 
     Each component is flipped so its largest-magnitude loading is
-    positive. Rank-deficient inputs are zero-padded to 2 components.
+    positive. A component is kept when its eigenvalue exceeds 1e-12 of
+    the largest (the eigensolve's noise floor is about 1e-16 of it);
+    rank-deficient inputs are zero-padded to 2 components. The Gram
+    matrix and the coordinates are elementwise products and numpy sums,
+    and the eigensolve is plain Python, so no BLAS or LAPACK call is
+    made and the bytes do not depend on the kernel the CPU selects.
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ValueError("need a 2-D matrix with at least 2 rows")
-    centered = x - x.mean(axis=0)
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(s > s[0] * 1e-12)) if s.size and s[0] > 0 else 0
-    n_keep = min(2, rank)
+    # one contiguous row per column: each Gram row is one reduction along it
+    ct = (x - x.mean(axis=0)).T.copy()
+    width = len(ct)
+    gram = [[0.0] * width for _ in range(width)]
+    for i in range(width):
+        for j, value in enumerate(np.add.reduce(ct[i:] * ct[i], axis=1).tolist(), i):
+            gram[i][j] = gram[j][i] = value
+    values, vectors = _symmetric_eigen(gram, 2)
+    n_keep = sum(v > values[0] * 1e-12 for v in values) if values and values[0] > 0 else 0
+    trace = math.fsum(gram[i][i] for i in range(width))
     coords = np.zeros((x.shape[0], 2))
-    for i in range(n_keep):
-        load = vt[i]
-        sign = 1.0 if load[np.argmax(np.abs(load))] >= 0 else -1.0
-        coords[:, i] = sign * u[:, i] * s[i]
-    total_var = float(np.sum(s**2))
     explained = np.zeros(2)
-    if total_var > 0:
-        explained[:n_keep] = (s[:n_keep] ** 2) / total_var
+    for i in range(n_keep):
+        load = np.array(vectors[i])
+        if load[np.argmax(np.abs(load))] < 0:
+            load = -load
+        coords[:, i] = np.add.reduce(ct * load[:, None], axis=0)
+        explained[i] = values[i] / trace
     return coords, explained
+
+
+def _symmetric_eigen(a: list[list[float]], count: int) -> tuple[list[float], list[list[float]]]:
+    """The ``count`` largest eigenvalues of the symmetric matrix ``a`` (a
+    list of rows), in descending order, and their unit eigenvectors.
+
+    Householder tridiagonalization, then implicit QL with Wilkinson's
+    shift: EISPACK's tred2 and tql2 (Martin, Reinsch & Wilkinson 1968;
+    Bowdler, Martin, Reinsch & Wilkinson 1968), in plain Python floats.
+    The reflectors and the QL rotations are kept and applied only to the
+    eigenvectors asked for. Raises ``NotegraphError`` when an eigenvalue
+    takes more than ``_MAX_QL_ITERATIONS`` QL steps.
+    """
+    n = len(a)
+    a = [row[:] for row in a]
+    # reduce row i left of its subdiagonal, from the last row up; e[i]
+    # couples i - 1 and i
+    e = [0.0] * n
+    reflectors = []
+    for i in range(n - 1, 1, -1):
+        x = a[i][:i]
+        scale = math.fsum(map(abs, x))
+        if scale == 0.0:
+            continue
+        u = [v / scale for v in x]
+        h = math.fsum(map(mul, u, u))
+        f = u[-1]
+        g = -math.sqrt(h) if f > 0 else math.sqrt(h)
+        e[i] = scale * g
+        h -= f * g
+        u[-1] = f - g
+        # P = I - u u'/h; the leading block becomes P A P = A - u q' - q u'
+        p = [math.fsum(map(mul, a[j], u)) / h for j in range(i)]
+        half = math.fsum(map(mul, u, p)) / (h + h)
+        q = [pj - half * uj for pj, uj in zip(p, u)]
+        for j in range(i):
+            uj, qj = u[j], q[j]
+            a[j][:i] = [v - uj * qk - qj * uk for v, uk, qk in zip(a[j], u, q)]
+        reflectors.append((u, h))
+    if n > 1:
+        e[1] = a[1][0]
+    d = [a[i][i] for i in range(n)]
+    # from here e[i] couples i and i + 1
+    e = e[1:] + [0.0]
+    rotations = []
+    shift = 0.0
+    tst1 = 0.0
+    eps = 2.0**-52
+    for l in range(n):
+        tst1 = max(tst1, abs(d[l]) + abs(e[l]))
+        m = l
+        while abs(e[m]) > eps * tst1:  # e[n - 1] is 0
+            m += 1
+        iterations = 0
+        while m > l:
+            iterations += 1
+            if iterations > _MAX_QL_ITERATIONS:
+                raise NotegraphError(
+                    f"eigensolve: no convergence in {_MAX_QL_ITERATIONS} QL iterations")
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * e[l])
+            r = math.hypot(p, 1.0)
+            if p < 0:
+                r = -r
+            d[l] = e[l] / (p + r)
+            d[l + 1] = e[l] * (p + r)
+            dl1 = d[l + 1]
+            h = g - d[l]
+            for i in range(l + 2, n):
+                d[i] -= h
+            shift += h
+            p = d[m]
+            c = c2 = c3 = 1.0
+            el1 = e[l + 1]
+            s = s2 = 0.0
+            for i in range(m - 1, l - 1, -1):
+                c3, c2, s2 = c2, c, s
+                ei, di = e[i], d[i]
+                g = c * ei
+                h = c * p
+                r = math.hypot(p, ei)
+                e[i + 1] = s * r
+                s = ei / r
+                c = p / r
+                p = c * di - s * g
+                d[i + 1] = h + s * (c * g + s * di)
+                rotations.append((i, c, s))
+            p = -s * s2 * c3 * el1 * e[l] / dl1
+            e[l] = s * p
+            d[l] = c * p
+            if abs(e[l]) <= eps * tst1:
+                break
+        d[l] += shift
+        e[l] = 0.0
+    order = sorted(range(n), key=d.__getitem__, reverse=True)[:count]
+    vectors = []
+    for j in order:
+        # column j of Q R_1 ... R_K: the rotations, then the reflectors,
+        # each applied to e_j last to first
+        y = [0.0] * n
+        y[j] = 1.0
+        for i, c, s in reversed(rotations):
+            yi, yk = y[i], y[i + 1]
+            y[i] = c * yi + s * yk
+            y[i + 1] = c * yk - s * yi
+        for u, h in reversed(reflectors):
+            t = math.fsum(map(mul, u, y)) / h
+            y[: len(u)] = [v - t * uk for v, uk in zip(y, u)]
+        vectors.append(y)
+    return [d[j] for j in order], vectors
 
 
 @dataclass

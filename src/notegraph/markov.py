@@ -54,14 +54,17 @@ def stationary_distribution(m: np.ndarray) -> tuple[np.ndarray, float]:
     n = len(m)
     p = m.copy()
     for k in range(n - 1, 0, -1):
-        p[:k, k] /= p[k, :k].sum()
-        p[:k, :k] += p[:k, k, None] * p[None, k, :k]
+        # views updated in place: no slice is written back onto itself
+        col = p[:k, k]
+        col /= np.add.reduce(p[k, :k])
+        block = p[:k, :k]
+        block += col[:, None] * p[k, :k]
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):
-        pi[k] = (pi[:k] * p[:k, k]).sum()
-    pi /= pi.sum()
-    residual = float(np.abs((pi[:, None] * m).sum(axis=0) - pi).sum())
+        pi[k] = np.add.reduce(pi[:k] * p[:k, k])
+    pi /= np.add.reduce(pi)
+    residual = float(np.add.reduce(np.abs(np.add.reduce(pi[:, None] * m, axis=0) - pi)))
     if not residual <= _MAX_RESIDUAL:
         raise NonConvergence(residual)
     return pi, residual

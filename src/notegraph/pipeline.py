@@ -196,7 +196,7 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         "duration": m.duration,
         "network_entropy": entropy,
         "stationary_residual": residual,
-        "interval_vector": (counts / np.linalg.norm(counts)).tolist(),
+        "interval_vector": (counts / np.sqrt(np.add.reduce(counts * counts))).tolist(),
         "interval_counts": counts.tolist(),
         "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
         **report,

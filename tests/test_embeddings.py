@@ -6,6 +6,7 @@ import pytest
 
 import fixture_midi
 import oracles
+from notegraph import embeddings
 from notegraph.embeddings import (
     INTERVAL_NAMES,
     component_correlations,
@@ -16,7 +17,7 @@ from notegraph.embeddings import (
     interval_vector,
     pca_project,
 )
-from notegraph.errors import EmptyGraph, EmptyGroup, EmptySet, ZeroVector
+from notegraph.errors import EmptyGraph, EmptyGroup, EmptySet, NotegraphError, ZeroVector
 from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.midi import onset_stream, parse_midi
 from notegraph.pipeline import PipelineConfig, analyze_song
@@ -139,16 +140,17 @@ class TestGsScore:
             gs_score([np.zeros(12), np.ones(12)])
 
     def test_matches_the_mean_and_norm_formula_bit_for_bit(self):
+        # the formula with numpy's reductions in place of BLAS products
         def formula(vectors):
             matrix = np.asarray(vectors, dtype=float)
             norms = np.linalg.norm(matrix, axis=1)
             if np.any(norms == 0):
                 raise ZeroVector("GS-score undefined with a zero vector")
             centroid = matrix.mean(axis=0)
-            c_norm = np.linalg.norm(centroid)
+            c_norm = np.sqrt((centroid * centroid).sum())
             if c_norm == 0:
                 raise ZeroVector("centroid is the zero vector")
-            return float(np.mean((matrix @ centroid) / (norms * c_norm)))
+            return float(np.mean((matrix * centroid).sum(axis=1) / (norms * c_norm)))
 
         def outcome(score, vectors):
             try:
@@ -228,6 +230,94 @@ class TestPcaProject:
         for axis in coords.T:
             load = centered.T @ axis
             assert load[np.argmax(np.abs(load))] >= 0
+
+
+def svd_projection(rows):
+    """The projection by LAPACK's SVD: a component is kept when its
+    variance s_i**2 exceeds 1e-12 of the first's, and flipped so its
+    largest-magnitude loading is positive."""
+    u, s, vt = np.linalg.svd(rows - rows.mean(axis=0), full_matrices=False)
+    kept = int(np.sum(s**2 > s[0] ** 2 * 1e-12)) if s[0] > 0 else 0
+    coords, explained = np.zeros((len(rows), 2)), np.zeros(2)
+    for i in range(min(2, kept)):
+        sign = 1.0 if vt[i][np.argmax(np.abs(vt[i]))] >= 0 else -1.0
+        coords[:, i] = sign * u[:, i] * s[i]
+        explained[i] = s[i] ** 2 / np.sum(s**2)
+    return coords, explained, kept
+
+
+def low_rank_rows(rng, n_rows, rank):
+    """Rows of the given rank once centered: a shared offset plus ``rank``
+    random directions. The offset's entries are multiples of 1/8, so
+    equal rows center to exact zeros."""
+    directions = rng.normal(size=(rank, 12))
+    return rng.integers(-8, 8, size=12) / 8 + rng.normal(size=(n_rows, rank)) @ directions
+
+
+class TestPcaAgainstSvd:
+    @pytest.mark.parametrize("n_rows", [2, 3, 5, 9, 12, 13, 20, 40, 2500])
+    def test_random_rows(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        for trial in range(1 if n_rows == 2500 else 10):
+            rows = rng.normal(size=(n_rows, 12)) if trial % 2 else np.abs(rng.normal(size=(n_rows, 12)))
+            coords, explained = pca_project(rows)
+            want_coords, want_explained, _ = svd_projection(rows)
+            np.testing.assert_allclose(coords, want_coords, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(explained, want_explained, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    def test_low_rank_rows_are_zero_padded(self, rank):
+        rng = np.random.default_rng(40 + rank)
+        for n_rows in (2, 3, 7, 40):
+            if n_rows <= rank:
+                continue
+            rows = low_rank_rows(rng, n_rows, rank)
+            coords, explained = pca_project(rows)
+            want_coords, want_explained, kept = svd_projection(rows)
+            assert kept == rank
+            np.testing.assert_allclose(coords, want_coords, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(explained, want_explained, rtol=1e-12, atol=0)
+            assert not coords[:, rank:].any() and not explained[rank:].any()
+
+    def test_a_solve_past_the_iteration_cap_is_refused(self, monkeypatch):
+        rows = np.random.default_rng(50).normal(size=(20, 12))
+        monkeypatch.setattr(embeddings, "_MAX_QL_ITERATIONS", 0)
+        with pytest.raises(NotegraphError, match="no convergence"):
+            pca_project(rows)
+
+
+def symmetric_matrices():
+    rng = np.random.default_rng(60)
+    square = rng.normal(size=(12, 12))
+    data = rng.normal(size=(30, 12))
+    thin = rng.normal(size=(3, 12))
+    return {
+        "zero": np.zeros((12, 12)),
+        "identity": np.eye(12),
+        "diagonal": np.diag(rng.normal(size=12)),
+        "all-ones": np.ones((12, 12)),
+        "random": square + square.T,
+        "gram": data.T @ data,
+        "gram-rank-3": thin.T @ thin,
+    }
+
+
+class TestSymmetricEigen:
+    @pytest.mark.parametrize("name", list(symmetric_matrices()))
+    def test_residual_and_orthogonality(self, name):
+        a = symmetric_matrices()[name]
+        values, vectors = embeddings._symmetric_eigen(a.tolist(), 12)
+        v = np.array(vectors).T
+        scale = max(np.abs(a).max(), 1e-300)
+        assert values == sorted(values, reverse=True)
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(a)[::-1], rtol=0, atol=1e-13 * scale)
+        assert np.abs(a @ v - v * np.array(values)).max() <= 1e-13 * scale
+        assert np.abs(v.T @ v - np.eye(12)).max() <= 1e-13
+
+    def test_the_largest_pairs_are_those_of_the_whole_solve(self):
+        a = symmetric_matrices()["gram"].tolist()
+        values, vectors = embeddings._symmetric_eigen(a, 12)
+        assert embeddings._symmetric_eigen(a, 2) == (values[:2], vectors[:2])
 
 
 class TestComponentCorrelations:

@@ -1016,6 +1016,41 @@ class TestCli:
                              capture_output=True, text=True, check=True).stdout
         assert out == "1 False\n"
 
+    def test_every_output_byte_is_the_same_under_another_blas_kernel(self, tmp_path):
+        # OPENBLAS_CORETYPE picks the kernel of numpy's OpenBLAS in the child
+        # only; Prescott runs on every x86-64 CPU. The report's genre and era
+        # groups have 5 or more songs, so their GS scores are computed, and
+        # both runs have the 3 songs the correlations need.
+        songs = write_songs(tmp_path / "songs.jsonl",
+                            report_records(genres=tuple(GENRES), per_genre=12))
+        midi_dir = build_corpus(tmp_path, n_songs=6)
+        catalog = build_catalog(tmp_path, n_songs=6)
+        script = (
+            "import sys\n"
+            "from notegraph.cli import main\n"
+            "songs, catalog, midi, out = sys.argv[1:]\n"
+            "sys.exit(main(['report', songs, '--output', out + '/report'])\n"
+            "         or main(['analyze', midi, '--catalog', catalog, '--output', out + '/analyze',\n"
+            "                  '--null-samples', '2']))\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_CORETYPE", "NOTEGRAPH_CACHE")}
+        env["PYTHONPATH"] = str(Path(notegraph.__file__).resolve().parents[1])
+        outputs = []
+        for kernel, kernel_env in (("default", env), ("prescott", {**env, "OPENBLAS_CORETYPE": "Prescott"})):
+            out = tmp_path / kernel
+            subprocess.run([sys.executable, "-c", script, str(songs), str(catalog), str(midi_dir),
+                            str(out)], env=kernel_env, capture_output=True, check=True)
+            outputs.append({str(p.relative_to(out)): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        default, prescott = outputs
+        for run in ("report", "analyze"):
+            assert f"{run}/component_correlations.csv" in default
+        gs_rows = list(csv.DictReader(default["report/gs_scores.csv"].decode().splitlines()))
+        assert sum(row["gs_score"] != "" for row in gs_rows) == len(GENRES) + 1
+        assert sorted(prescott) == sorted(default)
+        assert [name for name, data in default.items() if prescott[name] != data] == []
+
     def test_report_rebuilds_analyze_tables_byte_for_byte(self, corpus, tmp_path):
         midi_dir, catalog = corpus
         settings = ["--catalog", str(catalog), "--null-samples", "2", "--seed", "5"]
