@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Optional
 
-from .errors import BadCatalog
+from .errors import BadCatalog, not_utf8
 
 MACRO_GENRE_KEYWORDS = {
     "rock": "rock",
@@ -150,7 +150,8 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     A file without a song_id column, a header that names a read column
     twice, a row with more or fewer fields than the header, a song_id
     given twice, and a year that is not plain digits with an optional
-    sign raise ``BadCatalog``, which names the file and the 1-based line.
+    sign raise ``BadCatalog``, which names the file and the 1-based line;
+    so does a byte that is not UTF-8.
     A UTF-8 byte order mark before the header is skipped, and so is a row
     whose fields are all blank after stripping, as an empty line is. Each
     distinct artists text and genres field is cleaned once.
@@ -159,45 +160,49 @@ def load_catalog(path: str | Path) -> dict[str, dict[str, Any]]:
     lines: dict[str, int] = {}  # song_id -> the line that gives it
     artists_of: dict[str, str] = {}  # raw artists -> the cleaned first artist
     genres_of: dict[str, tuple[frozenset[str], list[str]]] = {}  # raw genres -> macro, sorted
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = csv.reader(fh, delimiter="\t")
-        header = next(rows, [])
-        if "song_id" not in header:
-            raise BadCatalog(f"{path}, line 1: no song_id column")
-        column: dict[str, int] = {}
-        for i, name in enumerate(header):
-            if name in READ_COLUMNS:
-                if name in column:
-                    raise BadCatalog(f"{path}, line 1: column {name!r} is named twice")
-                column[name] = i
-        width = len(header)
-        # an absent column reads as the empty text appended past each row's end
-        fields = itemgetter(*(column.get(name, width) for name in READ_COLUMNS))
-        for row in rows:
-            if not "".join(row).strip():  # a blank or whitespace-only line
-                continue
-            try:
-                if len(row) != width:
-                    raise BadCatalog(f"{len(row)} fields, the header has {width}")
-                row.append("")
-                song_id, artists, tags, year_a, year_b = fields(row)
-                song_id = song_id.strip()
-                year_a = _parse_year(year_a, "year_a")
-                year_b = _parse_year(year_b, "year_b")
-                if song_id in lines:
-                    raise BadCatalog(f"song_id {song_id!r} is already on line {lines[song_id]}")
-            except BadCatalog as exc:
-                raise BadCatalog(f"{path}, line {rows.line_num}: {exc}") from None
-            artist = artists_of.get(artists)
-            if artist is None:
-                artist = artists_of[artists] = clean_name(first_artist(artists))
-            if tags not in genres_of:
-                macro = macro_genres(t for t in tags.split("|") if t)
-                genres_of[tags] = macro, sorted(macro)
-            macro, genres = genres_of[tags]
-            # each row gets a genres list of its own
-            records[song_id] = _record(artist, macro, genres.copy(), year_a, year_b)
-            lines[song_id] = rows.line_num
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            rows = csv.reader(fh, delimiter="\t")
+            header = next(rows, [])
+            if "song_id" not in header:
+                raise BadCatalog(f"{path}, line 1: no song_id column")
+            column: dict[str, int] = {}
+            for i, name in enumerate(header):
+                if name in READ_COLUMNS:
+                    if name in column:
+                        raise BadCatalog(f"{path}, line 1: column {name!r} is named twice")
+                    column[name] = i
+            width = len(header)
+            # an absent column reads as the empty text appended past each row's end
+            fields = itemgetter(*(column.get(name, width) for name in READ_COLUMNS))
+            for row in rows:
+                if not "".join(row).strip():  # a blank or whitespace-only line
+                    continue
+                try:
+                    if len(row) != width:
+                        raise BadCatalog(f"{len(row)} fields, the header has {width}")
+                    row.append("")
+                    song_id, artists, tags, year_a, year_b = fields(row)
+                    song_id = song_id.strip()
+                    year_a = _parse_year(year_a, "year_a")
+                    year_b = _parse_year(year_b, "year_b")
+                    if song_id in lines:
+                        raise BadCatalog(
+                            f"song_id {song_id!r} is already on line {lines[song_id]}")
+                except BadCatalog as exc:
+                    raise BadCatalog(f"{path}, line {rows.line_num}: {exc}") from None
+                artist = artists_of.get(artists)
+                if artist is None:
+                    artist = artists_of[artists] = clean_name(first_artist(artists))
+                if tags not in genres_of:
+                    macro = macro_genres(t for t in tags.split("|") if t)
+                    genres_of[tags] = macro, sorted(macro)
+                macro, genres = genres_of[tags]
+                # each row gets a genres list of its own
+                records[song_id] = _record(artist, macro, genres.copy(), year_a, year_b)
+                lines[song_id] = rows.line_num
+    except UnicodeDecodeError:
+        raise not_utf8(BadCatalog, path) from None
     return records
 
 

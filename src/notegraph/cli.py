@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import catalog as catalog_mod
-from .errors import NotegraphError
+from .errors import BadEdgeList, NotegraphError, not_utf8
 from .graph import parse_edge_list, graph_from_onsets
 from .midi import onset_stream, parse_midi
 from .nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
@@ -61,7 +61,11 @@ def _load_graph(path: str):
     p = Path(path)
     if p.suffix.lower() in (".mid", ".midi"):
         return graph_from_onsets(onset_stream(parse_midi(p.read_bytes())), song_id=p.stem)
-    return parse_edge_list(p.read_text(), song_id=p.stem)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(BadEdgeList, p) from None
+    return parse_edge_list(text, song_id=p.stem)
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

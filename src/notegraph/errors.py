@@ -5,6 +5,23 @@ class NotegraphError(Exception):
     """Base class for every error raised by this package."""
 
 
+def not_utf8(error: type[NotegraphError], path) -> NotegraphError:
+    """``error`` for a text file that does not decode as UTF-8, naming the
+    file, the 1-based line (ended by LF, CR or CRLF, as the readers count
+    lines) and the 1-based byte within it of the first bad byte. The file
+    is read again to find it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        byte = exc.start - max(head.rfind(b"\n"), head.rfind(b"\r"))
+        return error(f"{path}, line {line}: byte {byte} is not UTF-8 ({exc.reason})")
+    return error(f"{path}: not UTF-8")
+
+
 class BadSetting(NotegraphError, ValueError):
     """A setting is unknown, unreadable or out of range."""
 

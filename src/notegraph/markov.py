@@ -72,9 +72,8 @@ def stationary_distribution(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 def node_entropies(m: np.ndarray) -> np.ndarray:
     """Row-wise Shannon entropy, natural log. Zero entries contribute 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(m > 0, m * np.log(m), 0.0)
-    return -terms.sum(axis=1)
+    logs = np.log(m, out=np.zeros_like(m), where=m > 0)
+    return -(m * logs).sum(axis=1)
 
 
 def network_entropy(g: TransitionGraph, damping: float = DEFAULT_DAMPING) -> tuple[float, float]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
 from .graph import TransitionGraph
+from .markov import node_entropies
 
 
 def density(g: TransitionGraph) -> float:
@@ -56,9 +57,7 @@ def mean_node_entropy(g: TransitionGraph) -> float:
     degree = np.count_nonzero(g.weights, axis=1)
     split = degree > 1
     rows = g.weights[split]
-    p = rows / rows.sum(axis=1, keepdims=True)
-    logs = np.log(p, out=np.zeros_like(p), where=p > 0)
-    h = -(p * logs).sum(axis=1)
+    h = node_entropies(rows / rows.sum(axis=1, keepdims=True))
     return float((h / np.log(degree[split])).sum()) / g.node_count
 
 
@@ -66,35 +65,39 @@ def mean_node_entropy(g: TransitionGraph) -> float:
 _NO_PATH = 2**30 - 1
 
 
-def global_efficiency(g: TransitionGraph, weighted: bool = False) -> float:
-    """Mean inverse shortest-path distance over ordered node pairs.
+def global_efficiency(g: TransitionGraph) -> tuple[float, float]:
+    """(hop, weighted): the mean inverse shortest-path distance over
+    ordered node pairs, with 1 per edge and with the total edge weight as
+    path cost. Unreachable pairs contribute 0. With all weights >= 1 the
+    weighted value never exceeds the hop value.
 
-    Unreachable pairs contribute 0. The weighted variant uses total edge
-    weight as path cost; with all weights >= 1 it never exceeds the
-    unweighted value.
-
-    Distances come from one Floyd-Warshall over the (n, n) int32 matrix
-    of path costs (n <= 128 pitches): the edge weight, or 1 for hop
-    distance. Weights are integer counts, so the sums are exact while
-    the total weight, which bounds every shortest path, stays below
-    ``_NO_PATH``; at or above it ``OutOfRange`` is raised.
+    Both come from one Floyd-Warshall over a (2, n, n) int32 stack of
+    path costs (n <= 128 pitches), and each slice is scored alone.
+    Weights are integer counts, so the sums are exact while the total
+    weight, which bounds every shortest path, stays below ``_NO_PATH``;
+    at or above it ``OutOfRange`` is raised.
     """
     n = g.node_count
     if n < 2:
         raise DegenerateGraph(f"efficiency undefined for {n} node(s)")
-    if weighted and g.total_weight >= _NO_PATH:
+    if g.total_weight >= _NO_PATH:
         raise OutOfRange(f"total weight {g.total_weight} not below {_NO_PATH}")
-    d = np.full((n, n), _NO_PATH, dtype=np.int32)
+    d = np.full((2, n, n), _NO_PATH, dtype=np.int32)
     linked = g.weights > 0
-    d[linked] = g.weights[linked] if weighted else 1
+    d[0][linked] = 1
+    d[1][linked] = g.weights[linked]
     via = np.empty_like(d)
     for k in range(n):
-        np.add(d[:, k, None], d[None, k, :], out=via)
+        np.add(d[:, :, k, None], d[:, None, k, :], out=via)
         np.minimum(d, via, out=d)
-    inverse = np.where(d < _NO_PATH, d, np.inf)
-    np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
-    np.divide(1.0, inverse, out=inverse)
-    return float(inverse.sum()) / (n * (n - 1))
+    scores = []
+    for paths in d:
+        inverse = np.where(paths < _NO_PATH, paths, np.inf)
+        np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
+        np.divide(1.0, inverse, out=inverse)
+        scores.append(float(inverse.sum()) / (n * (n - 1)))
+    hop, weighted = scores
+    return hop, weighted
 
 
 def weight_histogram(g: TransitionGraph) -> dict[int, int]:
@@ -133,6 +136,7 @@ def compute_report(g: TransitionGraph, shuffled: Iterable[TransitionGraph]) -> d
     r_shuffled = [weighted_reciprocity_raw(x) for x in shuffled]
     r_nm = sum(r_shuffled) / len(r_shuffled)
     degenerate = r_nm >= 1.0
+    hop, weighted = global_efficiency(g)
     return {
         "vertex_count": g.node_count,
         "edge_count": g.edge_count,
@@ -141,8 +145,8 @@ def compute_report(g: TransitionGraph, shuffled: Iterable[TransitionGraph]) -> d
         "weighted_reciprocity_raw": r,
         "weighted_reciprocity_norm": math.nan if degenerate else (r - r_nm) / (1 - r_nm),
         "mean_node_entropy": mean_node_entropy(g),
-        "efficiency": global_efficiency(g),
-        "weighted_efficiency": global_efficiency(g, weighted=True),
+        "efficiency": hop,
+        "weighted_efficiency": weighted,
         "full_density": full,  # binary reciprocity undefined at density 1
         "degenerate_baseline": degenerate,  # r_NM = 1, normalized value undefined
         "null_shuffled_reciprocity_mean": r_nm,

@@ -43,6 +43,7 @@ from .errors import (
     NoInputs,
     NotegraphError,
     UnwritableOutput,
+    not_utf8,
 )
 from .graph import graph_from_onsets
 from .markov import DEFAULT_DAMPING, check_damping, network_entropy
@@ -150,8 +151,12 @@ SETTING_TYPES = {
 def read_settings(path: str | Path) -> dict[str, Any]:
     """The settings of a ``key = value`` config file; '#' starts a
     comment. ``inputs`` is a whitespace-separated list."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise not_utf8(BadSetting, path) from None
     settings: dict[str, Any] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

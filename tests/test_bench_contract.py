@@ -74,8 +74,8 @@ def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
     assert summary["songs_analyzed"] == 4
     assert counts["pipeline.analyze_calls"] == 4
     assert "pipeline.duplicate_analyses" not in counts
-    # the hop and the weighted efficiency of each song, the song alone
-    assert counts["metrics.efficiency_calls"] == 4 * 2
+    # one call per song scores its hop and weighted efficiency, the song alone
+    assert counts["metrics.efficiency_calls"] == 4
     assert "nullmodels.rewire_calls" not in counts  # analyze draws shuffles only
     # one call per replica: the row split is cached on the graph, not a call
     assert counts["nullmodels.shuffle_calls"] == 4 * 2

@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import fixture_midi
 import oracles
 from notegraph.errors import DegenerateGraph, EmptyCollection, EmptyGraph, OutOfRange
-from notegraph.graph import TransitionGraph
+from notegraph.graph import TransitionGraph, graph_from_onsets
 from notegraph.metrics import (
     compute_report,
     density,
@@ -16,6 +18,7 @@ from notegraph.metrics import (
     weight_histogram,
     weighted_reciprocity_raw,
 )
+from notegraph.midi import onset_stream, parse_midi
 from notegraph.nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
 
 
@@ -197,27 +200,23 @@ class TestMeanNodeEntropy:
 
 class TestGlobalEfficiency:
     def test_complete_graph_is_one(self):
-        g = complete_digraph(4)
-        assert global_efficiency(g, weighted=False) == pytest.approx(1.0)
-        assert global_efficiency(g, weighted=True) == pytest.approx(1.0)
+        assert global_efficiency(complete_digraph(4)) == pytest.approx((1.0, 1.0))
 
     def test_two_nodes_single_edge(self):
-        assert global_efficiency(graph({(0, 1): 1})) == pytest.approx(0.5)
+        assert global_efficiency(graph({(0, 1): 1})) == pytest.approx((0.5, 0.5))
 
     def test_matches_floyd_warshall_oracle(self):
         for g in oracle_graphs(21):
-            for weighted in (False, True):
-                assert global_efficiency(g, weighted=weighted) == pytest.approx(
-                    oracles.global_efficiency(g, weighted), abs=1e-12
-                )
+            assert global_efficiency(g) == pytest.approx(
+                (oracles.global_efficiency(g, False), oracles.global_efficiency(g, True)),
+                abs=1e-12,
+            )
 
     def test_weighted_never_exceeds_unweighted(self):
         rng = random.Random(34)
         for _ in range(200):
-            g = oracles.random_graph(rng)
-            assert global_efficiency(g, weighted=True) <= global_efficiency(
-                g, weighted=False
-            ) + 1e-12
+            hop, weighted = global_efficiency(oracles.random_graph(rng))
+            assert weighted <= hop + 1e-12
 
 
 class TestEfficiencies:
@@ -238,10 +237,45 @@ class TestEfficiencies:
 
     def test_matches_oracle_on_null_replicas(self):
         for g in self.graphs():
-            for weighted in (False, True):
-                assert global_efficiency(g, weighted) == pytest.approx(
-                    oracles.global_efficiency(g, weighted), abs=1e-12
-                )
+            assert global_efficiency(g) == pytest.approx(
+                (oracles.global_efficiency(g, False), oracles.global_efficiency(g, True)),
+                abs=1e-12,
+            )
+
+    @staticmethod
+    def one_pass(g, weighted):
+        """One Floyd-Warshall over a single (n, n) matrix of path costs,
+        scored as one contiguous matrix: the hop or the weighted value."""
+        n, no_path = g.node_count, 2**30 - 1
+        d = np.full((n, n), no_path, dtype=np.int32)
+        linked = g.weights > 0
+        d[linked] = g.weights[linked] if weighted else 1
+        via = np.empty_like(d)
+        for k in range(n):
+            np.add(d[:, k, None], d[None, k, :], out=via)
+            np.minimum(d, via, out=d)
+        inverse = np.where(d < no_path, d, np.inf)
+        np.fill_diagonal(inverse, np.inf)
+        np.divide(1.0, inverse, out=inverse)
+        return float(inverse.sum()) / (n * (n - 1))
+
+    def test_both_values_are_the_bits_of_one_pass_each(self):
+        # sparse graphs of up to 128 pitches, each with 1-3 isolated
+        # pitches (so with unreachable pairs), then the fixture songs
+        rng = random.Random(35)
+        graphs = self.graphs()
+        for _ in range(60):
+            g = oracles.random_graph(rng, max_nodes=rng.choice((8, 40, 125)), max_weight=200,
+                                     edge_prob=rng.choice((0.01, 0.05, 0.3)))
+            isolated = rng.sample(sorted(set(range(128)) - g.nodes), rng.randint(1, 3))
+            graphs.append(TransitionGraph(song_id="s", edges=g.edges, isolated=isolated))
+        songs = [fixture_midi.melodic_midi(seed) for seed in range(6)]
+        songs += [fixture_midi.loop_midi(length) for length in (300, 333)]
+        graphs += [graph_from_onsets(onset_stream(parse_midi(data))) for data in songs]
+        for g in graphs:
+            hop, weighted = global_efficiency(g)
+            assert (hop.hex(), weighted.hex()) == (
+                self.one_pass(g, False).hex(), self.one_pass(g, True).hex())
 
     def test_degenerate_graph(self):
         with pytest.raises(DegenerateGraph):
@@ -249,12 +283,10 @@ class TestEfficiencies:
 
     def test_total_weight_limit(self):
         for weight in (2**30 - 1, 2**30):
-            g = graph({(0, 1): weight})
-            with pytest.raises(OutOfRange):
-                global_efficiency(g, weighted=True)
-            assert global_efficiency(g) == 0.5  # hop distance has no weight to overflow
+            with pytest.raises(OutOfRange, match=f"total weight {weight} not below 1073741823"):
+                global_efficiency(graph({(0, 1): weight}))
         below = graph({(0, 1): 2**30 - 2})
-        assert global_efficiency(below, weighted=True) == 0.5 / (2**30 - 2)
+        assert global_efficiency(below) == (0.5, 0.5 / (2**30 - 2))
 
 
 class TestWeightCcdf:
@@ -298,8 +330,7 @@ class TestComputeReport:
         for g in draws:
             shuffled = shuffles(g, 4, 3)
             rep = compute_report(g, shuffled)
-            assert rep["efficiency"] == global_efficiency(g, weighted=False)
-            assert rep["weighted_efficiency"] == global_efficiency(g, weighted=True)
+            assert (rep["efficiency"], rep["weighted_efficiency"]) == global_efficiency(g)
             assert rep["weighted_reciprocity_raw"] == weighted_reciprocity_raw(g)
             r_song, *r_shuffled = [oracles.weighted_reciprocity_raw(x) for x in (g, *shuffled)]
             r_nm = sum(r_shuffled) / len(r_shuffled)

@@ -524,9 +524,9 @@ class TestAnalyzeSong:
         calls = []
         real = metrics.global_efficiency
 
-        def counted(g, weighted=False):
-            calls.append((g.song_id, weighted))
-            return real(g, weighted)
+        def counted(g):
+            calls.append(g)
+            return real(g)
 
         def rewire(g, cfg):
             raise AssertionError("analyze_song drew a rewired replica")
@@ -534,9 +534,11 @@ class TestAnalyzeSong:
         monkeypatch.setattr(metrics, "global_efficiency", counted)
         monkeypatch.setattr(nullmodels, "rewire_edges", rewire)
         data = fixture_midi.melodic_midi(seed=4)
-        pipeline.analyze_song("s", data, PipelineConfig(null_samples=3, min_duration=0))
-        # the hop, then the weighted efficiency of the song itself
-        assert calls == [("s", False), ("s", True)]
+        record = pipeline.analyze_song("s", data, PipelineConfig(null_samples=3, min_duration=0))
+        # one call scores both efficiencies, on the song's own graph
+        assert len(calls) == 1 and calls[0].song_id == "s"
+        assert calls[0].edges == graph_from_onsets(onset_stream(parse_midi(data))).edges
+        assert (record["efficiency"], record["weighted_efficiency"]) == real(calls[0])
 
 
 class TestSongSeed:
@@ -985,6 +987,16 @@ class TestCli:
         error = json.loads(capsys.readouterr().err)
         assert error == {"error": "BadEdgeList", "message": "line 2: not three integers: '60 62 x'"}
 
+    def test_an_edge_list_that_is_not_utf8_is_a_bad_edge_list(self, tmp_path, capsys):
+        bad = tmp_path / "bad.edges"
+        bad.write_bytes(b"60 62 1\n61 6\xff 1\n")
+        out = tmp_path / "none"
+        assert main(["nullmodel", str(bad), "--output", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error == {"error": "BadEdgeList",
+                         "message": f"{bad}, line 2: byte 5 is not UTF-8 (invalid start byte)"}
+        assert not out.exists()
+
     def test_import_leaves_out_scipy_stats_and_sparse(self):
         # each costs start-up time or memory on every CLI run (setup_s, peak RSS);
         # the pool is imported only when workers > 1
@@ -1381,6 +1393,43 @@ class TestSettings:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BadCatalog"
         assert err["message"].startswith(f"{catalog}, line 14: ")
+        assert reads == [] and not out.exists()
+
+    @pytest.mark.parametrize("command, newline", [
+        ("analyze", b"\n"), ("report", b"\n"), ("report", b"\r\n"), ("report", b"\r"),
+    ], ids=["analyze", "report", "report-crlf", "report-cr"])
+    def test_a_catalog_that_is_not_utf8_is_a_bad_catalog(
+        self, command, newline, tmp_path, monkeypatch, capsys
+    ):
+        songs = two_songs(tmp_path / "in")
+        target = songs if command == "analyze" else tmp_path / "songs.jsonl"
+        (tmp_path / "songs.jsonl").write_text(json.dumps(minimal_record("a")) + "\n")
+        catalog = build_catalog(tmp_path, n_songs=600)
+        lines = catalog.read_bytes().splitlines()
+        # past the first 8 KB the text reader decodes at once, on line 501
+        lines[500] = lines[500].replace(b"Title", b"Titl\xe9")
+        catalog.write_bytes(newline.join(lines) + newline)
+        out = tmp_path / "out"
+        reads = []
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p))
+        assert main([command, str(target), "--catalog", str(catalog),
+                     "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadCatalog",
+                       "message": f"{catalog}, line 501: byte 13 is not UTF-8 (invalid continuation byte)"}
+        assert reads == [] and not out.exists()
+
+    def test_a_config_that_is_not_utf8_is_a_bad_setting(self, tmp_path, monkeypatch, capsys):
+        songs = two_songs(tmp_path / "in")
+        conf = tmp_path / "latin1.conf"
+        conf.write_bytes("seed = 3\n# caf\u00e9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        reads = []
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p))
+        assert main(["analyze", str(songs), "--config", str(conf), "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BadSetting",
+                       "message": f"{conf}, line 2: byte 6 is not UTF-8 (invalid continuation byte)"}
         assert reads == [] and not out.exists()
 
     def test_unparsable_flag_is_a_usage_error(self):
