@@ -65,7 +65,10 @@ def _load_graph(path: str):
         text = p.read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise not_utf8(BadEdgeList, p) from None
-    return parse_edge_list(text, song_id=p.stem)
+    try:
+        return parse_edge_list(text, song_id=p.stem)
+    except BadEdgeList as exc:  # it names the line; the file is named here
+        raise BadEdgeList(f"{p}, {exc}") from None
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -65,39 +65,58 @@ def mean_node_entropy(g: TransitionGraph) -> float:
 _NO_PATH = 2**30 - 1
 
 
-def global_efficiency(g: TransitionGraph) -> tuple[float, float]:
-    """(hop, weighted): the mean inverse shortest-path distance over
-    ordered node pairs, with 1 per edge and with the total edge weight as
-    path cost. Unreachable pairs contribute 0. With all weights >= 1 the
-    weighted value never exceeds the hop value.
-
-    Both come from one Floyd-Warshall over a (2, n, n) int32 stack of
-    path costs (n <= 128 pitches), and each slice is scored alone.
-    Weights are integer counts, so the sums are exact while the total
-    weight, which bounds every shortest path, stays below ``_NO_PATH``;
-    at or above it ``OutOfRange`` is raised.
-    """
+def check_efficiency(g: TransitionGraph) -> None:
+    """Raise what ``global_efficiency`` raises for ``g``: ``DegenerateGraph``
+    below 2 nodes, and ``OutOfRange`` when the total weight is not below
+    ``_NO_PATH``."""
     n = g.node_count
     if n < 2:
         raise DegenerateGraph(f"efficiency undefined for {n} node(s)")
     if g.total_weight >= _NO_PATH:
         raise OutOfRange(f"total weight {g.total_weight} not below {_NO_PATH}")
-    d = np.full((2, n, n), _NO_PATH, dtype=np.int32)
-    linked = g.weights > 0
-    d[0][linked] = 1
-    d[1][linked] = g.weights[linked]
+
+
+def global_efficiency(graphs: Sequence[TransitionGraph]) -> list[tuple[float, float]]:
+    """(hop, weighted) of each graph: the mean inverse shortest-path
+    distance over ordered node pairs, with 1 per edge and with the total
+    edge weight as path cost. Unreachable pairs contribute 0. With all
+    weights >= 1 the weighted value never exceeds the hop value.
+
+    All come from one Floyd-Warshall over a (B, 2, N, N) int32 stack of
+    path costs, N the largest node count (at most 128 pitches); a
+    smaller graph is padded with ``_NO_PATH``, which no path through
+    it can undercut, so its own block ends as it would alone. Each
+    graph's two (n, n) slices are then scored alone. Weights are integer
+    counts, so the sums are exact while the total weight, which bounds
+    every shortest path, stays below ``_NO_PATH``. Before any work, a
+    graph ``check_efficiency`` refuses raises its error.
+    """
+    for g in graphs:
+        check_efficiency(g)
+    if not graphs:
+        return []
+    size = max(g.node_count for g in graphs)
+    d = np.full((len(graphs), 2, size, size), _NO_PATH, dtype=np.int32)
+    for costs, g in zip(d, graphs):
+        n = g.node_count
+        linked = g.weights > 0
+        costs[0, :n, :n][linked] = 1
+        costs[1, :n, :n][linked] = g.weights[linked]
     via = np.empty_like(d)
-    for k in range(n):
-        np.add(d[:, :, k, None], d[:, None, k, :], out=via)
+    for k in range(size):
+        np.add(d[..., k, None], d[..., None, k, :], out=via)
         np.minimum(d, via, out=d)
     scores = []
-    for paths in d:
-        inverse = np.where(paths < _NO_PATH, paths, np.inf)
-        np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
-        np.divide(1.0, inverse, out=inverse)
-        scores.append(float(inverse.sum()) / (n * (n - 1)))
-    hop, weighted = scores
-    return hop, weighted
+    for costs, g in zip(d, graphs):
+        n = g.node_count
+        pair = []
+        for paths in costs[:, :n, :n]:
+            inverse = np.where(paths < _NO_PATH, paths, np.inf)
+            np.fill_diagonal(inverse, np.inf)  # a node's distance to itself is not a pair
+            np.divide(1.0, inverse, out=inverse)
+            pair.append(float(inverse.sum()) / (n * (n - 1)))
+        scores.append(tuple(pair))
+    return scores
 
 
 def weight_histogram(g: TransitionGraph) -> dict[int, int]:
@@ -125,18 +144,32 @@ def weight_ccdf(weights: Sequence[int] | np.ndarray,
     return list(zip(distinct.tolist(), (at_least / at_least[0]).tolist()))
 
 
-def compute_report(g: TransitionGraph, shuffled: Iterable[TransitionGraph]) -> dict[str, float]:
+def compute_report(g: TransitionGraph, shuffled: np.ndarray,
+                   efficiency: tuple[float, float]) -> dict[str, float]:
     """Score one song graph against its out-weight shuffles, which
-    normalize the weighted reciprocity. ``shuffled`` is any iterable, and
-    each replica is scored as it arrives. Returns the song's measures and
-    flags by name, and the shuffled replicas' mean weighted reciprocity,
-    which is the baseline that normalized it."""
+    normalize the weighted reciprocity. ``shuffled`` is the (R, E) array
+    of replica weights in edge order that ``shuffle_out_weights`` draws
+    for ``g``, and ``efficiency`` is g's (hop, weighted) pair from
+    ``global_efficiency``. Returns the song's measures and flags by
+    name, and the shuffled replicas' mean weighted reciprocity, which is
+    the baseline that normalized it."""
     rho, full = reciprocity_binary(g)
     r = weighted_reciprocity_raw(g)
-    r_shuffled = [weighted_reciprocity_raw(x) for x in shuffled]
+    # a replica's reciprocated weight sums min(w(a, b), w(b, a)) over the
+    # edges (a, b) whose reverse (b, a) is an edge too; the weights are
+    # whole counts, so each sum is the exact one weighted_reciprocity_raw
+    # takes over the replica's matrix
+    src, tgt, _ = g.edge_rows
+    index = np.full(g.weights.shape, -1)
+    index[src, tgt] = np.arange(len(src))
+    reverse = index[tgt, src]
+    paired = reverse >= 0
+    reciprocated = np.minimum(shuffled[:, paired], shuffled[:, reverse[paired]]).sum(axis=1)
+    total = g.total_weight
+    r_shuffled = [x / total for x in reciprocated.tolist()]
     r_nm = sum(r_shuffled) / len(r_shuffled)
     degenerate = r_nm >= 1.0
-    hop, weighted = global_efficiency(g)
+    hop, weighted = efficiency
     return {
         "vertex_count": g.node_count,
         "edge_count": g.edge_count,

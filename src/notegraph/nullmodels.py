@@ -6,9 +6,10 @@ derived as master_seed XOR replica_index so replicas can be generated
 independently and in parallel.
 
 The shuffle draws one random key per edge from ``random.Random`` and
-orders each row's weights by one numpy sort, so each replica costs a
-few numpy calls rather than a Python step per edge; ``numpy.random``
-is never imported (it adds about 1.8 MB to a worker's peak memory).
+orders the weights of every replica of a graph by one numpy sort, so a
+song's replicas cost a few numpy calls rather than a Python step per
+edge; ``numpy.random`` is never imported (it adds about 1.8 MB to a
+worker's peak memory).
 """
 
 from __future__ import annotations
@@ -82,27 +83,32 @@ def rewire_edges(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
     return g.with_weights(out)
 
 
-def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> TransitionGraph:
-    """Permute each node's out-edge weights among its own out-edges.
+def shuffle_out_weights(g: TransitionGraph, cfg: RandomizerConfig) -> np.ndarray:
+    """Permute each node's out-edge weights among its own out-edges, once
+    per replica: an (``cfg.null_samples``, E) array whose row i holds
+    replica i's weights in edge order, the (source, target) order of
+    ``g.edge_rows``.
 
     Topology and per-node out-strength are unchanged by construction.
-    Each edge draws one 64-bit key: ``random.Random(cfg.seed)
-    .getrandbits(64 * E)`` read as E little-endian words, one per edge
-    in (source, target) order. A key is shifted down one byte and the
-    edge's source row (below 128) fills the top byte, and the weights
-    are permuted by the stable argsort of the keys. Each row thus takes
-    its own weights in the order of its edges' random 56 bits: a uniform
-    permutation of the row, as ``rng.shuffle`` of it would give.
+    Each edge of replica i draws one 64-bit key: ``random.Random(
+    replica_seed(cfg.seed, i)).getrandbits(64 * E)`` read as E
+    little-endian words, one per edge. A key is shifted down one byte and
+    the edge's source row (below 128) fills the top byte, and one stable
+    argsort along the rows orders every replica's keys at once. Each row
+    of the graph thus takes its own weights in the order of its edges'
+    random 56 bits: a uniform permutation of the row, as ``rng.shuffle``
+    of it would give.
     """
     if g.edge_count == 0:
         raise EmptyGraph("cannot shuffle weights of an empty graph")
-    src, tgt, values = g.edge_rows
-    n_edges = len(src)
-    bits = random.Random(cfg.seed).getrandbits(64 * n_edges).to_bytes(8 * n_edges, "little")
-    keys = np.frombuffer(bits, "<u8") >> np.uint64(8) | src.astype(np.uint64) << np.uint64(56)
-    w = np.zeros_like(g.weights)
-    w[src, tgt] = values[np.argsort(keys, kind="stable")]
-    return g.with_weights(w)
+    src, _, values = g.edge_rows
+    size = 8 * len(src)  # bytes of one replica's keys
+    bits = b"".join(
+        random.Random(replica_seed(cfg.seed, i)).getrandbits(8 * size).to_bytes(size, "little")
+        for i in range(cfg.null_samples))
+    keys = np.frombuffer(bits, "<u8").reshape(cfg.null_samples, len(src))
+    keys = keys >> np.uint64(8) | src.astype(np.uint64) << np.uint64(56)
+    return values[np.argsort(keys, axis=-1, kind="stable")]
 
 
 def rewired_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[TransitionGraph]:
@@ -111,6 +117,9 @@ def rewired_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[Tran
 
 
 def shuffled_replicas(g: TransitionGraph, cfg: RandomizerConfig) -> Iterator[TransitionGraph]:
-    for i in range(cfg.null_samples):
-        yield shuffle_out_weights(
-            g, RandomizerConfig(replica_seed(cfg.seed, i), cfg.swap_multiplier, 1))
+    """The rows of ``shuffle_out_weights`` as graphs, in replica order."""
+    src, tgt, _ = g.edge_rows
+    for row in shuffle_out_weights(g, cfg):
+        w = np.zeros_like(g.weights)
+        w[src, tgt] = row
+        yield g.with_weights(w)

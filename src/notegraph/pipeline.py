@@ -45,11 +45,13 @@ from .errors import (
     UnwritableOutput,
     not_utf8,
 )
-from .graph import graph_from_onsets
+from .graph import TransitionGraph, graph_from_onsets
 from .markov import DEFAULT_DAMPING, check_damping, network_entropy
-from .metrics import compute_report, weight_ccdf, weight_histogram
+from .metrics import (
+    check_efficiency, compute_report, global_efficiency, weight_ccdf, weight_histogram,
+)
 from .midi import onset_stream, parse_midi
-from .nullmodels import RandomizerConfig, shuffled_replicas
+from .nullmodels import RandomizerConfig, shuffle_out_weights
 
 CACHE_ENV_VAR = "NOTEGRAPH_CACHE"
 
@@ -178,13 +180,22 @@ def song_seed(master_seed: int, content_hash: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, Any]:
-    """Full per-song analysis; returns a JSON-serializable record.
+# the most jobs one worker call takes
+_CHUNK = 16
 
-    Raises the underlying NotegraphError (parse, build or numerical); the
-    pipeline excludes the song with that error as its reason.
-    """
-    content_hash = hashlib.sha256(data).hexdigest()
+# the most cells a kernel stack holds: songs x N x N, N its largest node
+# count; a song alone (N <= 128) always fits
+_STACK_CELLS = 2**15
+
+# a song past its per-song stages: (content_hash, duration, graph,
+# shuffled replica weights)
+Front = tuple[str, float, TransitionGraph, np.ndarray]
+
+
+def _front(song_id: str, data: bytes, content_hash: str, cfg: PipelineConfig) -> Front:
+    """A song's stages before the kernels: parse, the duration filter,
+    the graph, the shuffled replicas, and every check the kernels would
+    make. Raises the song's first error."""
     m = parse_midi(data)
     if m.duration <= cfg.min_duration:
         raise EmptySong(
@@ -192,49 +203,125 @@ def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, An
         )
     g = graph_from_onsets(onset_stream(m), song_id=song_id)
     null_cfg = RandomizerConfig(song_seed(cfg.seed, content_hash), null_samples=cfg.null_samples)
-    report = compute_report(g, shuffled_replicas(g, null_cfg))
-    entropy, residual = network_entropy(g, damping=cfg.damping)
-    counts = interval_vector(g)
-    return {
-        "song_id": song_id,
-        "content_hash": content_hash,
-        "duration": m.duration,
-        "network_entropy": entropy,
-        "stationary_residual": residual,
-        "interval_vector": (counts / np.sqrt(np.add.reduce(counts * counts))).tolist(),
-        "interval_counts": counts.tolist(),
-        "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
-        **report,
-    }
+    shuffled = shuffle_out_weights(g, null_cfg)
+    check_efficiency(g)
+    return content_hash, m.duration, g, shuffled
 
 
-def _worker(args: tuple[str, str, str, PipelineConfig]) -> tuple[str, str, dict, bool]:
-    """Analyse one file; ``content_hash`` is the SHA-256 of its bytes,
-    taken by ``run_pipeline``, and keys the cache entry. Returns
-    (song_id, path, entry, cached): the entry is the song's record or,
-    for an excluded song, its reason; ``song_id`` and ``path`` always
-    come from the job."""
-    song_id, path, content_hash, cfg = args
-    cache_file = None
-    if cfg.cache_dir:
-        cache_file = Path(cfg.cache_dir) / f"{content_hash}-{cfg.analysis_signature()}.json"
-        entry = _read_cache(cache_file, content_hash)
-        if entry is not None:
-            return song_id, path, entry, True
+def _stacks(graphs: list[TransitionGraph]) -> Iterator[list[int]]:
+    """The graphs' indices in node-count order, cut where one more graph
+    would take a stack past ``_STACK_CELLS``."""
+    stack: list[int] = []
+    for i in sorted(range(len(graphs)), key=lambda i: graphs[i].node_count):
+        n = graphs[i].node_count
+        if stack and (len(stack) + 1) * n * n > _STACK_CELLS:
+            yield stack
+            stack = []
+        stack.append(i)
+    if stack:
+        yield stack
 
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        # gone since run_pipeline hashed it: a fact about the path, not
-        # the content, so it is not cached
-        return song_id, path, {"reason": f"{type(exc).__name__}: {exc.strerror}"}, False
-    try:
-        entry = analyze_song(song_id, data, cfg)
-    except NotegraphError as exc:
-        entry = {"content_hash": content_hash, "reason": f"{type(exc).__name__}: {exc}"}
+
+def _score(fronts: list[Front], cfg: PipelineConfig) -> list[dict[str, Any] | NotegraphError]:
+    """The record of each song past ``_front``, or its error, in the
+    songs' order. Both efficiencies and the network entropy come from
+    one kernel call per stack of songs; each song keeps the values it
+    would get alone."""
+    graphs = [g for _, _, g, _ in fronts]
+    efficiency: list[Any] = [None] * len(graphs)
+    entropy: list[Any] = [None] * len(graphs)
+    for stack in _stacks(graphs):
+        stacked = [graphs[i] for i in stack]
+        for i, pair, solved in zip(stack, global_efficiency(stacked),
+                                   network_entropy(stacked, cfg.damping)):
+            efficiency[i] = pair
+            entropy[i] = solved
+    records: list[dict[str, Any] | NotegraphError] = []
+    for (content_hash, duration, g, shuffled), pair, solved in zip(fronts, efficiency, entropy):
+        # a song's stages in their order: the report, the entropy, the intervals
+        report = compute_report(g, shuffled, pair)
+        if isinstance(solved, NotegraphError):
+            records.append(solved)
+            continue
+        counts = interval_vector(g)
+        records.append({
+            "song_id": g.song_id,
+            "content_hash": content_hash,
+            "duration": duration,
+            "network_entropy": solved[0],
+            "stationary_residual": solved[1],
+            "interval_vector": (counts / np.sqrt(np.add.reduce(counts * counts))).tolist(),
+            "interval_counts": counts.tolist(),
+            "weight_histogram": {str(k): v for k, v in weight_histogram(g).items()},
+            **report,
+        })
+    return records
+
+
+def analyze_song(song_id: str, data: bytes, cfg: PipelineConfig) -> dict[str, Any]:
+    """Full analysis of one song, scored as a chunk of one; returns a
+    JSON-serializable record.
+
+    Raises the underlying NotegraphError (parse, build or numerical); the
+    pipeline excludes the song with that error as its reason.
+    """
+    (record,) = _score([_front(song_id, data, hashlib.sha256(data).hexdigest(), cfg)], cfg)
+    if isinstance(record, NotegraphError):
+        raise record
+    return record
+
+
+def _worker(chunk: list[tuple[str, str, str, PipelineConfig]]) -> list[tuple[str, str, dict, bool]]:
+    """Analyse a chunk of files, each job (song_id, path, content_hash,
+    cfg); ``content_hash`` is the SHA-256 of the file's bytes, taken by
+    ``run_pipeline``, and keys the cache entry. Returns (song_id, path,
+    entry, cached) per job, in job order: the entry is the song's record
+    or, for an excluded song, its reason; ``song_id`` and ``path``
+    always come from the job. The songs that pass ``_front`` are scored
+    together."""
+    outcomes: list[Any] = []
+    pending = []  # (index in outcomes, cache file, front) of each song to score
+    for song_id, path, content_hash, cfg in chunk:
+        cache_file = None
+        if cfg.cache_dir:
+            cache_file = Path(cfg.cache_dir) / f"{content_hash}-{cfg.analysis_signature()}.json"
+            entry = _read_cache(cache_file, content_hash)
+            if entry is not None:
+                outcomes.append((song_id, path, entry, True))
+                continue
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            # gone since run_pipeline hashed it: a fact about the path, not
+            # the content, so it is not cached
+            reason = f"{type(exc).__name__}: {exc.strerror}"
+            outcomes.append((song_id, path, {"reason": reason}, False))
+            continue
+        try:
+            front = _front(song_id, data, content_hash, cfg)
+        except NotegraphError as exc:
+            outcomes.append(_computed(song_id, path, cache_file, content_hash, exc))
+            continue
+        pending.append((len(outcomes), cache_file, front))
+        outcomes.append(None)
+    if pending:
+        # every job of a run carries the same settings
+        records = _score([front for _, _, front in pending], chunk[0][3])
+        for (at, cache_file, front), record in zip(pending, records):
+            song_id, path = chunk[at][:2]
+            outcomes[at] = _computed(song_id, path, cache_file, front[0], record)
+    return outcomes
+
+
+def _computed(song_id: str, path: str, cache_file: Optional[Path], content_hash: str,
+              result: dict | NotegraphError) -> tuple[str, str, dict, bool]:
+    """The outcome of a song analysed here, its entry cached if a cache
+    file is given: the record, or the error as the song's reason."""
+    if isinstance(result, NotegraphError):
+        result = {"content_hash": content_hash, "reason": f"{type(result).__name__}: {result}"}
     if cache_file is not None:
-        _write_cache(cache_file, entry)
-    return song_id, path, entry, False
+        _write_cache(cache_file, result)
+    return song_id, path, result, False
 
 
 def _read_cache(path: Path, content_hash: str) -> Optional[dict]:
@@ -342,15 +429,20 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Any]:
         exclusions.append({"song_id": p.stem, "path": str(p), "reason": reason})
     # stems are unique among the jobs, so this is song_id order
     jobs.sort(key=lambda job: job[0])
+    # consecutive chunks, none over _CHUNK jobs, so every worker gets one
+    size = max(1, min(_CHUNK, math.ceil(len(jobs) / cfg.workers)))
+    chunks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
     if cfg.workers > 1:
         # imported here: the pool's modules (multiprocessing, socket) cost
         # every one-worker run and every CLI start a few ms
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            counts = _write_song_files(out_dir, pool.map(_worker, jobs), catalog, exclusions)
+            outcomes = chain.from_iterable(pool.map(_worker, chunks))
+            counts = _write_song_files(out_dir, outcomes, catalog, exclusions)
     else:
-        counts = _write_song_files(out_dir, map(_worker, jobs), catalog, exclusions)
+        outcomes = chain.from_iterable(map(_worker, chunks))
+        counts = _write_song_files(out_dir, outcomes, catalog, exclusions)
     exclusions.sort(key=lambda e: e["song_id"])
     _write_csv(
         out_dir / "exclusions.csv",

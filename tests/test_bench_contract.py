@@ -72,13 +72,18 @@ def test_traced_run_counts_at_the_observed_boundaries(tmp_path):
         tracer.uninstall()
     counts = tracer.counts
     assert summary["songs_analyzed"] == 4
-    assert counts["pipeline.analyze_calls"] == 4
+    # the per-song stages run once per song, and one shuffle call draws
+    # all of a song's replicas
+    for name in ("midi.parse", "graph.build", "metrics.report", "nullmodels.shuffle"):
+        assert counts[f"{name}_calls"] == 4, name
+    # the four songs are one chunk and one stack: one call scores both
+    # efficiencies of them all, and one their network entropies
+    assert counts["metrics.efficiency_calls"] == 1
+    assert counts["markov.entropy_calls"] == 1
+    # the run scores chunks, not songs one by one
+    assert "pipeline.analyze_calls" not in counts
     assert "pipeline.duplicate_analyses" not in counts
-    # one call per song scores its hop and weighted efficiency, the song alone
-    assert counts["metrics.efficiency_calls"] == 4
     assert "nullmodels.rewire_calls" not in counts  # analyze draws shuffles only
-    # one call per replica: the row split is cached on the graph, not a call
-    assert counts["nullmodels.shuffle_calls"] == 4 * 2
     n_measures = len(notegraph.pipeline.TESTED_MEASURES)
     assert counts["stats.mwu_calls"] == n_measures
     assert counts["stats.mwu_pairs"] == n_measures * 2 * 2

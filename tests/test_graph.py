@@ -6,7 +6,7 @@ import pytest
 from notegraph.errors import BadEdgeList, EmptySong, OutOfRange
 from notegraph.graph import TransitionGraph, graph_from_onsets, parse_edge_list
 from notegraph.midi import onset_stream, parse_midi
-from notegraph.nullmodels import RandomizerConfig, rewire_edges, shuffle_out_weights
+from notegraph.nullmodels import RandomizerConfig, rewire_edges, shuffled_replicas
 
 from fixture_midi import loop_midi, melodic_midi, write_midi
 from oracles import graph_reference, total_transition_weight
@@ -199,7 +199,7 @@ def test_graphs_and_replicas_are_read_only():
         onsets([(0, 60), (1, 62), (2, 64), (3, 60), (4, 64)], channel=0) + onsets([(0, 70), (1, 70)], channel=1)
     )
     cfg = RandomizerConfig(seed=2)
-    replicas = [rewire_edges(g, cfg), shuffle_out_weights(g, cfg)]
+    replicas = [rewire_edges(g, cfg), next(shuffled_replicas(g, cfg))]
     for h in [g, *replicas]:
         with pytest.raises(TypeError):
             h.edges[(60, 62)] = 5

@@ -87,7 +87,7 @@ class TestNetworkEntropy:
         # uniform, so the entropy rate is exactly log n
         for n in (3, 5, 8):
             g = graph({}, isolated=set(range(n)))
-            ent, _ = network_entropy(g, damping=0.05)
+            ent, _ = network_entropy([g], damping=0.05)[0]
             assert ent == pytest.approx(math.log(n), abs=1e-10)
 
     def test_uniform_complete_graph_near_log_n(self):
@@ -95,34 +95,34 @@ class TestNetworkEntropy:
         # the uniform row, so the rate lies near log(n-1), never above log n
         for n in (3, 5, 8):
             g = graph({(i, j): 2 for i in range(n) for j in range(n) if i != j})
-            ent, _ = network_entropy(g, damping=0.05)
+            ent, _ = network_entropy([g], damping=0.05)[0]
             assert math.log(n - 1) - 0.1 < ent <= math.log(n) + 1e-12
 
     def test_cycle_matches_dense_oracle(self):
         g = graph({(i, (i + 1) % 5): 1 for i in range(5)})
-        ent, _ = network_entropy(g, damping=0.05)
+        ent, _ = network_entropy([g], damping=0.05)[0]
         assert ent == pytest.approx(oracles.network_entropy(g, 0.05), abs=1e-10)
 
     def test_single_node_is_zero(self):
-        assert network_entropy(graph({}, isolated={60}))[0] == 0.0
+        assert network_entropy([graph({}, isolated={60})])[0][0] == 0.0
 
     def test_bounds(self):
         rng = random.Random(9)
         for _ in range(50):
             g = oracles.random_graph(rng)
-            ent, _ = network_entropy(g)
+            ent, _ = network_entropy([g])[0]
             assert -1e-12 <= ent <= math.log(g.node_count) + 1e-12
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(10)
         for _ in range(50):
             g = oracles.random_graph(rng, max_nodes=6)
-            ent, _ = network_entropy(g, damping=0.05)
+            ent, _ = network_entropy([g], damping=0.05)[0]
             assert ent == pytest.approx(oracles.network_entropy(g, 0.05), abs=1e-9)
 
     def test_entropy_rises_with_damping(self):
         g = graph({(i, (i + 1) % 6): 1 for i in range(6)})
-        values = [network_entropy(g, damping=a)[0] for a in (0.05, 0.5, 0.95)]
+        values = [network_entropy([g], damping=a)[0][0] for a in (0.05, 0.5, 0.95)]
         assert values == sorted(values)
         assert values[-1] == pytest.approx(math.log(6), rel=0.05)
 
@@ -137,7 +137,7 @@ class TestGTH:
         rng = random.Random(11)
         for _ in range(20):
             g = oracles.random_graph(rng, max_nodes=30)
-            _, residual = network_entropy(g)
+            _, residual = network_entropy([g])[0]
             m = stochastic_matrix(g)
             pi, _ = stationary_distribution(m)
             assert residual == float(np.abs(
@@ -164,7 +164,7 @@ graphs = [graph_from_onsets(onset_stream(parse_midi(fixture_midi.melodic_midi(se
 rng = random.Random(3)
 graphs += [oracles.random_graph(rng, max_nodes=n, edge_prob=0.2) for n in (2, 8, 24, 40, 60) * 4]
 for g in graphs:
-    ent, residual = network_entropy(g)
+    ent, residual = network_entropy([g])[0]
     pi, _ = stationary_distribution(stochastic_matrix(g))
     print(ent.hex(), residual.hex(), pi.tobytes().hex())
 """

@@ -19,7 +19,9 @@ from notegraph.metrics import (
     weighted_reciprocity_raw,
 )
 from notegraph.midi import onset_stream, parse_midi
-from notegraph.nullmodels import RandomizerConfig, rewired_replicas, shuffled_replicas
+from notegraph.nullmodels import (
+    RandomizerConfig, rewired_replicas, shuffle_out_weights, shuffled_replicas,
+)
 
 
 def graph(edges, song_id="t"):
@@ -35,7 +37,11 @@ def cycle(n, weight=1):
 
 
 def shuffles(g, null_samples, seed):
-    return list(shuffled_replicas(g, RandomizerConfig(seed=seed, null_samples=null_samples)))
+    return shuffle_out_weights(g, RandomizerConfig(seed=seed, null_samples=null_samples))
+
+
+def report(g, shuffled):
+    return compute_report(g, shuffled, global_efficiency([g])[0])
 
 
 def ccdf(graphs):
@@ -131,7 +137,7 @@ class TestWeightedReciprocityRaw:
 
 def reciprocity_norm(g, shuffled):
     """The report's normalized weighted reciprocity and its degenerate flag."""
-    rep = compute_report(g, shuffled)
+    rep = report(g, shuffled)
     return rep["weighted_reciprocity_norm"], rep["degenerate_baseline"]
 
 
@@ -161,15 +167,13 @@ class TestWeightedReciprocityNorm:
     def test_random_placements_average_to_zero(self):
         # graphs whose weight placement is itself a uniform shuffle sit at
         # the baseline on average, so the mean normalized value is ~0
-        from notegraph.nullmodels import shuffle_out_weights
-
         base = graph({
             (0, 1): 5, (0, 2): 1, (1, 0): 2, (1, 3): 7,
             (2, 3): 1, (3, 0): 4, (3, 2): 3, (2, 0): 2,
         })
         values = []
         for seed in range(400):
-            start = shuffle_out_weights(base, RandomizerConfig(seed=seed))
+            (start,) = shuffled_replicas(base, RandomizerConfig(seed=seed, null_samples=1))
             rho_w, flag = reciprocity_norm(start, shuffles(start, 25, seed + 10_000))
             assert not flag
             values.append(rho_w)
@@ -200,14 +204,14 @@ class TestMeanNodeEntropy:
 
 class TestGlobalEfficiency:
     def test_complete_graph_is_one(self):
-        assert global_efficiency(complete_digraph(4)) == pytest.approx((1.0, 1.0))
+        assert global_efficiency([complete_digraph(4)]) == [pytest.approx((1.0, 1.0))]
 
     def test_two_nodes_single_edge(self):
-        assert global_efficiency(graph({(0, 1): 1})) == pytest.approx((0.5, 0.5))
+        assert global_efficiency([graph({(0, 1): 1})]) == [pytest.approx((0.5, 0.5))]
 
     def test_matches_floyd_warshall_oracle(self):
         for g in oracle_graphs(21):
-            assert global_efficiency(g) == pytest.approx(
+            assert global_efficiency([g])[0] == pytest.approx(
                 (oracles.global_efficiency(g, False), oracles.global_efficiency(g, True)),
                 abs=1e-12,
             )
@@ -215,7 +219,7 @@ class TestGlobalEfficiency:
     def test_weighted_never_exceeds_unweighted(self):
         rng = random.Random(34)
         for _ in range(200):
-            hop, weighted = global_efficiency(oracles.random_graph(rng))
+            (hop, weighted), = global_efficiency([oracles.random_graph(rng)])
             assert weighted <= hop + 1e-12
 
 
@@ -237,7 +241,7 @@ class TestEfficiencies:
 
     def test_matches_oracle_on_null_replicas(self):
         for g in self.graphs():
-            assert global_efficiency(g) == pytest.approx(
+            assert global_efficiency([g])[0] == pytest.approx(
                 (oracles.global_efficiency(g, False), oracles.global_efficiency(g, True)),
                 abs=1e-12,
             )
@@ -273,20 +277,20 @@ class TestEfficiencies:
         songs += [fixture_midi.loop_midi(length) for length in (300, 333)]
         graphs += [graph_from_onsets(onset_stream(parse_midi(data))) for data in songs]
         for g in graphs:
-            hop, weighted = global_efficiency(g)
+            (hop, weighted), = global_efficiency([g])
             assert (hop.hex(), weighted.hex()) == (
                 self.one_pass(g, False).hex(), self.one_pass(g, True).hex())
 
     def test_degenerate_graph(self):
         with pytest.raises(DegenerateGraph):
-            global_efficiency(TransitionGraph(edges={}, isolated=frozenset({5})))
+            global_efficiency([TransitionGraph(edges={}, isolated=frozenset({5}))])
 
     def test_total_weight_limit(self):
         for weight in (2**30 - 1, 2**30):
             with pytest.raises(OutOfRange, match=f"total weight {weight} not below 1073741823"):
-                global_efficiency(graph({(0, 1): weight}))
+                global_efficiency([graph({(0, 1): weight})])
         below = graph({(0, 1): 2**30 - 2})
-        assert global_efficiency(below) == (0.5, 0.5 / (2**30 - 2))
+        assert global_efficiency([below]) == [(0.5, 0.5 / (2**30 - 2))]
 
 
 class TestWeightCcdf:
@@ -328,10 +332,10 @@ class TestComputeReport:
         draws = [oracles.random_graph(rng) for _ in range(60)]
         draws += [oracles.random_graph(rng, max_nodes=30, edge_prob=0.1) for _ in range(4)]
         for g in draws:
-            shuffled = shuffles(g, 4, 3)
-            rep = compute_report(g, shuffled)
-            assert (rep["efficiency"], rep["weighted_efficiency"]) == global_efficiency(g)
+            rep = report(g, shuffles(g, 4, 3))
+            assert (rep["efficiency"], rep["weighted_efficiency"]) == global_efficiency([g])[0]
             assert rep["weighted_reciprocity_raw"] == weighted_reciprocity_raw(g)
+            shuffled = shuffled_replicas(g, RandomizerConfig(seed=3, null_samples=4))
             r_song, *r_shuffled = [oracles.weighted_reciprocity_raw(x) for x in (g, *shuffled)]
             r_nm = sum(r_shuffled) / len(r_shuffled)
             # the stored baseline is the one that normalized the song
@@ -349,8 +353,10 @@ class TestComputeReport:
         rng = random.Random(92)
         for _ in range(30):
             g = oracles.random_graph(rng)
-            replicas = shuffles(g, 10, rng.getrandbits(64))
-            assert hexed(compute_report(g, iter(replicas))) == hexed(compute_report(g, replicas))
+            cfg = RandomizerConfig(seed=rng.getrandbits(64))
+            src, tgt, _ = g.edge_rows
+            drawn = np.array([r.weights[src, tgt] for r in shuffled_replicas(g, cfg)])
+            assert hexed(report(g, drawn)) == hexed(report(g, shuffle_out_weights(g, cfg)))
 
 
 class TestRanges:
@@ -358,7 +364,7 @@ class TestRanges:
         rng = random.Random(77)
         for _ in range(200):
             g = oracles.random_graph(rng)
-            rep = compute_report(g, shuffles(g, 3, 1))
+            rep = report(g, shuffles(g, 3, 1))
             assert 0 <= rep["density"] <= 1
             assert -1 <= rep["reciprocity_binary"] <= 1
             assert 0 <= rep["weighted_reciprocity_raw"] <= 1

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -27,6 +28,13 @@ def degrees(g):
         out[s] += 1
         indeg[t] += 1
     return out, indeg
+
+
+def one_shuffle(g, cfg):
+    """The first replica that ``shuffle_out_weights`` draws, as a graph;
+    its seed is ``replica_seed(cfg.seed, 0)``, which is ``cfg.seed``."""
+    (replica,) = shuffled_replicas(g, replace(cfg, null_samples=1))
+    return replica
 
 
 def out_strengths(g):
@@ -110,20 +118,20 @@ class TestShuffleOutWeights:
         g = TransitionGraph(edges={(0, 1): 5, (0, 2): 1})
         seen = set()
         for seed in range(20):
-            shuffled = shuffle_out_weights(g, RandomizerConfig(seed=seed))
+            shuffled = one_shuffle(g, RandomizerConfig(seed=seed))
             seen.add((shuffled.edges[(0, 1)], shuffled.edges[(0, 2)]))
         assert seen == {(5, 1), (1, 5)}
 
     def test_single_out_edges_identity(self):
         g = TransitionGraph(edges={(0, 1): 4, (1, 2): 9, (2, 0): 2})
         for seed in range(5):
-            assert shuffle_out_weights(g, RandomizerConfig(seed=seed)).edges == g.edges
+            assert one_shuffle(g, RandomizerConfig(seed=seed)).edges == g.edges
 
     def test_topology_and_strength_preserved(self):
         rng = random.Random(3)
         for i in range(100):
             g = oracles.random_graph(rng)
-            shuffled = shuffle_out_weights(g, RandomizerConfig(seed=i))
+            shuffled = one_shuffle(g, RandomizerConfig(seed=i))
             assert set(shuffled.edges) == set(g.edges)
             assert out_strengths(shuffled) == out_strengths(g)
             # per-node out-weight multisets identical
@@ -140,7 +148,7 @@ class TestShuffleOutWeights:
         for g in reference_graphs():
             for seed in REFERENCE_SEEDS:
                 cfg = RandomizerConfig(seed=seed)
-                shuffled = shuffle_out_weights(g, cfg)
+                shuffled = one_shuffle(g, cfg)
                 reference = oracles.shuffle_reference(g, cfg)
                 assert shuffled.edges == reference.edges
                 assert shuffled.node_list == reference.node_list
@@ -157,11 +165,11 @@ class TestShuffleOutWeights:
                 TransitionGraph(edges=edges, isolated={40, 41}), cfg)
             fresh = TransitionGraph(edges=edges, isolated={40, 41})
             assert "edge_rows" not in vars(fresh)
-            assert shuffle_out_weights(fresh, cfg).edges == reference.edges
+            assert one_shuffle(fresh, cfg).edges == reference.edges
             assert "edge_rows" in vars(fresh)
             # the cached split is shared by every reader, so none may edit it
             assert not any(part.flags.writeable for part in fresh.edge_rows)
-            assert shuffle_out_weights(fresh, cfg).edges == reference.edges
+            assert one_shuffle(fresh, cfg).edges == reference.edges
             assert [r.edges for r in shuffled_replicas(fresh, CFG)] == [
                 oracles.shuffle_reference(fresh, RandomizerConfig(replica_seed(CFG.seed, i))).edges
                 for i in range(CFG.null_samples)]
@@ -183,7 +191,7 @@ class TestShuffleOutWeights:
         g = TransitionGraph(edges=edges)
         for seed in REFERENCE_SEEDS + (2**40 + 5,):
             cfg = RandomizerConfig(seed=seed)
-            assert shuffle_out_weights(g, cfg).edges == oracles.shuffle_reference(g, cfg).edges
+            assert one_shuffle(g, cfg).edges == oracles.shuffle_reference(g, cfg).edges
 
     def test_each_order_of_a_row_of_three_is_equally_likely(self):
         # 6,000 seeds over the 6 orders of one row's weights; 20.52 is
@@ -191,7 +199,7 @@ class TestShuffleOutWeights:
         g = TransitionGraph(edges={(0, 1): 1, (0, 2): 2, (0, 3): 3, (1, 0): 4})
         seeds = 6000
         seen = Counter(
-            tuple(shuffle_out_weights(g, RandomizerConfig(seed=seed)).weights[0, 1:].tolist())
+            tuple(shuffle_out_weights(g, RandomizerConfig(seed=seed, null_samples=1))[0, :3].tolist())
             for seed in range(seeds))
         assert len(seen) == 6
         expected = seeds / 6

@@ -186,9 +186,9 @@ class TestRunPipeline:
         jobs = []
         real = pipeline._worker
 
-        def worker(job):
-            jobs.append(job)
-            return real(job)
+        def worker(chunk):
+            jobs.extend(chunk)
+            return real(chunk)
 
         monkeypatch.setattr(pipeline, "_worker", worker)
         run_pipeline(cfg)
@@ -229,13 +229,13 @@ class TestRunPipeline:
                              output_dir=str(tmp_path / "out"), null_samples=2, cache_dir=None)
         run_pipeline(cfg)
         before = read_output(tmp_path / "out")
-        real, calls = pipeline.analyze_song, []
-        def analyze_song(song_id, data, cfg):
-            calls.append(song_id)
+        real, calls = pipeline.parse_midi, []
+        def parse_midi(data):
+            calls.append(data)
             if len(calls) == 3:
                 raise RuntimeError("stopped on the third song")
-            return real(song_id, data, cfg)
-        monkeypatch.setattr(pipeline, "analyze_song", analyze_song)
+            return real(data)
+        monkeypatch.setattr(pipeline, "parse_midi", parse_midi)
         with pytest.raises(RuntimeError):
             run_pipeline(replace(cfg, null_samples=3))
         assert read_output(tmp_path / "out") == before
@@ -353,10 +353,9 @@ class TestRunPipeline:
     def test_numerical_failure_excludes_one_song(self, corpus, tmp_path, monkeypatch):
         midi_dir, _ = corpus
         real = pipeline.network_entropy
-        def entropy(g, **kwargs):
-            if g.song_id == "song03":
-                raise NonConvergence(1.0)
-            return real(g, **kwargs)
+        def entropy(graphs, damping):
+            return [NonConvergence(1.0) if g.song_id == "song03" else solved
+                    for g, solved in zip(graphs, real(graphs, damping))]
         monkeypatch.setattr(pipeline, "network_entropy", entropy)
         summary = run_pipeline(PipelineConfig(
             inputs=[str(midi_dir)], output_dir=str(tmp_path / "out"),
@@ -389,11 +388,11 @@ class TestRunPipeline:
         (midi_dir / "a.mid").write_bytes(data)
         (midi_dir / "b.mid").write_bytes(data)
         analyzed = []
-        real = pipeline.analyze_song
-        def analyze(song_id, data, cfg):
+        real = pipeline.graph_from_onsets
+        def build(onsets, song_id):
             analyzed.append(song_id)
-            return real(song_id, data, cfg)
-        monkeypatch.setattr(pipeline, "analyze_song", analyze)
+            return real(onsets, song_id=song_id)
+        monkeypatch.setattr(pipeline, "graph_from_onsets", build)
         summary = run_pipeline(PipelineConfig(
             inputs=[str(midi_dir)], output_dir=str(tmp_path / "out"),
             null_samples=2, workers=1,
@@ -460,10 +459,10 @@ class TestRunPipeline:
         gone = root / "b.mid"
         data = gone.read_bytes()
         real = pipeline._worker
-        def worker(job):
-            if job[0] == "b":
+        def worker(chunk):
+            if "b" in [job[0] for job in chunk]:
                 gone.unlink()  # after run_pipeline hashed it
-            return real(job)
+            return real(chunk)
         monkeypatch.setattr(pipeline, "_worker", worker)
         def run(out):
             return run_pipeline(PipelineConfig(
@@ -522,23 +521,24 @@ class TestAnalyzeSong:
 
     def test_scores_the_song_alone_and_rewires_nothing(self, monkeypatch):
         calls = []
-        real = metrics.global_efficiency
+        real = pipeline.global_efficiency
 
-        def counted(g):
-            calls.append(g)
-            return real(g)
+        def counted(graphs):
+            calls.append(graphs)
+            return real(graphs)
 
         def rewire(g, cfg):
             raise AssertionError("analyze_song drew a rewired replica")
 
-        monkeypatch.setattr(metrics, "global_efficiency", counted)
+        monkeypatch.setattr(pipeline, "global_efficiency", counted)
         monkeypatch.setattr(nullmodels, "rewire_edges", rewire)
         data = fixture_midi.melodic_midi(seed=4)
         record = pipeline.analyze_song("s", data, PipelineConfig(null_samples=3, min_duration=0))
         # one call scores both efficiencies, on the song's own graph
-        assert len(calls) == 1 and calls[0].song_id == "s"
-        assert calls[0].edges == graph_from_onsets(onset_stream(parse_midi(data))).edges
-        assert (record["efficiency"], record["weighted_efficiency"]) == real(calls[0])
+        [[g]] = calls
+        assert g.song_id == "s"
+        assert g.edges == graph_from_onsets(onset_stream(parse_midi(data))).edges
+        assert [(record["efficiency"], record["weighted_efficiency"])] == real([g])
 
 
 class TestSongSeed:
@@ -985,7 +985,8 @@ class TestCli:
         bad.write_text("60 62 1\n60 62 x\n")
         assert main(["nullmodel", str(bad), "--output", str(tmp_path / "none")]) == 1
         error = json.loads(capsys.readouterr().err)
-        assert error == {"error": "BadEdgeList", "message": "line 2: not three integers: '60 62 x'"}
+        assert error == {"error": "BadEdgeList",
+                         "message": f"{bad}, line 2: not three integers: '60 62 x'"}
 
     def test_an_edge_list_that_is_not_utf8_is_a_bad_edge_list(self, tmp_path, capsys):
         bad = tmp_path / "bad.edges"
