@@ -2,9 +2,7 @@
 
 Subcommands: analyze (full per-song pipeline and aggregate tables),
 nullmodel (randomized replicas of one graph), report (re-run all
-aggregate tables from an existing songs.jsonl). embed, stats and trend
-are aliases of report that write only the PCA coordinates, the pairwise
-genre tests, or the decade trend tables.
+aggregate tables from an existing songs.jsonl).
 
 Exit code 0 on success; on failure a JSON error summary goes to stderr
 and the exit code is nonzero.
@@ -26,14 +24,6 @@ from .pipeline import (
     SETTING_TYPES, PipelineConfig, SongsFile, make_output_dir, read_settings, run_pipeline,
     write_aggregates,
 )
-
-# report aliases -> the aggregate tables each one writes
-ALIAS_TABLES = {
-    "embed": ("coordinates.csv",),
-    "stats": ("genre_tests.csv",),
-    "trend": ("trend_decades.csv", "trend_tests.csv"),
-}
-
 
 # flags spelled otherwise than their setting's name with dashes
 FLAG_NAMES = {
@@ -98,7 +88,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     records = SongsFile(args.songs)
     if catalog is not None:
         records = (catalog_mod.join_catalog(record, catalog) for record in records)
-    notes = write_aggregates(records, cfg.output_dir, cfg, tables=ALIAS_TABLES.get(args.command))
+    notes = write_aggregates(records, cfg.output_dir, cfg)
     print(json.dumps(notes, sort_keys=True))
     return 0
 
@@ -120,16 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", dest="output_dir")
     p.set_defaults(func=cmd_nullmodel)
 
-    for name, help_text in (
-        ("report", "rebuild aggregate tables from songs.jsonl"),
-        ("embed", "report alias: 2-D projection of interval embeddings"),
-        ("stats", "report alias: pairwise genre Mann-Whitney battery"),
-        ("trend", "report alias: decade trends and Mann-Kendall tests"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("songs", help="songs.jsonl from a previous analyze run")
-        _add_config_flags(p)
-        p.set_defaults(func=cmd_report)
+    p = sub.add_parser("report", help="rebuild aggregate tables from songs.jsonl")
+    p.add_argument("songs", help="songs.jsonl from a previous analyze run")
+    _add_config_flags(p)
+    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -860,45 +860,32 @@ def _projection_tables(cols: CorpusColumns, cfg: PipelineConfig, notes: dict) ->
     return tables
 
 
-# each builder with the CSV files it can write, in output order
+# the table builders, in output order
 AGGREGATE_TABLES = (
-    (("ccdf.csv",), _ccdf_table),
-    (("interval_fractions.csv",), _fractions_table),
-    (("genre_tests.csv",), _genre_tests_table),
-    (("trend_decades.csv", "trend_tests.csv"), _trend_tables),
-    (("gs_scores.csv",), _gs_table),
-    (("coordinates.csv", "component_correlations.csv"), _projection_tables),
+    _ccdf_table, _fractions_table, _genre_tests_table, _trend_tables, _gs_table,
+    _projection_tables,
 )
 
 
-def write_aggregates(
-    records: Iterable[dict],
-    out_dir: str | Path,
-    cfg: PipelineConfig,
-    tables: Optional[Iterable[str]] = None,
-) -> dict[str, Any]:
+def write_aggregates(records: Iterable[dict], out_dir: str | Path,
+                     cfg: PipelineConfig) -> dict[str, Any]:
     """Write the corpus-level CSV tables; returns the notes of the run
     (skipped tests, PCA explained variance).
 
     ``records`` is any iterable, read once: the builders share one
-    ``CorpusColumns`` made in one pass over it. ``tables`` limits the
-    output to those file names; builders that write none of them are not
-    run. Every table is built before the output directory is made, so a
-    value of the wrong kind in a column that a table reads raises
-    ``BadSongsFile``, naming the column's first bad song and the field,
-    and writes nothing.
+    ``CorpusColumns`` made in one pass over it. Every table is built
+    before the output directory is made, so a value of the wrong kind in
+    a column that a table reads raises ``BadSongsFile``, naming the
+    column's first bad song and the field, and writes nothing.
     """
-    wanted = None if tables is None else set(tables)
     cols = CorpusColumns(records)
     notes: dict[str, Any] = {}
     built: dict[str, Table] = {}
-    for names, build in AGGREGATE_TABLES:
-        if wanted is None or not wanted.isdisjoint(names):
-            built.update(build(cols, cfg, notes))
+    for build in AGGREGATE_TABLES:
+        built.update(build(cols, cfg, notes))
     out = make_output_dir(out_dir)
     for name, (header, rows) in built.items():
-        if wanted is None or name in wanted:
-            _write_csv(out / name, header, rows)
+        _write_csv(out / name, header, rows)
     return notes
 
 

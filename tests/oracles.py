@@ -582,7 +582,8 @@ def aggregate_tables_reference(records: list[dict], min_group_size: int) -> tupl
         # largest-magnitude loading is positive
         x = np.asarray([r["interval_vector"] for r in records], dtype=float)
         u, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
-        kept = int(np.sum(s > s[0] * 1e-12)) if s[0] > 0 else 0
+        # an axis is kept when its variance, s**2, exceeds 1e-12 of the first's
+        kept = int(np.sum(s * s > s[0] * s[0] * 1e-12)) if s[0] > 0 else 0
         coords = np.zeros((len(records), 2))
         for i in range(min(2, kept)):
             sign = 1.0 if vt[i][np.argmax(np.abs(vt[i]))] >= 0 else -1.0

@@ -19,7 +19,7 @@ import fixture_midi
 import notegraph
 import oracles
 from notegraph import metrics, nullmodels, pipeline
-from notegraph.cli import ALIAS_TABLES, _build_config, build_parser, main
+from notegraph.cli import _build_config, build_parser, main
 from notegraph.errors import (
     BadSetting, BadSongsFile, InsufficientGroups, NoInputs, NonConvergence,
 )
@@ -39,6 +39,10 @@ from notegraph.pipeline import (
 )
 
 GENRES = ["classical", "jazz", "rock", "pop"]
+
+# every table report writes when it skips none, in file-name order
+AGGREGATE_FILES = ["ccdf.csv", "component_correlations.csv", "coordinates.csv", "genre_tests.csv",
+                   "gs_scores.csv", "interval_fractions.csv", "trend_decades.csv", "trend_tests.csv"]
 
 # CSV columns that hold labels or flags; every other cell is a number
 TEXT_COLUMNS = {
@@ -802,15 +806,31 @@ def assert_tables_match(got: dict, want: dict) -> None:
                     assert cell == want_cell and not isinstance(cell, float), (name, row, want_row)
 
 
+def near_line_records(rng: random.Random) -> list[dict]:
+    """Six fuzzed records whose interval vectors lie within 1e-9 of a
+    line, u + t*a: the centred matrix's second singular value is about
+    1e-9 of the first, so its square is below 1e-12 of the first's, the
+    projection's cut, while the singular value itself is above 1e-12 of
+    the first."""
+    records = fuzz_records(rng, 6)
+    u, a = ([rng.random() for _ in range(12)] for _ in range(2))
+    for record in records:
+        t = rng.random()
+        record["interval_vector"] = [ui + t * ai + 1e-9 * rng.random() for ui, ai in zip(u, a)]
+    return records
+
+
 class TestAggregateTables:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_builders_match_record_by_record_reference(self, seed):
+    @pytest.mark.parametrize("records", [
+        *(pytest.param(fuzz_records(random.Random(seed), 60), id=str(seed)) for seed in (1, 2, 3)),
+        pytest.param(near_line_records(random.Random(4)), id="pca-cut"),
+    ])
+    def test_builders_match_record_by_record_reference(self, records):
         pytest.importorskip("scipy.stats")  # the reference's correlations
-        records = fuzz_records(random.Random(seed), 60)
         cfg = PipelineConfig(gs_min_group_size=3)
         cols = pipeline.CorpusColumns(records)
         got, notes = {}, {}
-        for _, build in pipeline.AGGREGATE_TABLES:
+        for build in pipeline.AGGREGATE_TABLES:
             got.update(build(cols, cfg, notes))
         want, want_notes = oracles.aggregate_tables_reference(records, min_group_size=3)
         assert_tables_match(got, want)
@@ -851,7 +871,7 @@ class TestAggregateTables:
         hists = [{"3": 1, "1": 2}, {"03": 2}, {3: 4}]
         records = [{**minimal_record(f"s{i}"), "genres": ["jazz"], "weight_histogram": hist}
                    for i, hist in enumerate(hists)]
-        pipeline.write_aggregates(records, tmp_path, PipelineConfig(), tables=["ccdf.csv"])
+        pipeline.write_aggregates(records, tmp_path, PipelineConfig())
         assert (tmp_path / "ccdf.csv").read_text() == (
             f"genre,weight,ccdf\njazz,1,1.0\njazz,3,{7 / 9!r}\n")
 
@@ -930,22 +950,6 @@ class TestCli:
         assert "computed" not in json.loads((out / "summary.json").read_text())
         songs = out / "songs.jsonl"
         assert songs.is_file()
-
-        assert main(["embed", str(songs), "--output", str(tmp_path / "emb")]) == 0
-        assert [f.name for f in (tmp_path / "emb").iterdir()] == ["coordinates.csv"]
-
-        assert main([
-            "stats", str(songs), "--catalog", str(catalog),
-            "--output", str(tmp_path / "st"),
-        ]) == 0
-        assert [f.name for f in (tmp_path / "st").iterdir()] == ["genre_tests.csv"]
-
-        assert main([
-            "trend", str(songs), "--catalog", str(catalog),
-            "--output", str(tmp_path / "tr"),
-        ]) == 0
-        assert sorted(f.name for f in (tmp_path / "tr").iterdir()) == [
-            "trend_decades.csv", "trend_tests.csv"]
 
         assert main([
             "report", str(songs), "--catalog", str(catalog),
@@ -1071,8 +1075,11 @@ class TestCli:
         assert main(["analyze", str(midi_dir), "--output", str(analyzed), *settings]) == 0
         assert main(["report", str(analyzed / "songs.jsonl"),
                      "--output", str(reported), *settings]) == 0
-        tables = [name for names, _ in pipeline.AGGREGATE_TABLES for name in names]
-        assert sorted(p.name for p in reported.iterdir()) == sorted(tables)
+        tables = sorted(p.name for p in analyzed.iterdir())
+        for name in ("songs.jsonl", "metrics.csv", "embeddings.csv", "exclusions.csv",
+                     "summary.json"):
+            tables.remove(name)
+        assert sorted(p.name for p in reported.iterdir()) == tables == AGGREGATE_FILES
         for name in tables:
             assert (reported / name).read_bytes() == (analyzed / name).read_bytes(), name
 
@@ -1148,6 +1155,7 @@ class TestCli:
         ("interval_vector", ["1.0"] + [0.0] * 11),
         ("interval_vector", [True] + [0.0] * 11),
         ("interval_counts", ["2"] + [0.0] * 11),
+        ("interval_counts", [10**400] + [0.0] * 11),  # past float range
         ("weight_histogram", {"1": 2.0}),
         ("weight_histogram", {"1": True}),
         ("weight_histogram", {" 1": 1}),  # int(" 1") reads it, but it is not ASCII digits
@@ -1173,7 +1181,8 @@ class TestCli:
             "infinite-interval-vector", "nan-interval-vector", "infinite-interval-counts",
             "negative-infinite-interval-counts", "negative-weight-count", "minus-one-count",
             "numeric-text-interval-vector", "bool-interval-vector", "numeric-text-interval-counts",
-            "float-weight-count", "bool-weight-count", "spaced-weight", "count-past-64-bits",
+            "huge-interval-counts", "float-weight-count", "bool-weight-count", "spaced-weight",
+            "count-past-64-bits",
             "huge-efficiency", "huge-interval-vector", "text-genres", "int-genres",
             "int-genre", "text-release-year", "float-release-year", "bool-release-year",
             "list-era", "int-artist", "zero-interval-vector", "negative-interval-vector",
@@ -1195,36 +1204,50 @@ class TestCli:
                        "message": f"song 'b': {field} has the wrong type or shape"}
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, field, value", [
-        ("trend", "interval_vector", ["1.0"] + [0.0] * 11),
-        ("trend", "interval_counts", [10**400] + [0.0] * 11),
-        ("trend", "weight_histogram", {"1": 2.0}),
-        ("trend", "vertex_count", 10**400),  # past float range
-        ("trend", "interval_vector", [10**400] + [0.0] * 11),
-        ("embed", "genres", "jazz"),  # embed reads no label
-        ("trend", "interval_vector", [0.0] * 12),
-    ], ids=["text-interval-vector", "huge-interval-count", "float-weight-count",
-            "huge-vertex-count", "huge-interval-vector", "text-genres-under-embed",
+    # report skips the projection below 2 songs, the battery without 2
+    # genres of 2 songs each and the correlations below 3 songs, and no
+    # record here has a catalog label, so none is in a GS group or a
+    # trend: one song reads no interval vector, and two read no measure.
+    @pytest.mark.parametrize("field, value, songs", [
+        ("interval_vector", ["1.0"] + [0.0] * 11, 1),
+        ("vertex_count", 10**400, 2),  # past float range
+        ("interval_vector", [10**400] + [0.0] * 11, 1),
+        ("interval_vector", [0.0] * 12, 1),
+    ], ids=["text-interval-vector", "huge-vertex-count", "huge-interval-vector",
             "zero-interval-vector"])
     def test_a_bad_value_that_no_written_table_reads_is_no_fault(
-            self, command, field, value, tmp_path, capsys):
-        records = [minimal_record("a"), {**minimal_record("b"), field: value}]
-        songs = write_songs(tmp_path / "songs.jsonl", records)
-        assert main([command, str(songs), "--output", str(tmp_path / "out")]) == 0
-        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
-            ALIAS_TABLES[command])
+            self, field, value, songs, tmp_path, capsys):
+        records = [{**minimal_record("b"), field: value}, minimal_record("c")][:songs]
+        path = write_songs(tmp_path / "songs.jsonl", records)
+        assert main(["report", str(path), "--output", str(tmp_path / "out")]) == 0
+        skipped = {"genre_tests.csv", "component_correlations.csv"}
+        if songs < 2:
+            skipped.add("coordinates.csv")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            name for name in AGGREGATE_FILES if name not in skipped]
 
     def test_the_message_names_a_field_that_a_written_table_reads(self, tmp_path, capsys):
-        # stats never reads the interval vectors, so song b's is no fault
+        # the battery is built before the GS scores and the projection, so
+        # song c's efficiency is named before song b's interval vector
         records = [{**minimal_record(song_id), "genres": [genre]}
                    for song_id, genre in zip("abcd", ["jazz", "jazz", "rock", "rock"])]
         records[1]["interval_vector"] = ["x"] + [0.0] * 11
         records[2]["efficiency"] = "y"
         songs = write_songs(tmp_path / "songs.jsonl", records)
-        assert main(["stats", str(songs), "--output", str(tmp_path / "out")]) == 1
+        assert main(["report", str(songs), "--output", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "BadSongsFile",
                        "message": "song 'c': efficiency has the wrong type or shape"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["embed", "stats", "trend"])
+    def test_a_removed_table_command_is_unknown(self, command, tmp_path, capsys):
+        # report writes every table; there is no command for a subset of them
+        songs = write_songs(tmp_path / "songs.jsonl", [minimal_record("a"), minimal_record("b")])
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(songs), "--output", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_songs_file_round_trips_and_skips_blank_lines(self, tmp_path):
@@ -1301,7 +1324,7 @@ def two_songs(root: Path) -> Path:
 
 
 class TestSettings:
-    @pytest.mark.parametrize("command", ["analyze", "report", "embed", "stats", "trend"])
+    @pytest.mark.parametrize("command", ["analyze", "report"])
     def test_flag_list_and_types(self, command, capsys, monkeypatch):
         monkeypatch.delenv(pipeline.CACHE_ENV_VAR, raising=False)
         with pytest.raises(SystemExit):
